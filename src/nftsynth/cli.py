@@ -65,9 +65,21 @@ def write_signal_csv(path, signal: Signal):
 
 def read_signal_csv(path) -> Signal:
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    q = np.array([float(r["re_Q"]) + 1j * float(r["im_Q"]) for r in rows])
-    return Signal(samples=q, eps=1.0 / len(q))
+        reader = csv.DictReader(fh)
+        missing = {"re_Q", "im_Q"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"signal CSV {path} lacks column(s) {sorted(missing)}")
+        rows = list(reader)
+    D = len(rows)
+    if D < 1 or D & (D - 1):
+        raise ValueError(f"signal CSV {path} has {D} rows, not a power of two")
+    try:
+        q = np.array([complex(float(r["re_Q"]), float(r["im_Q"])) for r in rows])
+    except (TypeError, ValueError) as exc:   # empty or non-numeric cell
+        raise ValueError(f"signal CSV {path} holds a bad sample: {exc}") from None
+    if not np.all(np.isfinite(q)):
+        raise ValueError(f"signal CSV {path} holds non-finite samples")
+    return Signal(samples=q, eps=1.0 / D)
 
 
 def write_pair_csv(path, pair):
@@ -298,23 +310,24 @@ def run_bench(job, out: Path):
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
         for key in list(row):
             if key.endswith("_s"):
-                row[key.replace("_s", "_per_sample_us")] = row[key] / D * 1e6
+                row[key.removesuffix("_s") + "_per_sample_us"] = row[key] / D * 1e6
         rows.append(row)
         print(f"D={D}: " + ", ".join(
             f"{k}={v:.3g}" for k, v in row.items() if k != "D"))
 
-    # per-sample fast time against log2(D)^2: slope is the scaling diagnostic
-    x = np.array([np.log2(r["D"]) ** 2 for r in rows])
-    y = np.array([r["invert_fast_per_sample_us"] for r in rows])
-    slope, intercept = np.polyfit(x, y, 1)
-    write_report(out / "report.json", "bench", {
-        "rows": rows,
-        "fast_per_sample_fit": {
+    # per-sample fast time against log2(D)^2: slope is the scaling diagnostic;
+    # a line needs two sizes
+    fit = None
+    if len({r["D"] for r in rows}) >= 2:
+        x = np.array([np.log2(r["D"]) ** 2 for r in rows])
+        y = np.array([r["invert_fast_per_sample_us"] for r in rows])
+        slope, intercept = np.polyfit(x, y, 1)
+        fit = {
             "model": "t_us = slope * log2(D)^2 + intercept",
             "slope": float(slope),
             "intercept": float(intercept),
-        },
-    })
+        }
+    write_report(out / "report.json", "bench", {"rows": rows, "fast_per_sample_fit": fit})
     return 0
 
 

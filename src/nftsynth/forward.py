@@ -9,9 +9,9 @@ starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
 `forward_sequential` runs the updates on fixed-size coefficient arrays,
-O(D^2).  `forward_fast` multiplies the D one-sample matrices in a
-balanced binary tree with FFT polynomial products, O(D log^2 D), and
-reads (a, b) off the first column.
+O(D^2).  `forward_fast` is `inverse.transfer_matrix` of the samples: the
+D one-sample matrices multiplied in a balanced tree, one batched FFT
+product per level, O(D log^2 D); (a, b) is its first column.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .inverse import Signal, _mat_reduce
+from .inverse import Signal, transfer_matrix
 from .poly import poly_dz, poly_eval
 from .synthesis import (
     ROOT_INNER,
@@ -80,29 +80,14 @@ def forward_sequential(signal: Signal) -> ScatteringPair:
     return pair_from_coeffs(a, b)
 
 
-def _mat_from_sample(Q):
-    """One-sample matrix entries, ascending powers of z^{-1}."""
-    th = np.sqrt(1.0 + abs(Q) ** 2)
-    return (
-        np.array([1.0 / th], dtype=complex),              # z^0
-        np.array([0.0, Q / th], dtype=complex),           # z^{-1}
-        np.array([-np.conj(Q) / th], dtype=complex),      # z^0
-        np.array([0.0, 1.0 / th], dtype=complex),         # z^{-1}
-    )
-
-
 def forward_fast(signal: Signal) -> ScatteringPair:
     q = np.asarray(signal.samples, dtype=complex)
     D = len(q)
-    if D & (D - 1):
+    if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
-    total = _mat_reduce([_mat_from_sample(Q) for Q in q])
+    F = transfer_matrix(q)
     # initial state is [1; 0]: (a, b) is the first column
-    a = np.zeros(D, dtype=complex)
-    b = np.zeros(D, dtype=complex)
-    a[: len(total[0])] = total[0][:D]
-    b[: len(total[2])] = total[2][:D]
-    return pair_from_coeffs(a, b)
+    return pair_from_coeffs(F[0, 0, :D], F[1, 0, :D])
 
 
 def reflection_coefficient(pair, omega=None):

@@ -3,15 +3,22 @@
 Two implementations of the same map.  `invert_sequential` peels one
 sample at a time, O(D^2); it is the normative reference.  `invert_fast`
 splits the pair in half, peels the newer half, transfers the older half
-through the accumulated matrix, and recurses -- O(D log^2 D).  Both read
-each sample from the constant coefficients as Q = -conj(b0)/conj(a0).
+through that half's inverse matrix, and recurses -- O(D log^2 D).  Both
+read each sample from the constant coefficients as Q = -conj(b0)/conj(a0).
 
-Transfer-matrix bookkeeping: the one-step inverse matrix is
-(1/theta) * [[1, -Q], [z*conj(Q), z]] times a scalar z^{-1/2}.  The
-scalar multiplies a and b identically and cancels in every recovery
-ratio, so it is tracked as an integer count of half powers, never
-materialized in coefficients.  The polynomial parts have det = z exactly,
-hence det(T after n steps) = z^n.
+One step matrix serves both transforms.  `step_matrices` defines the
+one-sample forward matrix, in ascending powers of z^{-1},
+
+    F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]],    det F = z^{-1},
+
+and `transfer_matrix` multiplies a block of them in a balanced tree, one
+batched `poly_mat_mul` per level; `forward_fast` is that product.  The
+one-step inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
+z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
+coefficient-wise and peeling needs no matrices of its own.  Each step also
+carries a scalar z^{-1/2}; it multiplies a and b identically and cancels
+in every recovery ratio, so it is tracked as an integer count of half
+powers, never materialized in coefficients.
 """
 
 import math
@@ -19,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Laurent, poly_mul
+from .poly import Laurent, poly_mat_mul, poly_mul
 from .synthesis import ScatteringPair, validate_pair
 
-LEAF_SIZE = 32          # below this, peel sequentially inside the recursion
+LEAF_SIZE = 64          # below this, peel sequentially inside the recursion
 SINGULAR_A0 = 1e-14
 
 
@@ -46,7 +53,7 @@ class Signal:
 
 @dataclass
 class TransferMatrix:
-    """2x2 polynomial matrix entries (ascending powers of z) + z^{-1/2} count."""
+    """z^D adj(F) entries (ascending powers of z) + z^{-1/2} count."""
 
     t11: Laurent
     t12: Laurent
@@ -121,61 +128,31 @@ def invert_sequential(pair, check=True) -> Signal:
     return Signal(samples=out, eps=1.0 / D)
 
 
-def _mat_from_q(Q):
-    """Polynomial part of the one-step inverse matrix, entries over z^{+s}."""
-    th = np.sqrt(1.0 + abs(Q) ** 2)
-    return (
-        np.array([1.0 / th], dtype=complex),                   # z^0
-        np.array([-Q / th], dtype=complex),                    # z^0
-        np.array([0.0, np.conj(Q) / th], dtype=complex),       # z^1
-        np.array([0.0, 1.0 / th], dtype=complex),              # z^1
-    )
+def step_matrices(q):
+    """One-sample forward matrices F(q[k]) stacked as an (n, 2, 2, 2) array.
 
-
-def _padd(x, y):
-    if len(x) < len(y):
-        x, y = y, x
-    out = x.copy()
-    out[: len(y)] += y
-    return out
-
-
-def _mat_mul(T2, T1):
-    """T2 @ T1 for 2x2 matrices of ascending-power coefficient arrays."""
-    return (
-        _padd(poly_mul(T2[0], T1[0]), poly_mul(T2[1], T1[2])),
-        _padd(poly_mul(T2[0], T1[1]), poly_mul(T2[1], T1[3])),
-        _padd(poly_mul(T2[2], T1[0]), poly_mul(T2[3], T1[2])),
-        _padd(poly_mul(T2[2], T1[1]), poly_mul(T2[3], T1[3])),
-    )
-
-
-def _mat_reduce(mats):
-    """Balanced product of step matrices: mats[-1] @ ... @ mats[0]."""
-    while len(mats) > 1:
-        nxt = [
-            _mat_mul(mats[i + 1], mats[i]) if i + 1 < len(mats) else mats[i]
-            for i in range(0, len(mats), 2)
-        ]
-        mats = nxt
-    return mats[0]
-
-
-def _mat_apply_window(T, A, B, h):
-    """First h coefficients (powers z^0..z^{-(h-1)}) of T @ [A; B].
-
-    T entries hold ascending powers z^{+s}; A, B hold powers z^{-j}.
-    The z^{-j} output coefficient is sum_s t[s]*src[j+s]: a correlation,
-    computed as a convolution against the reversed entry.
+    The last axis holds ascending powers of z^{-1}:
+    F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]].
     """
-    out_a = np.zeros(h, dtype=complex)
-    out_b = np.zeros(h, dtype=complex)
-    for t, src, out in ((T[0], A, out_a), (T[1], B, out_a),
-                        (T[2], A, out_b), (T[3], B, out_b)):
-        L = len(t)
-        seg = poly_mul(t[::-1], src)[L - 1 : L - 1 + h]
-        out[: len(seg)] += seg
-    return out_a, out_b
+    q = np.asarray(q, dtype=complex)
+    ith = 1.0 / np.sqrt(1.0 + np.abs(q) ** 2)
+    M = np.zeros((len(q), 2, 2, 2), dtype=complex)
+    M[:, 0, 0, 0] = ith
+    M[:, 0, 1, 1] = q * ith
+    M[:, 1, 0, 0] = -np.conj(q) * ith
+    M[:, 1, 1, 1] = ith
+    return M
+
+
+def transfer_matrix(q):
+    """F(q[n-1]) @ ... @ F(q[0]) as a (2, 2, n+1) array; n a power of two.
+
+    Balanced tree, one batched product per level (later samples on the left).
+    """
+    M = step_matrices(q)
+    while len(M) > 1:
+        M = poly_mat_mul(M[1::2], M[0::2])
+    return M[0]
 
 
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
@@ -185,41 +162,40 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
     after peeling everything newer.  The newer half of the window
     determines its own samples (the constant coefficients of the peeled
     iterates do not depend on the older half), so the recursion peels
-    A[:h], B[:h] first, pushes the full window through the accumulated
-    matrix, and recurses on the first h coefficients of the result.
+    A[:h], B[:h] first, pushes the full window through that half's
+    inverse z^h adj(F_hi), and recurses on the first h coefficients of
+    the result.  Each node returns its samples (newest first) and the
+    forward matrix of its block, F_hi @ F_lo.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
-    if D & (D - 1):
+    if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
 
     def node(A, B):
         n = len(A)
         if n <= leaf_size:
-            A = A.copy()
-            B = B.copy()
             qs = np.empty(n, dtype=complex)
-            mats = []
-            for k in range(n, 0, -1):
-                Q = recover_sample(A, B)
-                qs[n - k] = Q
-                mats.append(_mat_from_q(Q))
-                if k == 1:
-                    break
-                A, B = step_inverse(A, B, Q)
-            return qs, _mat_reduce(mats)
+            for k in range(n):
+                qs[k] = recover_sample(A, B)
+                A, B = step_inverse(A, B, qs[k])
+            return qs, transfer_matrix(qs[::-1])
         h = n // 2
-        qs_hi, T1 = node(A[:h], B[:h])
-        A2, B2 = _mat_apply_window(T1, A, B, h)
-        qs_lo, T2 = node(A2, B2)
-        return np.concatenate([qs_hi, qs_lo]), _mat_mul(T2, T1)
+        qs_hi, F_hi = node(A[:h], B[:h])
+        # the z^{-j} coefficient of z^h adj(F_hi) @ [A; B] is the z^{-(j+h)}
+        # one of adj(F_hi) @ [A; B]; keep j < h
+        A2 = poly_mul(F_hi[1, 1], A)[h:n] - poly_mul(F_hi[0, 1], B)[h:n]
+        B2 = poly_mul(F_hi[0, 0], B)[h:n] - poly_mul(F_hi[1, 0], A)[h:n]
+        qs_lo, F_lo = node(A2, B2)
+        return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, F_lo)
 
-    qs, T = node(a, b)
+    qs, F = node(a, b)
+    # inverse of the whole block: z^D adj(F), ascending powers of z
     tm = TransferMatrix(
-        t11=Laurent(T[0], 0),
-        t12=Laurent(T[1], 0),
-        t21=Laurent(T[2], 0),
-        t22=Laurent(T[3], 0),
+        t11=Laurent(F[1, 1, ::-1], 0),
+        t12=Laurent(-F[0, 1, ::-1], 0),
+        t21=Laurent(-F[1, 0, ::-1], 0),
+        t22=Laurent(F[0, 0, ::-1], 0),
         half_powers=D,
     )
     return Signal(samples=qs[::-1], eps=1.0 / D), tm

@@ -49,6 +49,20 @@ def poly_mul(p, q):
     return out[:n]
 
 
+def poly_mat_mul(X, Y):
+    """Batched X @ Y for stacks of 2x2 polynomial matrices.
+
+    X and Y have shape (..., 2, 2, L) with the coefficients of each entry
+    along the last axis; the result has length Lx + Ly - 1 there.  One
+    FFT per operand, a 2x2 contraction per frequency, one inverse FFT, so
+    a whole tree level of matrix products is a single call.
+    """
+    n = X.shape[-1] + Y.shape[-1] - 1
+    m = 1 << (n - 1).bit_length()
+    prod = np.einsum("...ijk,...jlk->...ilk", np.fft.fft(X, m), np.fft.fft(Y, m))
+    return np.fft.ifft(prod)[..., :n]
+
+
 def laurent_mul(p: Laurent, q: Laurent) -> Laurent:
     return Laurent(poly_mul(p.coeffs, q.coeffs), p.offset + q.offset)
 

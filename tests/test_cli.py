@@ -132,6 +132,17 @@ def test_bench_command_small(tmp_path, capsys):
         assert "invert_sequential_s" in row
         assert "forward_fast_s" in row
     assert "slope" in rep["fast_per_sample_fit"]
+    assert "invert_sequential_per_sample_us" in rep["rows"][0]
+
+
+def test_bench_single_size_has_no_fit(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bench_D": [64]}))
+    out = tmp_path / "out"
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert [r["D"] for r in rep["rows"]] == [64]
+    assert rep["fast_per_sample_fit"] is None
 
 
 def test_missing_field_is_usage_error(tmp_path, capsys):
@@ -152,5 +163,24 @@ def test_bad_delta_is_usage_error(tmp_path, capsys):
 def test_bad_size_is_usage_error(tmp_path, capsys):
     spec = write_spec(tmp_path / "spec.json", D=500)
     rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("body", [
+    "n,t,re_Q,im_Q\n",                                       # header only
+    "n,t,re_Q\n1,-0.75,0.1\n2,-0.25,0.2\n",                 # no im_Q column
+    "n,t,re_Q,im_Q\n1,-0.8,0.1,0\n2,-0.5,0.1,0\n3,-0.2,0.1,0\n",  # 3 rows
+    "n,t,re_Q,im_Q\n1,-0.75,nan,0\n2,-0.25,0.1,0\n",        # non-finite
+    "n,t,re_Q,im_Q\n1,-0.75,0.1\n2,-0.25,0.1,0\n",          # empty cell
+], ids=["header-only", "missing-column", "three-rows", "non-finite", "short-row"])
+def test_bad_signal_csv_is_usage_error(tmp_path, capsys, body):
+    spec = write_spec(tmp_path / "spec.json")
+    sig = tmp_path / "signal.csv"
+    sig.write_text(body)
+    with pytest.raises(ValueError):
+        read_signal_csv(sig)
+    rc = main(["forward", "--spec", str(spec), "--signal", str(sig),
+               "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")

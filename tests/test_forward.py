@@ -61,7 +61,7 @@ def test_forward_unimodularity():
         assert pair.unimodularity_residual <= 1e-10
 
 
-@pytest.mark.parametrize("D", [2, 4, 8, 32, 128])
+@pytest.mark.parametrize("D", [2, 4, 8, 32, 128, 1024, 2048])
 def test_fast_matches_sequential(D):
     rng = np.random.default_rng(200 + D)
     for _ in range(3):
@@ -75,6 +75,8 @@ def test_fast_matches_sequential(D):
 def test_fast_rejects_non_power_of_two():
     with pytest.raises(ValueError, match="power of two"):
         forward_fast(Signal(samples=np.zeros(12), eps=1.0 / 12))
+    with pytest.raises(ValueError, match="power of two"):
+        forward_fast(Signal(samples=np.zeros(0), eps=1.0))
 
 
 @pytest.mark.parametrize("lambdas,b_tol", [([], 1e-7), (FOUR_SOLITON, 1e-5)])

@@ -112,7 +112,7 @@ def test_leaf_size_invariance():
     rng = np.random.default_rng(7)
     pair = forward_sequential(random_signal(rng, 64))
     ref, _ = invert_fast(pair)
-    for leaf in (2, 8, 64):
+    for leaf in (2, 8, 32, 64):
         alt, _ = invert_fast(pair, leaf_size=leaf)
         assert np.allclose(alt.samples, ref.samples, atol=1e-12)
 
@@ -149,6 +149,29 @@ def test_transfer_matrix_det_is_z_to_the_D():
     assert np.allclose(det, expected, atol=1e-10)
 
 
+def test_transfer_matrix_is_adjugate_of_forward_product():
+    """invert_fast's matrix is z^D adj(F), F the forward product of its samples.
+
+    F is built column by column with forward_step, the O(D) per step
+    reference, from the recovered samples in time order; the identity is
+    checked coefficient-wise.
+    """
+    rng = np.random.default_rng(17)
+    D = 256
+    sig, tm = invert_fast(forward_sequential(random_signal(rng, D)))
+    cols = []
+    for start in (([1.0], [0.0]), ([0.0], [1.0])):
+        top, bottom = start
+        for Q in sig.samples:
+            top, bottom = forward_step(top, bottom, Q)
+        cols.append((top, bottom))
+    (f11, f21), (f12, f22) = cols
+    # z^D times a polynomial in z^{-1} of degree D: reversed coefficients
+    for got, want in ((tm.t11, f22), (tm.t12, -f12), (tm.t21, -f21), (tm.t22, f11)):
+        assert got.offset == 0
+        assert np.allclose(got.coeffs, want[::-1], rtol=0, atol=1e-12)
+
+
 def test_singular_pair_raises():
     a = np.array([0.0, 1.0], dtype=complex)   # unimodular but a0 = 0
     b = np.zeros(2, dtype=complex)
@@ -163,6 +186,9 @@ def test_fast_rejects_non_power_of_two():
     b = np.zeros(3, dtype=complex)
     with pytest.raises(ValueError, match="power of two"):
         invert_fast((a, b))
+    empty = np.zeros(0, dtype=complex)
+    with pytest.raises(ValueError, match="power of two"):
+        invert_fast((empty, empty))
 
 
 def test_invalid_pair_rejected_when_checking():
