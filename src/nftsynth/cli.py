@@ -32,7 +32,6 @@ from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 SCHEMA_VERSION = 1
 SEQUENTIAL_LIMIT = 4096        # skip the O(D^2) reference above this
 BENCH_SEQUENTIAL_LIMIT = 8192  # scalar reference gets slow beyond this
-ROOTFIND_LIMIT = 4096
 BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [512, 1024, 2048, 4096, 8192, 16384]
 
@@ -168,11 +167,11 @@ def _write_spectrum_csv(out: Path, omega, vals, poles):
 
 
 def run_forward(job, out: Path, signal_path=None):
-    spec = spec_from_job(job)
     clocks = {}
     if signal_path:
         signal = read_signal_csv(signal_path)
     else:
+        spec = spec_from_job(job)
         pair0 = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
         signal, _tm = _stage("invert", lambda: invert_fast(pair0, check=False), clocks)
     pair = _stage("forward_fast", lambda: forward_fast(signal), clocks)
@@ -183,23 +182,19 @@ def run_forward(job, out: Path, signal_path=None):
         "unimodularity_residual": pair.unimodularity_residual,
         "wall_clock_s": clocks,
     }
-    if signal.D <= ROOTFIND_LIMIT:
-        zs = _stage("eigenvalues", lambda: find_eigenvalues(pair.a), clocks)
-        lams = [z_to_lambda(z, 1.0 / signal.D) for z in zs]
-        norm = norming_constants(pair, zs) if len(zs) else np.array([])
-        with open(out / "eigenvalues.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["re_z", "im_z", "re_lambda", "im_lambda",
-                        "re_norming", "im_norming"])
-            for z, lam, c in zip(zs, lams, norm):
-                w.writerow([f"{z.real:.17g}", f"{z.imag:.17g}",
-                            f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                            f"{c.real:.17g}", f"{c.imag:.17g}"])
-        payload["eigenvalues"] = [complex(l) for l in lams]
-        payload["norming"] = [complex(c) for c in norm]
-    else:
-        payload["eigenvalues_skipped"] = (
-            f"D > {ROOTFIND_LIMIT}: companion-matrix root finding skipped")
+    zs = _stage("eigenvalues", lambda: find_eigenvalues(pair.a), clocks)
+    lams = [z_to_lambda(z, 1.0 / signal.D) for z in zs]
+    norm = norming_constants(pair, zs) if len(zs) else np.array([])
+    with open(out / "eigenvalues.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["re_z", "im_z", "re_lambda", "im_lambda",
+                    "re_norming", "im_norming"])
+        for z, lam, c in zip(zs, lams, norm):
+            w.writerow([f"{z.real:.17g}", f"{z.imag:.17g}",
+                        f"{lam.real:.17g}", f"{lam.imag:.17g}",
+                        f"{c.real:.17g}", f"{c.imag:.17g}"])
+    payload["eigenvalues"] = [complex(l) for l in lams]
+    payload["norming"] = [complex(c) for c in norm]
     write_report(out / "report.json", "forward", payload)
     return 0
 
@@ -231,7 +226,7 @@ def run_roundtrip(job, out: Path):
     payload["radiation_energy"] = float(
         np.trapezoid(np.abs(vals) ** 2, omega) / np.pi)
 
-    if spec.lambdas and spec.D <= ROOTFIND_LIMIT:
+    if spec.lambdas:
         zs = _stage("eigenvalues", lambda: find_eigenvalues(pair2.a), clocks)
         lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
         errs = []
@@ -308,6 +303,7 @@ def run_bench(job, out: Path):
             row["invert_sequential_s"] = _time_median(
                 lambda: invert_sequential(pair, check=False))
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
+        row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
         for key in list(row):
             if key.endswith("_s"):
                 row[key.removesuffix("_s") + "_per_sample_us"] = row[key] / D * 1e6

@@ -34,7 +34,12 @@ REFLECTION_GRID_FACTOR = 4
 POLE_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-6
 MULTIPLE_ROOT_TOL = 1e-12
-MAX_ROOTFIND_DEGREE = 4096
+COUNT_GRID_FACTOR = 8        # contour grid: a power of two >= 8 len(a) ...
+COUNT_REFINEMENTS = 4        # ... doubled at most this often
+COUNT_TOL = 1e-6             # distance of a trusted zero count from an integer
+NEWTON_STEPS = 20
+NEWTON_TOL = 1e-10           # relative Newton step that ends the polish
+ROOT_SEPARATION_TOL = 1e-10  # relative; closer polished roots are one root
 
 
 @dataclass
@@ -125,33 +130,89 @@ def reflection_coefficient(pair, omega=None):
     return omega, vals, poles
 
 
-def find_eigenvalues(a):
-    """Roots of a(z) outside the unit circle, via the companion matrix.
+def _contour_moments(a, r, M):
+    """Moments s_p = mean(w^p * w A'(w)/A(w)) over the circle |w| = r.
 
-    Keeps only roots in the annulus 1 + 1e-6 < |z| < e^pi; roots found
-    outside it are overwhelmingly numerical artifacts of the truncated
-    polynomial rather than bound states.  Ordered by the eigenvalue they
-    map to (imaginary part, then real part) so repeated runs and the
-    norming-constant bookkeeping line up deterministically.
+    A(w) = sum a_j w^j is a(z) at w = 1/z.  With the grid points
+    w_m = r e^{-2 pi i m/M}, A(w_m) and w A'(w_m) are the FFTs of a_j r^j
+    and j a_j r^j, and s_p = r^p * fft(g)[p]/M.  By the argument principle
+    s_p -> sum of w_k^p over the zeros inside the circle (s_0 is their
+    count) as M grows.
     """
-    a = np.asarray(a, dtype=complex)
-    if len(a) > MAX_ROOTFIND_DEGREE:
-        raise ValueError(
-            f"degree {len(a) - 1} exceeds companion-matrix limit "
-            f"{MAX_ROOTFIND_DEGREE - 1}; use the known synthesis roots instead"
-        )
-    coeffs = np.trim_zeros(a, "b")
-    if len(coeffs) < 2:
+    x = a * r ** np.arange(len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = np.fft.fft(np.arange(len(a)) * x, M) / np.fft.fft(x, M)
+    return np.fft.fft(g) / M * r ** np.arange(M)
+
+
+def find_eigenvalues(a):
+    """Roots of a(z) in the annulus 1 + 1e-6 < |z| < e^pi, by contour moments.
+
+    Roots outside the annulus are overwhelmingly numerical artifacts of
+    the truncated polynomial rather than bound states.  The difference of
+    the contour moments (_contour_moments) on the annulus' two boundary
+    circles gives the count N and the power sums of the roots inside it;
+    Newton's identities turn them into a degree-N polynomial whose roots
+    seed Newton's method on the full a (Delves & Lyness, Math. Comp. 1967).
+    O(D log D).
+
+    Certified: a count that is no integer after COUNT_REFINEMENTS grid
+    doublings means a zero on or near the boundary (ValueError); polished
+    roots that are not N distinct roots of a inside the annulus raise
+    RuntimeError.  Ordered by the eigenvalue they map to (imaginary part,
+    then real part) so repeated runs and the norming-constant bookkeeping
+    line up deterministically.
+    """
+    D = len(a)
+    a = np.trim_zeros(np.asarray(a, dtype=complex), "b")
+    if len(a) < 2:
         return np.array([], dtype=complex)
-    # a(z) = sum a_j z^{-j}; roots of z^{deg} a(z), highest power first
-    roots = np.roots(coeffs)
+    M = 1 << (COUNT_GRID_FACTOR * len(a) - 1).bit_length()
+    for _ in range(COUNT_REFINEMENTS + 1):
+        outer = _contour_moments(a, 1.0 / ROOT_INNER, M)
+        inner = _contour_moments(a, 1.0 / ROOT_OUTER, M)
+        counts = np.array([outer[0], inner[0]])
+        if np.all(np.abs(counts - np.round(counts.real)) <= COUNT_TOL):
+            break
+        M *= 2
+    else:
+        raise ValueError(
+            f"zero count {outer[0] - inner[0]:.6g} is no integer on a "
+            f"{M // 2}-point grid: a zero of a lies on or near the annulus "
+            f"boundary |z| = {ROOT_INNER} or {ROOT_OUTER:.6g}"
+        )
+    n = int(round((outer[0] - inner[0]).real))
+    if n == 0:
+        return np.array([], dtype=complex)
+    # Newton's identities: power sums -> elementary symmetric polynomials
+    s = outer[: n + 1] - inner[: n + 1]
+    e = np.zeros(n + 1, dtype=complex)
+    e[0] = 1.0
+    for k in range(1, n + 1):
+        i = np.arange(1, k + 1)
+        e[k] = np.sum((-1.0) ** (i - 1) * e[k - i] * s[i]) / k
+    roots = 1.0 / np.roots((-1.0) ** np.arange(n + 1) * e)  # seeds, z = 1/w
+    # Newton in w on A(w) = a(1/w); poly_eval(c, z) = sum c_j w^j
+    dA = np.arange(1, len(a)) * a[1:]
+    for _ in range(NEWTON_STEPS):
+        step = poly_eval(a, roots) / poly_eval(dA, roots)
+        roots = 1.0 / (1.0 / roots - step)
+        converged = np.all(np.abs(step * roots) <= NEWTON_TOL)
+        if converged:
+            break
     mags = np.abs(roots)
-    keep = (mags > ROOT_INNER) & (mags < ROOT_OUTER)
-    roots = roots[keep]
-    if len(roots) == 0:
-        return roots
-    eps = 1.0 / len(a)
-    lams = np.array([z_to_lambda(z, eps) for z in roots])
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.diag(np.full(n, np.inf))
+    resid = np.abs(poly_eval(a, roots))
+    if (not converged
+            or not np.all((mags > ROOT_INNER) & (mags < ROOT_OUTER))
+            or np.min(gaps) <= ROOT_SEPARATION_TOL * np.max(mags)
+            or not np.all(resid <= ROOT_RESIDUAL_TOL)):
+        raise RuntimeError(
+            f"contour count {n} not confirmed: Newton polish from the contour "
+            f"seeds gave {roots} (|z| {mags}, |a(z)| {resid}, converged "
+            f"{converged}), not {n} distinct roots of a inside the annulus"
+        )
+    lams = np.array([z_to_lambda(z, 1.0 / D) for z in roots])
     return roots[np.lexsort((lams.real, lams.imag))]
 
 

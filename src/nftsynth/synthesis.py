@@ -138,13 +138,6 @@ def validate_pair(pair: ScatteringPair, tol=1e-6):
     }
 
 
-def filter_roots(roots):
-    """Keep roots inside the plausible annulus 1+1e-6 < |z| < e^pi."""
-    roots = np.asarray(roots, dtype=complex)
-    keep = (np.abs(roots) > ROOT_INNER) & (np.abs(roots) < ROOT_OUTER)
-    return roots[keep]
-
-
 def pair_from_coeffs(a, b, tail_energy=0.0) -> ScatteringPair:
     """Wrap raw coefficient arrays, measuring the unimodularity residual."""
     a = np.asarray(a, dtype=complex)

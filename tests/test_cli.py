@@ -84,6 +84,17 @@ def test_forward_command_from_signal(tmp_path):
     assert (o2 / "eigenvalues.csv").exists()
 
 
+def test_forward_from_signal_ignores_spec(tmp_path):
+    # the spec is only read on the synthesis path; D=500 would be refused
+    spec = write_spec(tmp_path / "spec.json", D=500)
+    sig = tmp_path / "signal.csv"
+    write_signal_csv(sig, Signal(samples=np.full(4, 0.1 + 0j), eps=0.25))
+    out = tmp_path / "out"
+    assert main(["forward", "--spec", str(spec), "--signal", str(sig),
+                 "--out", str(out)]) == 0
+    assert read_report(out)["D"] == 4
+
+
 def test_roundtrip_command_radiation(tmp_path):
     spec = write_spec(tmp_path / "spec.json", lambdas=())
     out = tmp_path / "out"
@@ -131,6 +142,8 @@ def test_bench_command_small(tmp_path, capsys):
         assert row["invert_fast_per_sample_us"] > 0
         assert "invert_sequential_s" in row
         assert "forward_fast_s" in row
+        assert row["find_eigenvalues_s"] > 0
+        assert row["find_eigenvalues_per_sample_us"] > 0
     assert "slope" in rep["fast_per_sample_fit"]
     assert "invert_sequential_per_sample_us" in rep["rows"][0]
 

@@ -16,7 +16,15 @@ from nftsynth.forward import (
 )
 from nftsynth.inverse import Signal, invert_fast
 from nftsynth.poly import poly_eval
-from nftsynth.synthesis import SpectrumSpec, lambda_to_z, pair_from_coeffs, synthesize_ab, z_to_lambda
+from nftsynth.synthesis import (
+    ROOT_INNER,
+    ROOT_OUTER,
+    SpectrumSpec,
+    lambda_to_z,
+    pair_from_coeffs,
+    synthesize_ab,
+    z_to_lambda,
+)
 
 FOUR_SOLITON = [12.5j, 25.0j, 37.5j, 50.0j]
 
@@ -156,9 +164,64 @@ def test_find_eigenvalues_four_soliton():
     assert np.max(np.abs(np.sort(lams.imag) - np.imag(FOUR_SOLITON))) <= 1e-3
 
 
-def test_find_eigenvalues_degree_limit():
-    with pytest.raises(ValueError, match="companion"):
+def test_find_eigenvalues_zero_on_contour():
+    # 1 + z^{-1} + ... + z^{-4096} has all its zeros on |z| = 1, a hair from
+    # the inner contour |z| = 1 + 1e-6: no grid the finder may use resolves the count
+    with pytest.raises(ValueError, match="boundary"):
         find_eigenvalues(np.ones(4097, dtype=complex))
+
+
+def test_find_eigenvalues_large_d():
+    spec = SpectrumSpec(lambdas=FOUR_SOLITON, delta=0.01, D=16384, omega_c=10.0)
+    zs = find_eigenvalues(synthesize_ab(spec).a)
+    lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
+    assert len(lams) == 4
+    assert np.max(np.abs(lams - FOUR_SOLITON)) <= 1e-3
+
+
+def _synthesized(lambdas, D):
+    return synthesize_ab(SpectrumSpec(lambdas=lambdas, delta=0.01, D=D, omega_c=10.0)).a
+
+
+def _round_tripped(doc):
+    spec = SpectrumSpec(lambdas=[complex(*l) for l in doc["lambdas"]], delta=doc["delta"],
+                        D=doc["D"], omega_c=doc["omega_c"])
+    signal, _ = invert_fast(synthesize_ab(spec), check=False)
+    return forward_fast(signal).a
+
+
+# On an 8*D-point contour grid this pair's zero count came out 1.994: one
+# prescribed zero has moved to |z| = 0.9953, just inside the unit circle.
+GRID_REFINEMENT_SPEC = {
+    "lambdas": [[7.839092965258963, 7.042053386343635],
+                [-2.7139240583234647, 22.276835648314087],
+                [8.219672238822262, 4.097972312247675]],
+    "delta": 0.010063961278804748, "D": 128, "omega_c": 7.990113001751116,
+}
+
+ORACLE_CASES = {
+    "radiation-512": lambda: _synthesized([], 512),
+    "single-512": lambda: _synthesized([20j], 512),
+    "four-512": lambda: _synthesized(FOUR_SOLITON, 512),
+    "close-pair-256": lambda: _synthesized([20j, 20.05j], 256),
+    "close-pair-1024": lambda: _synthesized([20j, 20.05j], 1024),
+    "near-axis-1024": lambda: _synthesized([1j], 1024),
+    **{f"sech-{D}": (lambda D=D: forward_sequential(
+        sampled(lambda t: 20.0 / np.cosh(20.0 * (t + 0.5)), D)).a)
+       for D in (128, 256, 512, 1024)},
+    "grid-refinement-128": lambda: _round_tripped(GRID_REFINEMENT_SPEC),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_find_eigenvalues_matches_np_roots(case):
+    a = ORACLE_CASES[case]()
+    want = np.roots(np.trim_zeros(a, "b"))
+    want = want[(np.abs(want) > ROOT_INNER) & (np.abs(want) < ROOT_OUTER)]
+    got = find_eigenvalues(a)
+    assert len(got) == len(want)
+    for z in got:
+        assert np.min(np.abs(want - z)) <= 1e-10
 
 
 def test_norming_constants_single_soliton():
