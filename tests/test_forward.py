@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from nftsynth.forward import (
     NftSpectrum,
@@ -165,8 +166,8 @@ def test_find_eigenvalues_four_soliton():
 
 
 def test_find_eigenvalues_zero_on_contour():
-    # 1 + z^{-1} + ... + z^{-4096} has all its zeros on |z| = 1, a hair from
-    # the inner contour |z| = 1 + 1e-6: no grid the finder may use resolves the count
+    # 1 + z^{-1} + ... + z^{-4096} has all its zeros on |z| = 1, a hair from the
+    # inner contour |z| = 1 + 1e-6: far more zeros near it than the finder deflates
     with pytest.raises(ValueError, match="boundary"):
         find_eigenvalues(np.ones(4097, dtype=complex))
 
@@ -177,6 +178,15 @@ def test_find_eigenvalues_large_d():
     lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
     assert len(lams) == 4
     assert np.max(np.abs(lams - FOUR_SOLITON)) <= 1e-3
+
+
+def test_find_eigenvalues_near_axis_large_d():
+    # Im lambda = 0.01 at D = 4096 puts the zero at |z| = 1 + 4.9e-6, five times
+    # the annulus' 1e-6 margin from the unit circle; too big for the np.roots oracle
+    D = 4096
+    zs = find_eigenvalues(forward_fast(sampled(lambda t: np.full_like(t, BOX_001J), D)).a)
+    assert len(zs) == 1
+    assert abs(z_to_lambda(zs[0], 1.0 / D) - 0.01j) <= 1e-3
 
 
 def _synthesized(lambdas, D):
@@ -199,6 +209,40 @@ GRID_REFINEMENT_SPEC = {
     "delta": 0.010063961278804748, "D": 128, "omega_c": 7.990113001751116,
 }
 
+# Heights of a box on the unit window whose one bound state lies at
+# Im lambda ~ 0.05 and ~ 0.01 (D = 512): zeros 2e-4 and 4e-5 outside |z| = 1
+BOX_005J = 1.6028
+BOX_001J = 1.5772
+TWELVE_SOLITONS = [complex(3.0 * (k - 5.5), 8.0 + 4.0 * k) for k in range(12)]
+
+
+def _box(height, D):
+    return forward_fast(sampled(lambda t: np.full_like(t, height), D)).a
+
+
+def _chirped_gaussian(area, D, seed):
+    """A chirped Gaussian with 30% amplitude noise.
+
+    At area 40 pi it has 32 bound states at D = 256 and 102 at D = 1024,
+    with Im lambda from 0.1 to ~700; those far up the axis are roots of a
+    so ill-conditioned that double-precision contour sums cannot count them.
+    """
+    rng = np.random.default_rng(seed)
+    chirp = rng.uniform(-10.0, 10.0)
+    noise = 1.0 + 0.3 * rng.standard_normal(D)
+
+    def q(t):
+        return (area / (0.1 * np.sqrt(2 * np.pi)) * np.exp(-0.5 * ((t + 0.5) / 0.1) ** 2)
+                * np.exp(1j * chirp * t) * noise)
+    return forward_fast(sampled(q, D)).a
+
+
+def _sech_with_outer_zeros(D):
+    """The sech-D coefficients times (1 - 20/z)(1 - 24/z): zeros just inside and outside e^pi."""
+    a = forward_sequential(sampled(lambda t: 20.0 / np.cosh(20.0 * (t + 0.5)), D)).a
+    return np.convolve(np.convolve(a, [1.0, -20.0]), [1.0, -24.0])
+
+
 ORACLE_CASES = {
     "radiation-512": lambda: _synthesized([], 512),
     "single-512": lambda: _synthesized([20j], 512),
@@ -210,18 +254,31 @@ ORACLE_CASES = {
         sampled(lambda t: 20.0 / np.cosh(20.0 * (t + 0.5)), D)).a)
        for D in (128, 256, 512, 1024)},
     "grid-refinement-128": lambda: _round_tripped(GRID_REFINEMENT_SPEC),
+    "box-0.05j-512": lambda: _box(BOX_005J, 512),
+    "box-0.01j-512": lambda: _box(BOX_001J, 512),
+    "twelve-256": lambda: _synthesized(TWELVE_SOLITONS, 256),
+    "chirped-gaussian-256": lambda: _chirped_gaussian(40 * np.pi, 256, seed=0),
+    "chirped-gaussian-1024": lambda: _chirped_gaussian(40 * np.pi, 1024, seed=0),
+    "outer-edge-256": lambda: _sech_with_outer_zeros(256),
 }
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
 def test_find_eigenvalues_matches_np_roots(case):
-    a = ORACLE_CASES[case]()
-    want = np.roots(np.trim_zeros(a, "b"))
+    a = np.trim_zeros(ORACLE_CASES[case](), "b")
+    want = np.roots(a)
     want = want[(np.abs(want) > ROOT_INNER) & (np.abs(want) < ROOT_OUTER)]
+    # each to 1e-10 or to 1000 times its first-order rounding error
+    # eps sum|a_j w^j| / |A'(w)| |z|^2 (w = 1/z), whichever is larger
+    w = 1.0 / want
+    cond = (np.finfo(float).eps * P.polyval(np.abs(w), np.abs(a))
+            / np.abs(P.polyval(w, np.arange(1, len(a)) * a[1:])) * np.abs(want) ** 2)
+    tol = np.maximum(1e-10, 1e3 * cond)
     got = find_eigenvalues(a)
     assert len(got) == len(want)
     for z in got:
-        assert np.min(np.abs(want - z)) <= 1e-10
+        k = np.argmin(np.abs(want - z))
+        assert np.abs(want[k] - z) <= tol[k]
 
 
 def test_norming_constants_single_soliton():
