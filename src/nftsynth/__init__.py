@@ -30,7 +30,6 @@ from .forward import (
 )
 from .inverse import (
     Signal,
-    TransferMatrix,
     energy_identity_residual,
     invert_fast,
     invert_sequential,
@@ -38,10 +37,8 @@ from .inverse import (
     step_inverse,
 )
 from .poly import (
-    Laurent,
     circle_samples,
     coeffs_from_circle,
-    poly_dz,
     poly_eval,
     poly_mul,
 )
@@ -63,12 +60,10 @@ __all__ = [
     "AsymptoticPrediction",
     "FactorPair",
     "FilterSpec",
-    "Laurent",
     "NftSpectrum",
     "ScatteringPair",
     "Signal",
     "SpectrumSpec",
-    "TransferMatrix",
     "asymptotic_reflection",
     "blaschke_eval",
     "circle_samples",
@@ -89,7 +84,6 @@ __all__ = [
     "make_ub",
     "norming_constants",
     "pair_from_coeffs",
-    "poly_dz",
     "poly_eval",
     "poly_mul",
     "predict",

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import sici
 
 from .poly import poly_eval
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, lambda_to_z
-
-QUAD_LIMIT = 30.0
 
 
 @dataclass
@@ -26,24 +24,9 @@ class AsymptoticPrediction:
     norming_predictions: np.ndarray
 
 
-def _si_scalar(s: float) -> float:
-    if s < 0:
-        return -_si_scalar(-s)
-    if s == 0.0:
-        return 0.0
-    if s <= QUAD_LIMIT:
-        val, _err = quad(lambda t: np.sinc(t / np.pi), 0.0, s, limit=200)
-        return val
-    # two-term tail of the large-argument expansion
-    return np.pi / 2.0 - np.cos(s) / s - np.sin(s) / s**2
-
-
 def sine_integral(s):
     """Si(s) = integral of sin(t)/t from 0 to s (odd, -> +-pi/2)."""
-    if np.isscalar(s):
-        return _si_scalar(float(s))
-    s = np.asarray(s, dtype=float)
-    return np.array([_si_scalar(v) for v in s.ravel()]).reshape(s.shape)
+    return sici(s)[0]
 
 
 def filter_amplitude(omega, omega_c):

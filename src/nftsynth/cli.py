@@ -21,6 +21,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import (
+    compute_spectrum,
     find_eigenvalues,
     forward_fast,
     norming_constants,
@@ -118,11 +119,17 @@ def _stage(name, fn, clocks):
     return out
 
 
-def run_synthesize(job, out: Path):
+def _synthesize(job, clocks):
+    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal)."""
     spec = spec_from_job(job)
-    clocks = {}
     pair = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
-    signal, _tm = _stage("invert", lambda: invert_fast(pair, check=False), clocks)
+    signal, _F = _stage("invert_fast", lambda: invert_fast(pair, check=False), clocks)
+    return spec, pair, signal
+
+
+def run_synthesize(job, out: Path):
+    clocks = {}
+    spec, pair, signal = _synthesize(job, clocks)
     write_pair_csv(out / "pair.csv", pair)
     write_signal_csv(out / "signal.csv", signal)
     rep = validate_pair(pair)
@@ -138,10 +145,8 @@ def run_synthesize(job, out: Path):
 
 
 def run_invert(job, out: Path):
-    spec = spec_from_job(job)
     clocks = {}
-    pair = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
-    signal, _tm = _stage("invert_fast", lambda: invert_fast(pair, check=False), clocks)
+    spec, pair, signal = _synthesize(job, clocks)
     payload = {
         "D": spec.D,
         "max_abs_sample": float(np.abs(signal.samples).max()),
@@ -171,39 +176,31 @@ def run_forward(job, out: Path, signal_path=None):
     if signal_path:
         signal = read_signal_csv(signal_path)
     else:
-        spec = spec_from_job(job)
-        pair0 = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
-        signal, _tm = _stage("invert", lambda: invert_fast(pair0, check=False), clocks)
+        _spec, _pair, signal = _synthesize(job, clocks)
     pair = _stage("forward_fast", lambda: forward_fast(signal), clocks)
-    omega, vals, poles = reflection_coefficient(pair)
-    _write_spectrum_csv(out, omega, vals, poles)
-    payload = {
-        "D": signal.D,
-        "unimodularity_residual": pair.unimodularity_residual,
-        "wall_clock_s": clocks,
-    }
-    zs = _stage("eigenvalues", lambda: find_eigenvalues(pair.a), clocks)
-    lams = [z_to_lambda(z, 1.0 / signal.D) for z in zs]
-    norm = norming_constants(pair, zs) if len(zs) else np.array([])
+    sp = _stage("spectrum", lambda: compute_spectrum(pair), clocks)
+    _write_spectrum_csv(out, sp.omega, sp.reflection, sp.pole_mask)
     with open(out / "eigenvalues.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re_z", "im_z", "re_lambda", "im_lambda",
                     "re_norming", "im_norming"])
-        for z, lam, c in zip(zs, lams, norm):
+        for z, lam, c in zip(sp.eigen_z, sp.eigen_lambda, sp.norming):
             w.writerow([f"{z.real:.17g}", f"{z.imag:.17g}",
                         f"{lam.real:.17g}", f"{lam.imag:.17g}",
                         f"{c.real:.17g}", f"{c.imag:.17g}"])
-    payload["eigenvalues"] = [complex(l) for l in lams]
-    payload["norming"] = [complex(c) for c in norm]
-    write_report(out / "report.json", "forward", payload)
+    write_report(out / "report.json", "forward", {
+        "D": signal.D,
+        "unimodularity_residual": pair.unimodularity_residual,
+        "wall_clock_s": clocks,
+        "eigenvalues": [complex(l) for l in sp.eigen_lambda],
+        "norming": [complex(c) for c in sp.norming],
+    })
     return 0
 
 
 def run_roundtrip(job, out: Path):
-    spec = spec_from_job(job)
     clocks = {}
-    pair = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
-    signal, _tm = _stage("invert_fast", lambda: invert_fast(pair, check=False), clocks)
+    spec, pair, signal = _synthesize(job, clocks)
     payload = {"D": spec.D, "delta": spec.delta, "omega_c": spec.omega_c,
                "lambdas": [complex(l) for l in spec.lambdas]}
 
@@ -298,7 +295,7 @@ def run_bench(job, out: Path):
         pair = synthesize_ab(spec)
         row = {"D": D}
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
-        signal, _tm = invert_fast(pair, check=False)
+        signal, _F = invert_fast(pair, check=False)
         if D <= job.get("bench_sequential_limit", BENCH_SEQUENTIAL_LIMIT):
             row["invert_sequential_s"] = _time_median(
                 lambda: invert_sequential(pair, check=False))

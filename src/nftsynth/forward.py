@@ -21,7 +21,7 @@ import scipy.fft
 from scipy.integrate import solve_ivp
 
 from .inverse import Signal, transfer_matrix
-from .poly import poly_dz, poly_eval
+from .poly import poly_eval
 from .synthesis import (
     ROOT_INNER,
     ROOT_OUTER,
@@ -379,17 +379,17 @@ def norming_constants(pair, eigen_z):
     """Residue-style norming constants at simple roots of a.
 
     Q_k = -b(z_k) / (2 i eps z_k) / a'(z_k), requiring each z_k to be a
-    root to 1e-6 and a'(z_k) to be comfortably nonzero.
+    root to 1e-6 and a'(z_k) = -sum_j j a_j z^{-j-1} to be comfortably nonzero.
     """
     a = np.asarray(pair.a, dtype=complex)
     b = np.asarray(pair.b, dtype=complex)
     eps = 1.0 / len(a)
-    da = poly_dz(a)
+    ja = np.arange(len(a)) * a
     out = np.empty(len(eigen_z), dtype=complex)
     for k, z in enumerate(np.asarray(eigen_z, dtype=complex)):
         if abs(poly_eval(a, z)) > ROOT_RESIDUAL_TOL:
             raise ValueError(f"z={z} is not a root of a (residual > 1e-6)")
-        dval = da.at(z)
+        dval = -poly_eval(ja, z) / z
         if abs(dval) < MULTIPLE_ROOT_TOL:
             raise ValueError(f"multiple root at z={z}: derivative of a vanishes")
         out[k] = -poly_eval(b, z) / (2j * eps * z) / dval

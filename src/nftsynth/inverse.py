@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Laurent, poly_mat_mul, poly_mul
+from .poly import poly_mat_mul, poly_mul
 from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 64          # below this, peel sequentially inside the recursion
@@ -49,17 +49,6 @@ class Signal:
     def t(self):
         """Sample times: t[n] = -1 + (n+1)*eps - eps/2 (midpoints)."""
         return -1.0 + (np.arange(1, self.D + 1) - 0.5) * self.eps
-
-
-@dataclass
-class TransferMatrix:
-    """z^D adj(F) entries (ascending powers of z) + z^{-1/2} count."""
-
-    t11: Laurent
-    t12: Laurent
-    t21: Laurent
-    t22: Laurent
-    half_powers: int
 
 
 def recover_sample(a, b):
@@ -156,7 +145,7 @@ def transfer_matrix(q):
 
 
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
-    """O(D log^2 D) inversion; returns (Signal, TransferMatrix).
+    """O(D log^2 D) inversion; returns (Signal, transfer_matrix(samples)).
 
     Node contract: the inputs are the first n coefficients of the pair
     after peeling everything newer.  The newer half of the window
@@ -190,15 +179,7 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
         return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, F_lo)
 
     qs, F = node(a, b)
-    # inverse of the whole block: z^D adj(F), ascending powers of z
-    tm = TransferMatrix(
-        t11=Laurent(F[1, 1, ::-1], 0),
-        t12=Laurent(-F[0, 1, ::-1], 0),
-        t21=Laurent(-F[1, 0, ::-1], 0),
-        t22=Laurent(F[0, 0, ::-1], 0),
-        half_powers=D,
-    )
-    return Signal(samples=qs[::-1], eps=1.0 / D), tm
+    return Signal(samples=qs[::-1], eps=1.0 / D), F
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

@@ -1,27 +1,14 @@
-"""Polynomials in z^{-1} as plain complex arrays, plus a thin Laurent wrapper.
+"""Polynomials in z^{-1} as plain complex arrays.
 
 A causal polynomial p(z) = sum_i c[i] * z^{-i} is represented by its
 coefficient array c.  Everything downstream (scattering pairs, transfer
 matrices, filters) is built on the handful of operations here.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Below this output length, direct convolution beats FFT multiply.
 _FFT_CUTOFF = 128
-
-
-@dataclass
-class Laurent:
-    """sum_i coeffs[i] * z^(offset + i); offset may be negative."""
-
-    coeffs: np.ndarray
-    offset: int
-
-    def at(self, z0):
-        return poly_eval_laurent(self.coeffs, self.offset, z0)
 
 
 def as_coeffs(p):
@@ -63,10 +50,6 @@ def poly_mat_mul(X, Y):
     return np.fft.ifft(prod)[..., :n]
 
 
-def laurent_mul(p: Laurent, q: Laurent) -> Laurent:
-    return Laurent(poly_mul(p.coeffs, q.coeffs), p.offset + q.offset)
-
-
 def poly_eval(p, z0):
     """Horner evaluation of sum c[i] z^{-i} at z0 (scalar or array)."""
     p = as_coeffs(p)
@@ -78,16 +61,6 @@ def poly_eval(p, z0):
     for c in p[-2::-1]:
         out = out * w + c
     return out if out.ndim else complex(out)
-
-
-def poly_eval_laurent(coeffs, offset, z0):
-    z0 = complex(z0)
-    if z0 == 0:
-        raise ZeroDivisionError("Laurent evaluation at z=0")
-    acc = 0.0 + 0.0j
-    for c in np.asarray(coeffs, dtype=complex)[::-1]:
-        acc = acc * z0 + c
-    return acc * z0**offset
 
 
 def circle_samples(p, M):
@@ -116,14 +89,3 @@ def coeffs_from_circle(samples, keep):
     tail = float(np.sum(np.abs(c[keep:]) ** 2))
     return c[:keep].copy(), tail
 
-
-def poly_dz(p) -> Laurent:
-    """d/dz of sum c[i] z^{-i}: sum (-i) c[i] z^{-i-1}, i >= 1."""
-    p = as_coeffs(p)
-    if len(p) == 1:
-        return Laurent(np.zeros(1, dtype=complex), 0)
-    i = np.arange(1, len(p))
-    # coefficient of z^{-i-1} is -i*c[i]; store ascending in power of z,
-    # i.e. starting from z^{-len(p)} up to z^{-2}
-    coeffs = (-i * p[1:])[::-1]
-    return Laurent(coeffs.astype(complex), -len(p))

@@ -65,7 +65,7 @@ def _causal_project(spec_vals):
     return np.fft.fft(h)
 
 
-def spectral_factor(power_samples, degree, newton=NEWTON_PASSES):
+def spectral_factor(power_samples, degree):
     """Minimum-phase m(z), length `degree`, with |m|^2 ~ power_samples.
 
     Cepstral construction (exp of the causal projection of log S) plus a
@@ -84,7 +84,7 @@ def spectral_factor(power_samples, degree, newton=NEWTON_PASSES):
 
     m = np.exp(_causal_project(np.log(S + LOG_FLOOR)))
     m = np.fft.fft(np.fft.ifft(m)[:degree], M)
-    for _ in range(newton):
+    for _ in range(NEWTON_PASSES):
         E = S / np.abs(m) ** 2 - 1.0
         m = m * (1.0 + _causal_project(E))
         m = np.fft.fft(np.fft.ifft(m)[:degree], M)

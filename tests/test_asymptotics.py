@@ -35,8 +35,7 @@ def test_sine_integral_against_scipy():
     s_lo = np.linspace(0.01, 29.9, 57)
     assert np.max(np.abs(sine_integral(s_lo) - sici(s_lo)[0])) <= 1e-12
     s_hi = np.linspace(30.1, 200.0, 57)
-    # two-term tail: error ~ 2/s^3, about 1e-5 near the crossover
-    assert np.max(np.abs(sine_integral(s_hi) - sici(s_hi)[0])) <= 5e-5
+    assert np.max(np.abs(sine_integral(s_hi) - sici(s_hi)[0])) <= 1e-12
 
 
 def test_filter_amplitude_even_and_peak():

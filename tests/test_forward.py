@@ -290,6 +290,20 @@ def test_norming_constants_single_soliton():
     assert np.isfinite(c[0]) and abs(c[0]) > 0
 
 
+def test_norming_constants_closed_form():
+    """a = (1 - r z^{-1})(1 - s z^{-1}), b = c: a'(r) = (1 - s/r)/r in closed form.
+
+    So Q(r) = -c/(2 i eps r) / ((1 - s/r)/r), and the same with r and s
+    swapped; D = 3 coefficients, eps = 1/3.
+    """
+    r, s, c = 1.5 + 0.2j, -2.0 + 0.5j, 0.3 - 0.2j
+    a = np.array([1.0, -(r + s), r * s], dtype=complex)
+    pair = pair_from_coeffs(a, np.array([c, 0.0, 0.0], dtype=complex))
+    eps = 1.0 / 3.0
+    want = [-c / (2j * eps * z) / ((1.0 - w / z) / z) for z, w in ((r, s), (s, r))]
+    np.testing.assert_allclose(norming_constants(pair, [r, s]), want, rtol=1e-14)
+
+
 def test_norming_constants_rejects_non_root():
     spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=512, omega_c=10.0)
     pair = synthesize_ab(spec)

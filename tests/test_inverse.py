@@ -11,6 +11,7 @@ from nftsynth.inverse import (
     invert_sequential,
     recover_sample,
     step_inverse,
+    transfer_matrix,
 )
 from nftsynth.poly import poly_mul
 from nftsynth.synthesis import pair_from_coeffs
@@ -125,51 +126,39 @@ def test_energy_identity():
         assert energy_identity_residual(sig, pair.a[0]) <= 1e-8
 
 
-def test_transfer_matrix_det_is_z_to_the_D():
-    """det of the accumulated matrix is exactly z^D (checked on coefficients).
+def test_transfer_matrix_det_is_z_to_the_minus_D():
+    """det F = z^{-D} for invert_fast's forward matrix F, checked on coefficients.
 
     Evaluating the determinant pointwise off the circle is hopeless at
     large D (the two products cancel to ~machine_eps * |z|^{2D}), so the
-    check is coefficient-wise.
+    check is coefficient-wise.  D=16 is one leaf, D=256 runs the recursion.
     """
     rng = np.random.default_rng(3)
-    D = 16
-    pair = forward_sequential(random_signal(rng, D))
-    _, tm = invert_fast(pair)
-    assert tm.half_powers == D
-    assert tm.t11.offset == 0
-    prod1 = poly_mul(tm.t11.coeffs, tm.t22.coeffs)
-    prod2 = poly_mul(tm.t12.coeffs, tm.t21.coeffs)
-    n = max(len(prod1), len(prod2))
-    det = np.zeros(n, dtype=complex)
-    det[: len(prod1)] += prod1
-    det[: len(prod2)] -= prod2
-    expected = np.zeros(n, dtype=complex)
-    expected[D] = 1.0
-    assert np.allclose(det, expected, atol=1e-10)
+    for D in (16, 256):
+        _, F = invert_fast(forward_sequential(random_signal(rng, D)))
+        assert F.shape == (2, 2, D + 1)
+        det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
+        expected = np.zeros(2 * D + 1, dtype=complex)
+        expected[D] = 1.0
+        assert np.allclose(det, expected, atol=1e-10)
 
 
-def test_transfer_matrix_is_adjugate_of_forward_product():
-    """invert_fast's matrix is z^D adj(F), F the forward product of its samples.
+def test_invert_fast_matrix_is_forward_product():
+    """invert_fast's F is the forward product of the samples it recovers.
 
-    F is built column by column with forward_step, the O(D) per step
-    reference, from the recovered samples in time order; the identity is
-    checked coefficient-wise.
+    Each column is built with forward_step, the O(D) per step reference,
+    from the recovered samples in time order; F also equals the tree
+    product transfer_matrix of those samples.  Both checked coefficient-wise.
     """
     rng = np.random.default_rng(17)
     D = 256
-    sig, tm = invert_fast(forward_sequential(random_signal(rng, D)))
-    cols = []
-    for start in (([1.0], [0.0]), ([0.0], [1.0])):
-        top, bottom = start
+    sig, F = invert_fast(forward_sequential(random_signal(rng, D)))
+    for col, (top, bottom) in enumerate((([1.0], [0.0]), ([0.0], [1.0]))):
         for Q in sig.samples:
             top, bottom = forward_step(top, bottom, Q)
-        cols.append((top, bottom))
-    (f11, f21), (f12, f22) = cols
-    # z^D times a polynomial in z^{-1} of degree D: reversed coefficients
-    for got, want in ((tm.t11, f22), (tm.t12, -f12), (tm.t21, -f21), (tm.t22, f11)):
-        assert got.offset == 0
-        assert np.allclose(got.coeffs, want[::-1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(F[0, col], top, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(F[1, col], bottom, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(F, transfer_matrix(sig.samples), rtol=0, atol=1e-14)
 
 
 def test_singular_pair_raises():

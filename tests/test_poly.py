@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from nftsynth.poly import (
-    Laurent,
     circle_samples,
     coeffs_from_circle,
-    poly_dz,
     poly_eval,
     poly_mul,
 )
@@ -131,29 +129,3 @@ def test_coeffs_from_circle_geometric_tail():
     np.testing.assert_allclose(coeffs, 0.5 ** np.arange(keep), rtol=1e-10, atol=1e-15)
     assert tail <= 1e-10
 
-
-def test_dz_constant_and_monomial():
-    d = poly_dz([3.0])
-    assert np.all(d.coeffs == 0)
-    d = poly_dz([0.0, 1.0])  # z^{-1} -> -z^{-2}
-    assert d.offset == -2
-    np.testing.assert_allclose(d.coeffs, [-1.0])
-
-
-def test_dz_matches_finite_difference():
-    rng = np.random.default_rng(5)
-    p = rng.normal(size=12) + 1j * rng.normal(size=12)
-    d = poly_dz(p)
-    h = 1e-6
-    for z0 in 1.2 + 0.3 * rng.normal(size=10) + 0.3j * rng.normal(size=10):
-        if abs(z0) < 0.5:
-            continue
-        fd = (poly_eval(p, z0 + h) - poly_eval(p, z0 - h)) / (2 * h)
-        assert abs(d.at(z0) - fd) <= 1e-6 * max(1.0, abs(fd))
-
-
-def test_laurent_eval_offset():
-    # 2 z^{-1} + 3 z^0 + 4 z^1
-    p = Laurent(np.array([2.0, 3.0, 4.0], dtype=complex), -1)
-    z0 = 1.5 + 0.5j
-    assert p.at(z0) == pytest.approx(2.0 / z0 + 3.0 + 4.0 * z0)
