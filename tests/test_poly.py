@@ -129,3 +129,34 @@ def test_coeffs_from_circle_geometric_tail():
     np.testing.assert_allclose(coeffs, 0.5 ** np.arange(keep), rtol=1e-10, atol=1e-15)
     assert tail <= 1e-10
 
+
+
+# The derivative of a causal polynomial is a'(z) = -sum j a_j z^{-j-1}
+# = -poly_eval(j a_j, z) / z, the form norming_constants uses.
+def _dz_at(p, z0):
+    p = np.asarray(p, dtype=complex)
+    return -poly_eval(np.arange(len(p)) * p, z0) / z0
+
+
+def test_dz_constant_and_monomial():
+    for z0 in (1.5, -0.7 + 2.0j):
+        assert _dz_at([3.0], z0) == 0
+        # z^{-1} -> -z^{-2}
+        assert _dz_at([0.0, 1.0], z0) == pytest.approx(-1.0 / z0**2, rel=1e-15)
+
+
+def test_dz_matches_finite_difference():
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=12) + 1j * rng.normal(size=12)
+    h = 1e-6
+    for z0 in 1.2 + 0.3 * rng.normal(size=10) + 0.3j * rng.normal(size=10):
+        if abs(z0) < 0.5:
+            continue
+        fd = (poly_eval(p, z0 + h) - poly_eval(p, z0 - h)) / (2 * h)
+        assert abs(_dz_at(p, z0) - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_laurent_eval_offset():
+    # 2 z^{-1} + 3 z^0 + 4 z^1 is z times the causal 4 + 3 z^{-1} + 2 z^{-2}
+    z0 = 1.5 + 0.5j
+    assert z0 * poly_eval([4.0, 3.0, 2.0], z0) == pytest.approx(2.0 / z0 + 3.0 + 4.0 * z0)
