@@ -34,7 +34,6 @@ from .inverse import (
     invert_fast,
     invert_sequential,
     recover_sample,
-    step_inverse,
 )
 from .poly import (
     circle_samples,
@@ -93,7 +92,6 @@ __all__ = [
     "shift_spectrum",
     "sine_integral",
     "spectral_factor",
-    "step_inverse",
     "synthesize_ab",
     "validate_pair",
     "z_to_lambda",

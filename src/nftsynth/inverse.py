@@ -15,21 +15,23 @@ and `transfer_matrix` multiplies a block of them in a balanced tree, one
 batched `poly_mat_mul` per level; `forward_fast` is that product.  The
 one-step inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
 z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
-coefficient-wise and peeling needs no matrices of its own.  Each step also
-carries a scalar z^{-1/2}; it multiplies a and b identically and cancels
-in every recovery ratio, so it is tracked as an integer count of half
-powers, never materialized in coefficients.
+coefficient-wise and the recursion needs no inverse matrices of its own.
+Each step also carries a scalar z^{-1/2}; it multiplies a and b
+identically and cancels in every recovery ratio, so it is tracked as an
+integer count of half powers, never materialized in coefficients.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .poly import poly_mat_mul, poly_mul
+from .poly import cyclic_mat_mul, poly_mat_mul
+from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_mul)
 from .synthesis import ScatteringPair, validate_pair
 
-LEAF_SIZE = 64          # below this, peel sequentially inside the recursion
+LEAF_SIZE = 512         # below this, peel sequentially inside the recursion (measured sweep)
 SINGULAR_A0 = 1e-14
 
 
@@ -59,27 +61,10 @@ def recover_sample(a, b):
     return -np.conj(complex(b[0])) / np.conj(a0)
 
 
-def step_inverse(a, b, Q):
-    """One normalized peel step; drops the vanished top coefficient.
-
-    a' = (a - Q*b)/theta, b' = (z*conj(Q)*a + z*b)/theta with the z and
-    the z^{-1/2} scalar absorbed into the coefficient reindexing.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    n = len(a)
-    if n == 1:
-        return np.ones(0, dtype=complex), np.ones(0, dtype=complex)
-    th = np.sqrt(1.0 + abs(Q) ** 2)
-    a2 = (a[: n - 1] - Q * b[: n - 1]) / th
-    b2 = (np.conj(Q) * a[1:n] + b[1:n]) / th
-    return a2, b2
-
-
 def _pair_arrays(pair, check):
     if isinstance(pair, ScatteringPair):
         if check:
-            rep = validate_pair(pair, tol=1e-4)
+            rep = validate_pair(pair)
             if not rep["ok"]:
                 raise ValueError(f"pair fails validation: {rep}")
         return np.asarray(pair.a, dtype=complex), np.asarray(pair.b, dtype=complex)
@@ -144,41 +129,73 @@ def transfer_matrix(q):
     return M[0]
 
 
+def _peel(V):
+    """Peel a window V = [A; B], shape (2, 1, n), one sample at a time.
+
+    Returns the n samples (newest first) and the window's forward matrix.
+    One peel step is [A'; B'] = (1/theta) [A - Q B; conj(Q) z A + z B]
+    with the vanished top coefficient dropped.  In a two-row buffer, row r
+    shifted by s is buf[r, s:s + n], so the step is one matmul of
+    [[1, -Q]] and [[conj(Q), 1]] (times 1/theta) with the shifts 0 and 1.
+    The buffers keep length n + 1 instead of shrinking: the k-th sample
+    reads coefficient 0, which depends only on coefficients 0..k of the
+    window, so the stale values above n - k are never read.
+    """
+    n = V.shape[-1]
+    buf = np.zeros((2, 2, n + 1), dtype=complex)      # two buffers, swapped each step
+    buf[0, :, :n] = V[:, 0]
+    shifted = sliding_window_view(buf, n, axis=-1).transpose(0, 2, 1, 3)   # [buffer, s, r]
+    out = buf[:, :, None, :n]
+    c = np.empty((2, 1, 2), dtype=complex)
+    qs = np.empty(n, dtype=complex)
+    for k in range(n):
+        cur = k & 1
+        a0 = buf.item(cur, 0, 0)
+        if abs(a0) < SINGULAR_A0:
+            raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
+        Q = -(buf.item(cur, 1, 0) / a0).conjugate()
+        qs[k] = Q
+        ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
+        c[0, 0, 0] = c[1, 0, 1] = ith
+        c[0, 0, 1] = -Q * ith
+        c[1, 0, 0] = Q.conjugate() * ith
+        np.matmul(c, shifted[cur], out=out[1 - cur])
+    return qs, transfer_matrix(qs[::-1])
+
+
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
     """O(D log^2 D) inversion; returns (Signal, transfer_matrix(samples)).
 
-    Node contract: the inputs are the first n coefficients of the pair
-    after peeling everything newer.  The newer half of the window
-    determines its own samples (the constant coefficients of the peeled
-    iterates do not depend on the older half), so the recursion peels
-    A[:h], B[:h] first, pushes the full window through that half's
-    inverse z^h adj(F_hi), and recurses on the first h coefficients of
-    the result.  Each node returns its samples (newest first) and the
-    forward matrix of its block, F_hi @ F_lo.
+    Node contract: the input V = [A; B], shape (2, 1, n), holds the first
+    n coefficients of the pair after peeling everything newer.  The newer
+    half of the window determines its own samples (the constant
+    coefficients of the peeled iterates do not depend on the older half),
+    so the recursion peels V[..., :h] first.  The older half's window is
+    then coefficients h..2h-1 of adj(F_hi) @ V, i.e. the first h
+    coefficients of V pushed through that half's inverse z^h adj(F_hi).
+    The full product has length 3h, so a cyclic product of length 2h
+    gives that middle slice exactly: the wrapped coefficients 2h..3h-1
+    land on 0..h-1, which are discarded.  Each node returns its samples
+    (newest first) and the forward matrix of its block, F_hi @ F_lo.
+    A leaf peels its window one sample at a time and builds its F with
+    one `transfer_matrix` call.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
     if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
 
-    def node(A, B):
-        n = len(A)
+    def node(V):
+        n = V.shape[-1]
         if n <= leaf_size:
-            qs = np.empty(n, dtype=complex)
-            for k in range(n):
-                qs[k] = recover_sample(A, B)
-                A, B = step_inverse(A, B, qs[k])
-            return qs, transfer_matrix(qs[::-1])
+            return _peel(V)
         h = n // 2
-        qs_hi, F_hi = node(A[:h], B[:h])
-        # the z^{-j} coefficient of z^h adj(F_hi) @ [A; B] is the z^{-(j+h)}
-        # one of adj(F_hi) @ [A; B]; keep j < h
-        A2 = poly_mul(F_hi[1, 1], A)[h:n] - poly_mul(F_hi[0, 1], B)[h:n]
-        B2 = poly_mul(F_hi[0, 0], B)[h:n] - poly_mul(F_hi[1, 0], A)[h:n]
-        qs_lo, F_lo = node(A2, B2)
+        qs_hi, F_hi = node(V[..., :h])
+        adj = np.array([[F_hi[1, 1], -F_hi[0, 1]], [-F_hi[1, 0], F_hi[0, 0]]])
+        qs_lo, F_lo = node(cyclic_mat_mul(adj, V, n)[..., h:])
         return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, F_lo)
 
-    qs, F = node(a, b)
+    qs, F = node(np.stack([a, b])[:, None, :])
     return Signal(samples=qs[::-1], eps=1.0 / D), F
 
 

@@ -6,9 +6,15 @@ matrices, filters) is built on the handful of operations here.
 """
 
 import numpy as np
+import scipy.fft
 
 # Below this output length, direct convolution beats FFT multiply.
 _FFT_CUTOFF = 128
+# 2x2 @ 2xk matrix product at each coefficient (the last axis)
+_MAT_MUL = "...ijk,...jlk->...ilk"
+# Below this many stacked coefficients an FFT costs per call, not per point,
+# so folding the wrapped top coefficient back costs more than it saves.
+_FOLD_MIN_SIZE = 512
 
 
 def as_coeffs(p):
@@ -36,18 +42,40 @@ def poly_mul(p, q):
     return out[:n]
 
 
+def cyclic_mat_mul(X, Y, m):
+    """X @ Y modulo z^{-m} - 1 for stacks of 2x2 polynomial matrices.
+
+    X has shape (..., 2, 2, Lx) and Y shape (..., 2, k, Ly), Lx, Ly <= m,
+    with the coefficients of each entry along the last axis.  One length-m
+    FFT per operand, a 2x2 contraction per frequency and one inverse FFT,
+    so a whole tree level of matrix products is a single call.  Linear
+    coefficient j lands on j mod m, so a middle product can keep the
+    coefficients that no wrapped term reaches.
+    """
+    return scipy.fft.ifft(np.einsum(_MAT_MUL, scipy.fft.fft(X, m), scipy.fft.fft(Y, m)))
+
+
 def poly_mat_mul(X, Y):
     """Batched X @ Y for stacks of 2x2 polynomial matrices.
 
-    X and Y have shape (..., 2, 2, L) with the coefficients of each entry
-    along the last axis; the result has length Lx + Ly - 1 there.  One
-    FFT per operand, a 2x2 contraction per frequency, one inverse FFT, so
-    a whole tree level of matrix products is a single call.
+    The result has length n = Lx + Ly - 1 along the last axis.  The cyclic
+    length m is the power of two >= n - 1 (and >= Lx, Ly): when n = m + 1,
+    only the top coefficient X[..., -1] @ Y[..., -1] wraps onto z^0, so it
+    is subtracted there and appended.  Products of two equal blocks
+    (length h + 1 each) thus transform at 2h, not 4h; stacks smaller than
+    _FOLD_MIN_SIZE coefficients transform at 4h and skip the fold.
     """
-    n = X.shape[-1] + Y.shape[-1] - 1
-    m = 1 << (n - 1).bit_length()
-    prod = np.einsum("...ijk,...jlk->...ilk", np.fft.fft(X, m), np.fft.fft(Y, m))
-    return np.fft.ifft(prod)[..., :n]
+    lx, ly = X.shape[-1], Y.shape[-1]
+    n = lx + ly - 1
+    m = 1 << (max(n - 1, lx, ly) - 1).bit_length()
+    if n > m and X.size < _FOLD_MIN_SIZE:
+        m *= 2
+    C = cyclic_mat_mul(X, Y, m)
+    if n <= m:
+        return C[..., :n]
+    top = np.einsum(_MAT_MUL, X[..., -1:], Y[..., -1:])
+    C[..., :1] -= top
+    return np.concatenate([C, top], axis=-1)
 
 
 def poly_eval(p, z0):

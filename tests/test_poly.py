@@ -4,7 +4,9 @@ import pytest
 from nftsynth.poly import (
     circle_samples,
     coeffs_from_circle,
+    cyclic_mat_mul,
     poly_eval,
+    poly_mat_mul,
     poly_mul,
 )
 
@@ -50,6 +52,65 @@ def test_mul_matches_schoolbook_sizes(n):
     ref = schoolbook(p, q)
     out = poly_mul(p, q)
     assert np.abs(out - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+
+
+def mat_convolve(X, Y):
+    """X @ Y for (..., 2, 2, Lx) and (..., 2, k, Ly) stacks, entry by entry with np.convolve."""
+    lead = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3])
+    X = np.broadcast_to(X, lead + X.shape[-3:])
+    Y = np.broadcast_to(Y, lead + Y.shape[-3:])
+    out = np.zeros(lead + (2, Y.shape[-2], X.shape[-1] + Y.shape[-1] - 1), dtype=complex)
+    for idx in np.ndindex(out.shape[:-1]):
+        *b, i, l = idx
+        for j in range(2):
+            out[idx] += np.convolve(X[(*b, i, j)], Y[(*b, j, l)])
+    return out
+
+
+def random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+# (Lx, Ly): the output length Lx + Ly - 1 is 2^k + 1 (the wrapped top
+# coefficient is folded back once the stack holds _FOLD_MIN_SIZE
+# coefficients, hence the 64-deep stack), a power of two, or neither; one
+# operand of length 1 on either side
+@pytest.mark.parametrize("lx,ly", [(2, 2), (3, 3), (5, 5), (9, 9), (33, 33), (65, 65), (17, 1),
+                                   (1, 17), (2, 1), (1, 1), (3, 6), (4, 5), (12, 7), (100, 29)])
+def test_poly_mat_mul_matches_convolve(lx, ly):
+    rng = np.random.default_rng(lx * 1000 + ly)
+    for lead, k in (((), 2), ((3,), 2), ((4,), 1), ((2, 3), 2), ((64,), 2)):
+        X = random_stack(rng, lead + (2, 2, lx))
+        Y = random_stack(rng, lead + (2, k, ly))
+        ref = mat_convolve(X, Y)
+        out = poly_mat_mul(X, Y)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_poly_mat_mul_random_lengths():
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        lx, ly = (int(v) for v in rng.integers(1, 70, size=2))
+        X = random_stack(rng, (3, 2, 2, lx))
+        Y = random_stack(rng, (3, 2, 2, ly))
+        ref = mat_convolve(X, Y)
+        assert np.abs(poly_mat_mul(X, Y) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
+def test_cyclic_mat_mul_middle_product(h):
+    """Coefficients h..2h-1 of a (2,2,h+1) @ (2,1,2h) product come out exact at cyclic length 2h.
+
+    The linear product has length 3h; its coefficients 2h..3h-1 wrap onto
+    0..h-1 and nothing lands on h..2h-1, which is the window step of invert_fast.
+    """
+    rng = np.random.default_rng(h)
+    X = random_stack(rng, (2, 2, h + 1))
+    Y = random_stack(rng, (2, 1, 2 * h))
+    ref = mat_convolve(X, Y)[..., h:2 * h]
+    out = cyclic_mat_mul(X, Y, 2 * h)[..., h:2 * h]
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_eval_simple():
