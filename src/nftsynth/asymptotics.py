@@ -55,7 +55,8 @@ def semi_asymptotic_norming(b, u, lambdas, k, eps):
     lams = np.asarray(lambdas, dtype=complex)
     lk = lams[k]
     zk = lambda_to_z(lk, eps)
-    pred = -(poly_eval(b, zk) / poly_eval(u, zk)) * (lk - np.conj(lk))
+    bv, uv = poly_eval(np.stack([b, u]), zk)
+    pred = -(bv / uv) * (lk - np.conj(lk))
     for i, li in enumerate(lams):
         if i == k:
             continue

@@ -28,6 +28,7 @@ from .forward import (
     reflection_coefficient,
 )
 from .inverse import Signal, invert_fast, invert_sequential
+from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
 SCHEMA_VERSION = 1
@@ -290,10 +291,12 @@ def run_bench(job, out: Path):
     rows = []
     for D in ds:
         spec = spec_from_job({**base, "D": D})
-        # filter/factor design and pair assembly happen once per size and
-        # are deliberately not part of the timed region
-        pair = synthesize_ab(spec)
         row = {"D": D}
+        # synthesize_ab includes its own make_ub call
+        row["make_ub_s"] = _time_median(
+            lambda: make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c)))
+        row["synthesize_ab_s"] = _time_median(lambda: synthesize_ab(spec))
+        pair = synthesize_ab(spec)
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
         signal, _F = invert_fast(pair, check=False)
         if D <= job.get("bench_sequential_limit", BENCH_SEQUENTIAL_LIMIT):

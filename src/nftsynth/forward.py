@@ -384,16 +384,15 @@ def norming_constants(pair, eigen_z):
     a = np.asarray(pair.a, dtype=complex)
     b = np.asarray(pair.b, dtype=complex)
     eps = 1.0 / len(a)
-    ja = np.arange(len(a)) * a
-    out = np.empty(len(eigen_z), dtype=complex)
-    for k, z in enumerate(np.asarray(eigen_z, dtype=complex)):
-        if abs(poly_eval(a, z)) > ROOT_RESIDUAL_TOL:
+    zs = np.asarray(eigen_z, dtype=complex)
+    av, jav, bv = poly_eval(np.stack([a, np.arange(len(a)) * a, b]), zs)
+    dval = -jav / zs
+    for z, res, d in zip(zs, av, dval):
+        if abs(res) > ROOT_RESIDUAL_TOL:
             raise ValueError(f"z={z} is not a root of a (residual > 1e-6)")
-        dval = -poly_eval(ja, z) / z
-        if abs(dval) < MULTIPLE_ROOT_TOL:
+        if abs(d) < MULTIPLE_ROOT_TOL:
             raise ValueError(f"multiple root at z={z}: derivative of a vanishes")
-        out[k] = -poly_eval(b, z) / (2j * eps * z) / dval
-    return out
+    return -bv / (2j * eps * zs) / dval
 
 
 def continuous_oracle(q, lam, rtol=1e-11, atol=1e-12):

@@ -15,6 +15,8 @@ _MAT_MUL = "...ijk,...jlk->...ilk"
 # Below this many stacked coefficients an FFT costs per call, not per point,
 # so folding the wrapped top coefficient back costs more than it saves.
 _FOLD_MIN_SIZE = 512
+# poly_eval holds this many powers of its points at once
+EVAL_BLOCK = 1 << 20
 
 
 def as_coeffs(p):
@@ -79,16 +81,32 @@ def poly_mat_mul(X, Y):
 
 
 def poly_eval(p, z0):
-    """Horner evaluation of sum c[i] z^{-i} at z0 (scalar or array)."""
-    p = as_coeffs(p)
+    """Values of sum c[i] z^{-i} at z0 (scalar or array), by power sums.
+
+    p is one coefficient array or a stack of them (one polynomial per
+    row); the result has shape p.shape[:-1] + z0.shape.  The powers
+    z0^{-i} come from a running product, EVAL_BLOCK of them at a time,
+    and one matmul per block applies every row.
+    """
+    c = np.asarray(p, dtype=complex)
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise ValueError("coefficients must be a non-empty 1-D array or a stack of them")
     z0 = np.asarray(z0, dtype=complex)
-    if np.any(z0 == 0) and len(p) > 1:
+    z = z0.ravel()
+    n = c.shape[-1]
+    if np.any(z == 0) and n > 1:
         raise ZeroDivisionError("evaluation at z=0 with negative powers")
-    w = 1.0 / z0
-    out = np.full_like(z0, p[-1])
-    for c in p[-2::-1]:
-        out = out * w + c
-    return out if out.ndim else complex(out)
+    w = 1.0 / z if n > 1 else z  # a constant needs no powers
+    out = np.empty((len(z),) + c.shape[:-1], dtype=complex)
+    rows = max(1, EVAL_BLOCK // n)
+    for i in range(0, len(z), rows):
+        wi = w[i:i + rows]
+        V = np.empty((len(wi), n), dtype=complex)
+        V[:, 0] = 1.0
+        V[:, 1:] = wi[:, None]
+        out[i:i + rows] = np.cumprod(V, axis=1, out=V) @ c.T
+    out = np.moveaxis(out, 0, -1).reshape(c.shape[:-1] + z0.shape)
+    return complex(out) if out.ndim == 0 else out
 
 
 def circle_samples(p, M):

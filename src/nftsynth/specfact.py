@@ -12,9 +12,11 @@ import numpy as np
 
 from .poly import circle_samples
 
-OVERSAMPLE = 8          # factorization grid = OVERSAMPLE * degree
-LOG_FLOOR = 1e-20       # keeps log(S) finite where the stopband dips to 0
-NEWTON_PASSES = 2       # cheap polish of the cepstral factor
+OVERSAMPLE = 8              # factorization grid = OVERSAMPLE * degree
+LOG_FLOOR = 1e-20           # keeps log(S) finite where the stopband dips to 0
+NEWTON_PASSES = 2           # cheap polish of the cepstral factor
+EVEN_TOL = 1e-12            # max |S[k] - S[M-k]| / max S; FFT-sampled responses give <= ~1e-15
+PAIR_RESIDUAL_LIMIT = 1e-7  # make_ub refuses a pair further than this from |u|^2 + |b|^2 = 1
 
 
 @dataclass
@@ -50,19 +52,20 @@ def design_lowpass(D, omega_c=10.0):
     return c * np.sinc(c * (i - (D - 1) / 2.0))
 
 
-def _causal_project(spec_vals):
-    """One-sided (causal) part of a spectrum, half-weighting DC/Nyquist.
+def _causal_project(half, M):
+    """One-sided (causal) part of an even spectrum, half-weighting DC/Nyquist.
 
-    For a real even input this returns spec/2 + i*(Hilbert transform)/2,
-    so exp() of the projection of log S is the minimum-phase root of S.
+    `half` holds samples 0..M//2 of a real even spectrum on the M-point
+    grid, whose cepstrum is then real and even.  Returns the same half of
+    spec/2 + i*(Hilbert transform)/2; the full spectrum is Hermitian, so
+    exp() of the projection of log S is the real minimum-phase root of S.
     """
-    M = len(spec_vals)
-    g = np.fft.ifft(spec_vals)
-    h = np.zeros(M, dtype=complex)
+    g = np.fft.irfft(half, M)
+    h = np.zeros(M // 2 + 1)
     h[0] = g[0] / 2
     h[1 : M // 2] = g[1 : M // 2]
     h[M // 2] = g[M // 2] / 2
-    return np.fft.fft(h)
+    return np.fft.rfft(h, M)
 
 
 def spectral_factor(power_samples, degree):
@@ -71,7 +74,9 @@ def spectral_factor(power_samples, degree):
     Cepstral construction (exp of the causal projection of log S) plus a
     couple of multiplicative corrections m <- m * (1 + P+[S/|m|^2 - 1])
     that pull the truncated coefficient vector back toward the grid
-    values.  The grid must oversample the degree or the cepstrum aliases.
+    values.  The grid must oversample the degree or the cepstrum aliases,
+    and it must be even (S[k] = S[M-k]), so that the factor is real: all
+    transforms run over the M//2+1 samples of the half grid.
     """
     S = np.asarray(power_samples, dtype=float)
     M = len(S)
@@ -81,14 +86,20 @@ def spectral_factor(power_samples, degree):
         raise ValueError("power spectrum is identically zero")
     if M < OVERSAMPLE * degree:
         raise ValueError(f"grid {M} undersamples degree {degree} (need >= {OVERSAMPLE}x)")
+    mirror = S[-np.arange(M // 2 + 1)]
+    odd = np.abs(S[: M // 2 + 1] - mirror).max() / S.max()
+    if odd > EVEN_TOL:
+        raise ValueError(f"power spectrum is not even (S[k] vs S[M-k] differ by {odd:.1e} "
+                         f"relative > {EVEN_TOL}): its factor would not be real")
+    S = (S[: M // 2 + 1] + mirror) / 2
 
-    m = np.exp(_causal_project(np.log(S + LOG_FLOOR)))
-    m = np.fft.fft(np.fft.ifft(m)[:degree], M)
+    m = np.exp(_causal_project(np.log(S + LOG_FLOOR), M))
+    c = np.fft.irfft(m, M)[:degree]
     for _ in range(NEWTON_PASSES):
+        m = np.fft.rfft(c, M)
         E = S / np.abs(m) ** 2 - 1.0
-        m = m * (1.0 + _causal_project(E))
-        m = np.fft.fft(np.fft.ifft(m)[:degree], M)
-    return np.fft.ifft(m)[:degree].copy()
+        c = np.fft.irfft(m * (1.0 + _causal_project(E, M)), M)[:degree]
+    return c.copy()
 
 
 def make_ub(spec: FilterSpec) -> FactorPair:
@@ -98,26 +109,43 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     minimum-phase factor of 1 - |b|^2 -- factoring against the *realized*
     b spectrum rather than the ideal one is what pushes the pair residual
     |u|^2 + |b|^2 - 1 down to rounding level even where the b
-    factorization itself is limited by its stopband zeros.
+    factorization itself is limited by its stopband zeros.  A contrast
+    that saturates, or comes so close that no such pair is found, is
+    refused with a ValueError naming the omega where it happens.
     """
     psi = design_lowpass(spec.D, spec.omega_c)
     M = OVERSAMPLE * spec.D
-    p2 = np.abs(circle_samples(psi, M)) ** 2
+    Sb = spec.delta**2 * np.abs(circle_samples(psi, M)) ** 2
+    if not Sb.any():
+        raise ValueError(f"delta^2 |psi|^2 underflows to 0 (delta={spec.delta:.3g})")
 
     # 1 - delta^2 |psi|^2 must stay positive.  The truncated sinc itself
     # overshoots |psi| = 1 (DC gain ~1.056, ripple peak ~1.10 for
     # omega_c = 10), so the meaningful precondition is on delta*|psi|.
-    peak = int(np.argmax(p2))
-    if spec.delta**2 * p2[peak] >= 1.0:
+    peak = int(np.argmax(Sb))
+    if Sb[peak] >= 1.0:
         raise ValueError(
             f"delta*|psi| >= 1 at omega ~ {_grid_omega(peak, M, spec.D):.3f}: "
             f"1 - delta^2 |psi|^2 is not positive"
         )
 
-    b = spectral_factor(spec.delta**2 * p2, spec.D)
+    # Near that bound, the degree-D factors can still miss: b may overshoot
+    # |b| = 1, or u may not follow a 1 - |b|^2 that nearly vanishes.
+    # Either way there is no unit-circle pair to return.
+    b = spectral_factor(Sb, spec.D)
     Su = 1.0 - np.abs(circle_samples(b, M)) ** 2
+    low = int(np.argmin(Su))
+    where = f"at omega ~ {_grid_omega(low, M, spec.D):.3f}"
+    if Su[low] <= 0.0:
+        raise ValueError(f"|b| >= 1 {where}: the factor of delta^2 |psi|^2 overshoots")
     u = spectral_factor(Su, spec.D)
-    return FactorPair(u=u, b=b, residual=pair_residual(u, b, 16 * spec.D))
+    residual = pair_residual(u, b, 16 * spec.D)
+    if residual > PAIR_RESIDUAL_LIMIT:
+        raise ValueError(
+            f"pair residual {residual:.1e} > {PAIR_RESIDUAL_LIMIT}: 1 - |b|^2 dips to "
+            f"{Su[low]:.1e} {where}, too close to 0 for the degree-{spec.D} factor u"
+        )
+    return FactorPair(u=u, b=b, residual=residual)
 
 
 def _grid_omega(m, M, D):
@@ -129,7 +157,13 @@ def _grid_omega(m, M, D):
 
 
 def pair_residual(u, b, M):
-    """max over the M-point circle grid of | |u|^2 + |b|^2 - 1 |."""
-    su = np.abs(circle_samples(u, M)) ** 2
-    sb = np.abs(circle_samples(b, M)) ** 2
+    """max over the M-point circle grid of | |u|^2 + |b|^2 - 1 |.
+
+    Real coefficients give conjugate samples at k and M-k, so for a real
+    pair one real FFT each over the half grid sees every value.
+    """
+    if np.isrealobj(u) and np.isrealobj(b) and M >= max(len(u), len(b)):
+        su, sb = (np.abs(np.fft.rfft(p, M)) ** 2 for p in (u, b))
+    else:
+        su, sb = (np.abs(circle_samples(p, M)) ** 2 for p in (u, b))
     return float(np.max(np.abs(su + sb - 1.0)))

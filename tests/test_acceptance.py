@@ -25,6 +25,7 @@ from nftsynth.forward import (
     reflection_coefficient,
 )
 from nftsynth.inverse import (
+    LEAF_SIZE,
     Signal,
     energy_identity_residual,
     invert_fast,
@@ -67,24 +68,24 @@ def random_signal(rng, D):
 
 def test_criterion_1_fast_matches_reference():
     """invert_fast vs invert_sequential: <= 1e-8 relative on 200 random pairs
-    (25 per size, D in {2,...,256}) and on both worked-example spectra at D=512."""
+    (25 per size, D in {2,...,256}) and on both worked-example spectra at D=512,
+    each at the default leaf size (D <= 512 is then a single leaf) and at
+    leaf_size=32, which runs the recursion."""
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for D in (2, 4, 8, 16, 32, 64, 128, 256):
-        for _ in range(25):
-            pair = forward_sequential(random_signal(rng, D))
+    pairs = [forward_sequential(random_signal(rng, D))
+             for D in (2, 4, 8, 16, 32, 64, 128, 256) for _ in range(25)]
+    pairs += [pipeline(lams, 0.01, 512)[1] for lams in (ONE_SOLITON, FOUR_SOLITON)]
+    worst = {}
+    for leaf in (LEAF_SIZE, 32):
+        worst[leaf] = 0.0
+        for pair in pairs:
             ref = invert_sequential(pair, check=False)
-            fast, _ = invert_fast(pair, check=False)
+            fast, _ = invert_fast(pair, check=False, leaf_size=leaf)
             rel = np.abs(fast.samples - ref.samples).max() / np.abs(ref.samples).max()
-            worst = max(worst, rel)
-    for lams in (ONE_SOLITON, FOUR_SOLITON):
-        _, pair, _, _ = pipeline(lams, 0.01, 512)
-        ref = invert_sequential(pair, check=False)
-        fast, _ = invert_fast(pair, check=False)
-        rel = np.abs(fast.samples - ref.samples).max() / np.abs(ref.samples).max()
-        worst = max(worst, rel)
-    ok = worst <= 1e-8
-    verdict(1, ok, f"worst relative deviation {worst:.3e} (tolerance 1e-8)")
+            worst[leaf] = max(worst[leaf], rel)
+    ok = max(worst.values()) <= 1e-8
+    verdict(1, ok, f"worst relative deviation {worst[LEAF_SIZE]:.3e} at leaf size {LEAF_SIZE}, "
+                   f"{worst[32]:.3e} at leaf size 32 (tolerance 1e-8)")
     assert ok
 
 

@@ -139,6 +139,9 @@ def test_bench_command_small(tmp_path, capsys):
     rep = read_report(out)
     assert [r["D"] for r in rep["rows"]] == [64, 128]
     for row in rep["rows"]:
+        for stage in ("make_ub", "synthesize_ab"):
+            assert row[f"{stage}_s"] > 0
+            assert row[f"{stage}_per_sample_us"] == pytest.approx(row[f"{stage}_s"] / row["D"] * 1e6)
         assert row["invert_fast_per_sample_us"] > 0
         assert "invert_sequential_s" in row
         assert "forward_fast_s" in row

@@ -1,6 +1,8 @@
+import mpmath
 import numpy as np
 import pytest
 
+from nftsynth import poly
 from nftsynth.poly import (
     circle_samples,
     coeffs_from_circle,
@@ -136,6 +138,46 @@ def test_eval_array_argument():
     zs = np.array([1.0, 2.0, 1j])
     vals = poly_eval(p, zs)
     np.testing.assert_allclose(vals, [0.5, 0.75, 1 - 0.5 / 1j])
+
+
+def test_eval_stack_and_blocks(monkeypatch):
+    """Rows of a stack evaluate as one-row calls, whatever the point block size."""
+    rng = np.random.default_rng(13)
+    P = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+    zs = (1.0 + rng.random((2, 5))) * np.exp(2j * np.pi * rng.random((2, 5)))
+    ref = np.array([[[sum(c * z ** (-i) for i, c in enumerate(p)) for z in row]
+                     for row in zs] for p in P])
+    for block in (poly.EVAL_BLOCK, 40, 1):
+        monkeypatch.setattr(poly, "EVAL_BLOCK", block)
+        out = poly_eval(P, zs)
+        assert out.shape == (3, 2, 5)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        np.testing.assert_allclose(poly_eval(P[1], zs), out[1], rtol=1e-14)
+        np.testing.assert_allclose(poly_eval(P, zs[0, 2]), out[:, 0, 2], rtol=1e-14)
+    assert poly_eval([2.0 - 1j], 0.0) == 2.0 - 1j
+
+
+def test_eval_matches_mpmath_at_scale():
+    """a and b of the 4-soliton pair at D=16384, at its bound states and on
+    the circle, against mpmath.polyval in 40 digits.  The bound is Horner's:
+    gamma_2n * sum |c_j| |z|^-j with gamma_2n = 2nu / (1 - 2nu)."""
+    from nftsynth.synthesis import SpectrumSpec, lambda_to_z, synthesize_ab
+
+    D = 16384
+    spec = SpectrumSpec([12.5j, 25j, 37.5j, 50j], 0.01, D)
+    pair = synthesize_ab(spec)
+    zs = np.array([lambda_to_z(lam, spec.eps) for lam in spec.lambdas]
+                  + list(np.exp(2j * np.pi * np.array([0.1, 0.37, 0.5]))))
+    u = np.finfo(float).eps / 2
+    gamma = 2 * D * u / (1 - 2 * D * u)
+    mpmath.mp.dps = 40
+    vals = poly_eval(np.stack([pair.a, pair.b]), zs)
+    for p, got in zip((pair.a, pair.b), vals):
+        coeffs = [mpmath.mpc(complex(c)) for c in p[::-1]]
+        for z, v in zip(zs, got):
+            exact = complex(mpmath.polyval(coeffs, 1 / mpmath.mpc(z)))
+            scale = np.sum(np.abs(p) * np.abs(z) ** -np.arange(D, dtype=float))
+            assert abs(v - exact) <= gamma * scale
 
 
 def test_circle_samples_constant():

@@ -1,15 +1,41 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import sici
 
 from nftsynth.poly import circle_samples
 from nftsynth.specfact import (
+    LOG_FLOOR,
+    NEWTON_PASSES,
+    OVERSAMPLE,
+    PAIR_RESIDUAL_LIMIT,
     FilterSpec,
     design_lowpass,
     make_ub,
     pair_residual,
     spectral_factor,
 )
+
+
+def complex_factor(S, degree):
+    """The factorization on complex FFTs over the full grid: the test oracle."""
+    M = len(S)
+
+    def causal(x):
+        g = np.fft.ifft(x)
+        h = np.zeros(M, dtype=complex)
+        h[0] = g[0] / 2
+        h[1 : M // 2] = g[1 : M // 2]
+        h[M // 2] = g[M // 2] / 2
+        return np.fft.fft(h)
+
+    m = np.exp(causal(np.log(S + LOG_FLOOR)))
+    m = np.fft.fft(np.fft.ifft(m)[:degree], M)
+    for _ in range(NEWTON_PASSES):
+        m = m * (1.0 + causal(S / np.abs(m) ** 2 - 1.0))
+        m = np.fft.fft(np.fft.ifft(m)[:degree], M)
+    return np.fft.ifft(m)[:degree]
 
 
 def test_lowpass_center_values():
@@ -63,6 +89,10 @@ def test_factor_rejects_bad_input():
         spectral_factor(np.zeros(64), 2)
     with pytest.raises(ValueError):
         spectral_factor(np.ones(16), 8)  # undersampled grid
+    S = np.abs(circle_samples([1.0, 0.5], 64)) ** 2
+    S[5] *= 1 + 1e-9  # S[5] != S[59]: no real factor
+    with pytest.raises(ValueError, match="not even"):
+        spectral_factor(S, 2)
 
 
 def test_factor_u_residual_bound():
@@ -125,3 +155,90 @@ def test_pair_residual_unimodular_pair():
 def test_make_ub_residual_across_contrast(delta):
     fp = make_ub(FilterSpec(512, delta, 10.0))
     assert fp.residual <= 1e-7
+
+
+def _lowpass_power(spec):
+    psi = design_lowpass(spec.D, spec.omega_c)
+    return np.abs(circle_samples(psi, OVERSAMPLE * spec.D)) ** 2
+
+
+def complex_ub(spec):
+    """(u, b, pair residual) from complex_factor; inf where |b| reaches 1."""
+    M = OVERSAMPLE * spec.D
+    b = complex_factor(spec.delta**2 * _lowpass_power(spec), spec.D)
+    Su = 1.0 - np.abs(circle_samples(b, M)) ** 2
+    if Su.min() <= 0:
+        return None, b, np.inf
+    u = complex_factor(Su, spec.D)
+    return u, b, pair_residual(u, b, 16 * spec.D)
+
+
+def rounding_spread(spec, u_ref, b_ref):
+    """How far complex_factor moves when each sample of S moves by one ulp."""
+    rng = np.random.default_rng(spec.D)
+    M = OVERSAMPLE * spec.D
+    S = spec.delta**2 * _lowpass_power(spec)
+    S = S * (1 + np.finfo(float).eps * rng.standard_normal(M))
+    S = (S + S[-np.arange(M)]) / 2
+    b = complex_factor(S, spec.D)
+    u = complex_factor(1.0 - np.abs(circle_samples(b, M)) ** 2, spec.D)
+    return (np.abs(u - u_ref).max() / np.abs(u_ref).max(),
+            np.abs(b - b_ref).max() / np.abs(b_ref).max())
+
+
+@st.composite
+def filter_specs(draw):
+    """FilterSpec with D = 2..4096, omega_c = 1e-3..1e4 and delta in (0, 1).
+
+    Half the draws take delta anywhere in (0, 1); the other half put the
+    peak of delta^2 |psi|^2 within 1e-5..0.8 of the saturation bound 1, on
+    either side (delta capped below 1).
+    """
+    D = 1 << draw(st.integers(1, 12))
+    omega_c = 10.0 ** draw(st.floats(-3.0, 4.0))
+    if draw(st.booleans()):
+        delta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    else:
+        margin = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-5.0, -0.1))
+        peak = _lowpass_power(FilterSpec(D, 0.5, omega_c)).max()
+        delta = min(np.sqrt((1.0 - margin) / peak), 1.0 - 1e-9)
+    return FilterSpec(D, delta, omega_c)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(filter_specs())
+def test_make_ub_properties(spec):
+    """make_ub across the FilterSpec domain (see filter_specs).
+
+    A spectrum with delta^2 |psi|^2 >= 1 must be refused with the "omega"
+    error, and one that underflows to 0 with its own error.  Near the
+    saturation bound make_ub may refuse too, but only where the complex-FFT
+    factorization gives no unit-circle pair either (within a factor 2 of
+    PAIR_RESIDUAL_LIMIT, either way).  Every returned pair is
+    real, unit-circle to PAIR_RESIDUAL_LIMIT, and agrees with complex_factor
+    to 1e-12 relative, or to 4x the spread complex_factor itself shows when
+    S moves by one ulp, where that is larger.
+    """
+    peak = spec.delta**2 * _lowpass_power(spec).max()
+    saturated = peak >= 1.0
+    try:
+        fp = make_ub(spec)
+    except ValueError as exc:
+        if peak == 0.0:
+            assert "underflows" in str(exc)
+            return
+        assert "omega" in str(exc)
+        assert saturated or complex_ub(spec)[2] > PAIR_RESIDUAL_LIMIT / 2
+        return
+    assert not saturated
+    assert np.isrealobj(fp.u) and np.isrealobj(fp.b)
+    assert fp.residual <= PAIR_RESIDUAL_LIMIT
+    assert pair_residual(fp.u, fp.b, 16 * spec.D) == fp.residual
+    u_ref, b_ref, residual_ref = complex_ub(spec)
+    assert residual_ref <= 2 * PAIR_RESIDUAL_LIMIT
+    du = np.abs(fp.u - u_ref).max() / np.abs(u_ref).max()
+    db = np.abs(fp.b - b_ref).max() / np.abs(b_ref).max()
+    if max(du, db) > 1e-12:
+        spread_u, spread_b = rounding_spread(spec, u_ref, b_ref)
+        assert du <= max(1e-12, 4 * spread_u)
+        assert db <= max(1e-12, 4 * spread_b)
