@@ -46,10 +46,13 @@ def load_job(path):
 def spec_from_job(job) -> SpectrumSpec:
     try:
         lambdas = [complex(re, im) for re, im in job.get("lambdas", [])]
+        D = float(job["D"])
+        if not D.is_integer():
+            raise ValueError(f"D={job['D']} is not an integer")
         return SpectrumSpec(
             lambdas=lambdas,
             delta=float(job["delta"]),
-            D=int(job["D"]),
+            D=int(D),
             omega_c=float(job["omega_c"]),
         )
     except KeyError as exc:
@@ -80,7 +83,7 @@ def read_signal_csv(path) -> Signal:
         raise ValueError(f"signal CSV {path} holds a bad sample: {exc}") from None
     if not np.all(np.isfinite(q)):
         raise ValueError(f"signal CSV {path} holds non-finite samples")
-    return Signal(samples=q, eps=1.0 / D)
+    return Signal(samples=q)
 
 
 def write_pair_csv(path, pair):
@@ -271,10 +274,10 @@ def run_asymptotics(job, out: Path):
     return 0
 
 
-def _time_median(fn, repeats=BENCH_REPEATS):
+def _time_median(fn):
     fn()  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(BENCH_REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -299,7 +302,7 @@ def run_bench(job, out: Path):
         pair = synthesize_ab(spec)
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
         signal, _F = invert_fast(pair, check=False)
-        if D <= job.get("bench_sequential_limit", BENCH_SEQUENTIAL_LIMIT):
+        if D <= BENCH_SEQUENTIAL_LIMIT:
             row["invert_sequential_s"] = _time_median(
                 lambda: invert_sequential(pair, check=False))
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))

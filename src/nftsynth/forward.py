@@ -8,9 +8,9 @@ tracked as a counter) is
 starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
-`forward_sequential` runs the updates on fixed-size coefficient arrays,
-O(D^2).  `forward_fast` is `inverse.transfer_matrix` of the samples: the
-D one-sample matrices multiplied in a balanced tree, one batched FFT
+`forward_sequential` applies `forward_step` once per sample, O(D^2).
+`forward_fast` is `inverse.transfer_matrix` of the samples: the D
+one-sample matrices multiplied in a balanced tree, one batched FFT
 product per level, O(D log^2 D); (a, b) is its first column.
 """
 
@@ -21,12 +21,11 @@ import scipy.fft
 from scipy.integrate import solve_ivp
 
 from .inverse import Signal, transfer_matrix
-from .poly import poly_eval
+from .poly import EVAL_BLOCK, poly_eval
 from .synthesis import (
     ROOT_INNER,
     ROOT_OUTER,
     ScatteringPair,
-    lambda_to_z,
     pair_from_coeffs,
     z_to_lambda,
 )
@@ -48,7 +47,6 @@ SPLIT_AT = (0.5, 0.3, 0.7)   # tried split circles, as fractions of the log widt
 NEWTON_STEPS = 20            # per precision
 NEWTON_TOL = 1e-10           # relative Newton step that ends the polish
 NEWTON_FLOOR = 4 * np.finfo(np.longdouble).eps  # |A(w)| / sum |a_j w^j| that ends it too
-EVAL_BLOCK = 1 << 20         # powers of the Newton points held at once
 ROOT_SEPARATION_TOL = 1e-10  # relative; closer polished roots are one root
 
 
@@ -62,7 +60,6 @@ class NftSpectrum:
     eigen_z: np.ndarray
     eigen_lambda: np.ndarray
     norming: np.ndarray
-    eps: float | None = None
 
 
 def forward_step(a, b, Q):
@@ -76,23 +73,11 @@ def forward_step(a, b, Q):
 
 
 def forward_sequential(signal: Signal) -> ScatteringPair:
-    q = np.asarray(signal.samples, dtype=complex)
-    D = len(q)
-    a = np.zeros(D, dtype=complex)
-    b = np.zeros(D, dtype=complex)
-    zb = np.zeros(D, dtype=complex)
-    sa = np.zeros(D, dtype=complex)
-    a[0] = 1.0
-    for Q in q:
-        th = np.sqrt(1.0 + abs(Q) ** 2)
-        zb[0] = 0.0
-        zb[1:] = b[: D - 1]
-        np.multiply(zb, Q / th, out=sa)
-        sa += a / th
-        np.multiply(a, -np.conj(Q) / th, out=b)
-        b += zb / th
-        a, sa = sa, a
-    return pair_from_coeffs(a, b)
+    a, b = [1.0], [0.0]
+    for Q in signal.samples:
+        a, b = forward_step(a, b, Q)
+    # b's top coefficient stays 0, so a's does too: D coefficients remain
+    return pair_from_coeffs(a[:-1], b[:-1])
 
 
 def forward_fast(signal: Signal) -> ScatteringPair:
@@ -105,35 +90,22 @@ def forward_fast(signal: Signal) -> ScatteringPair:
     return pair_from_coeffs(F[0, 0, :D], F[1, 0, :D])
 
 
-def reflection_coefficient(pair, omega=None):
-    """Q-hat(omega) = b/a on the circle.
+def reflection_coefficient(pair):
+    """Q-hat(omega) = b/a on 4D equispaced points of the circle (one FFT).
 
-    With no grid given, evaluates on 4D equispaced points (one FFT);
-    points where |a| < 1e-12 are flagged as poles and returned as NaN
+    Points where |a| < 1e-12 are flagged as poles and returned as NaN
     rather than divided through.
     """
-    a = np.asarray(pair.a, dtype=complex)
-    b = np.asarray(pair.b, dtype=complex)
-    D = len(a)
-    eps = 1.0 / D
-    band = np.pi / (2.0 * eps)
-    if omega is None:
-        M = REFLECTION_GRID_FACTOR * D
-        av = np.fft.fft(a, M)
-        bv = np.fft.fft(b, M)
-        # fft bin k sits at z = e^{2 pi i k / M}; z = e^{-2 i omega eps}
-        phi = 2.0 * np.pi * np.arange(M) / M
-        phi[phi > np.pi] -= 2.0 * np.pi
-        omega = -phi / (2.0 * eps)
-        order = np.argsort(omega)
-        omega, av, bv = omega[order], av[order], bv[order]
-    else:
-        omega = np.asarray(omega, dtype=float)
-        if np.any(np.abs(omega) > band * (1 + 1e-12)):
-            raise ValueError("omega grid extends outside [-pi/(2 eps), pi/(2 eps)]")
-        zs = np.exp(-2j * omega * eps)
-        av = poly_eval(a, zs)
-        bv = poly_eval(b, zs)
+    eps = 1.0 / pair.D
+    M = REFLECTION_GRID_FACTOR * pair.D
+    av = np.fft.fft(pair.a, M)
+    bv = np.fft.fft(pair.b, M)
+    # fft bin k sits at z = e^{2 pi i k / M}; z = e^{-2 i omega eps}
+    phi = 2.0 * np.pi * np.arange(M) / M
+    phi[phi > np.pi] -= 2.0 * np.pi
+    omega = -phi / (2.0 * eps)
+    order = np.argsort(omega)
+    omega, av, bv = omega[order], av[order], bv[order]
     poles = np.abs(av) < POLE_TOL
     vals = np.full_like(av, np.nan + 0j)
     np.divide(bv, av, out=vals, where=~poles)
@@ -395,7 +367,7 @@ def norming_constants(pair, eigen_z):
     return -bv / (2j * eps * zs) / dval
 
 
-def continuous_oracle(q, lam, rtol=1e-11, atol=1e-12):
+def continuous_oracle(q, lam):
     """Integrate the continuous scattering ODE for one spectral point.
 
     phi' = [[-i lam, q(t)], [-conj(q(t)), i lam]] phi on [-1, 0] with
@@ -409,53 +381,19 @@ def continuous_oracle(q, lam, rtol=1e-11, atol=1e-12):
         return [-1j * lam * y[0] + qt * y[1], -np.conj(qt) * y[0] + 1j * lam * y[1]]
 
     y0 = np.array([np.exp(1j * lam), 0.0], dtype=complex)
-    sol = solve_ivp(rhs, (-1.0, 0.0), y0, method="DOP853", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (-1.0, 0.0), y0, method="DOP853", rtol=1e-11, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"scattering ODE integration failed: {sol.message}")
     return complex(sol.y[0, -1]), complex(sol.y[1, -1])
 
 
-def shift_spectrum(spectrum: NftSpectrum, t0: float) -> NftSpectrum:
-    """Time shift by t0: linear phase on the reflection, e^{-2 i lam t0} on norming."""
-    return NftSpectrum(
-        omega=spectrum.omega.copy(),
-        reflection=spectrum.reflection * np.exp(-2j * spectrum.omega * t0),
-        pole_mask=spectrum.pole_mask.copy(),
-        eigen_z=spectrum.eigen_z.copy(),
-        eigen_lambda=spectrum.eigen_lambda.copy(),
-        norming=spectrum.norming * np.exp(-2j * spectrum.eigen_lambda * t0),
-        eps=spectrum.eps,
-    )
-
-
-def dilate_spectrum(spectrum: NftSpectrum, eta: float) -> NftSpectrum:
-    """Dilation: eigenvalues scale as lam -> eta*lam (eta != 0)."""
-    if eta == 0:
-        raise ValueError("dilation factor must be nonzero")
-    lam = spectrum.eigen_lambda * eta
-    if spectrum.eps is not None:
-        z = np.array([lambda_to_z(v, spectrum.eps) for v in lam], dtype=complex)
-    else:
-        z = spectrum.eigen_z.copy()
-    return NftSpectrum(
-        omega=spectrum.omega * eta,
-        reflection=spectrum.reflection.copy(),
-        pole_mask=spectrum.pole_mask.copy(),
-        eigen_z=z,
-        eigen_lambda=lam,
-        norming=spectrum.norming.copy(),
-        eps=spectrum.eps,
-    )
-
-
-def compute_spectrum(pair, omega=None) -> NftSpectrum:
+def compute_spectrum(pair) -> NftSpectrum:
     """Full discrete spectrum of a pair: reflection + bound states."""
-    om, vals, poles = reflection_coefficient(pair, omega)
-    eps = 1.0 / pair.D
+    om, vals, poles = reflection_coefficient(pair)
     zs = find_eigenvalues(pair.a)
-    lams = np.array([z_to_lambda(z, eps) for z in zs], dtype=complex)
+    lams = np.array([z_to_lambda(z, 1.0 / pair.D) for z in zs], dtype=complex)
     norm = norming_constants(pair, zs) if len(zs) else np.array([], dtype=complex)
     return NftSpectrum(
         omega=om, reflection=vals, pole_mask=poles,
-        eigen_z=zs, eigen_lambda=lams, norming=norm, eps=eps,
+        eigen_z=zs, eigen_lambda=lams, norming=norm,
     )

@@ -38,7 +38,6 @@ SINGULAR_A0 = 1e-14
 @dataclass
 class Signal:
     samples: np.ndarray
-    eps: float
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -48,17 +47,13 @@ class Signal:
         return len(self.samples)
 
     @property
+    def eps(self):
+        return 1.0 / self.D
+
+    @property
     def t(self):
         """Sample times: t[n] = -1 + (n+1)*eps - eps/2 (midpoints)."""
         return -1.0 + (np.arange(1, self.D + 1) - 0.5) * self.eps
-
-
-def recover_sample(a, b):
-    """Q = -conj(b0)/conj(a0) from the constant (z^0) coefficients."""
-    a0 = complex(a[0])
-    if abs(a0) < SINGULAR_A0:
-        raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
-    return -np.conj(complex(b[0])) / np.conj(a0)
 
 
 def _pair_arrays(pair, check):
@@ -85,7 +80,7 @@ def invert_sequential(pair, check=True) -> Signal:
     A = [complex(v) for v in a]
     B = [complex(v) for v in b]
     out = np.empty(D, dtype=complex)
-    for n in range(D, 1, -1):
+    for n in range(D, 0, -1):
         a0 = A[0]
         if abs(a0) < SINGULAR_A0:
             raise ZeroDivisionError(f"singular recovery at step {n}")
@@ -98,8 +93,7 @@ def invert_sequential(pair, check=True) -> Signal:
         del newA[n - 1 :]
         newB = [qc * ai + ith * bi for ai, bi in zip(A[1:n], B[1:n])]
         A, B = newA, newB
-    out[0] = recover_sample(A, B)
-    return Signal(samples=out, eps=1.0 / D)
+    return Signal(samples=out)
 
 
 def step_matrices(q):
@@ -196,7 +190,7 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
         return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, F_lo)
 
     qs, F = node(np.stack([a, b])[:, None, :])
-    return Signal(samples=qs[::-1], eps=1.0 / D), F
+    return Signal(samples=qs[::-1]), F
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

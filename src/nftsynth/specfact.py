@@ -28,8 +28,8 @@ class FilterSpec:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta={self.delta} out of range (0, 1)")
-        if self.omega_c <= 0:
-            raise ValueError("omega_c must be positive")
+        if not 0.0 < self.omega_c < np.inf:
+            raise ValueError(f"omega_c={self.omega_c} must be positive and finite")
         if self.D < 2 or self.D & (self.D - 1):
             raise ValueError(f"D={self.D} is not a power of two >= 2")
 
@@ -139,7 +139,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     if Su[low] <= 0.0:
         raise ValueError(f"|b| >= 1 {where}: the factor of delta^2 |psi|^2 overshoots")
     u = spectral_factor(Su, spec.D)
-    residual = pair_residual(u, b, 16 * spec.D)
+    residual = pair_residual(u, b)
     if residual > PAIR_RESIDUAL_LIMIT:
         raise ValueError(
             f"pair residual {residual:.1e} > {PAIR_RESIDUAL_LIMIT}: 1 - |b|^2 dips to "
@@ -156,13 +156,14 @@ def _grid_omega(m, M, D):
     return -ang * D / 2.0
 
 
-def pair_residual(u, b, M):
-    """max over the M-point circle grid of | |u|^2 + |b|^2 - 1 |.
+def pair_residual(u, b):
+    """max of | |u|^2 + |b|^2 - 1 | over a circle grid 16x the longer length.
 
     Real coefficients give conjugate samples at k and M-k, so for a real
     pair one real FFT each over the half grid sees every value.
     """
-    if np.isrealobj(u) and np.isrealobj(b) and M >= max(len(u), len(b)):
+    M = 16 * max(len(u), len(b))
+    if np.isrealobj(u) and np.isrealobj(b):
         su, sb = (np.abs(np.fft.rfft(p, M)) ** 2 for p in (u, b))
     else:
         su, sb = (np.abs(circle_samples(p, M)) ** 2 for p in (u, b))

@@ -16,6 +16,7 @@ from .specfact import FilterSpec, make_ub, pair_residual
 
 SYNTH_GRID_FACTOR = 4        # a_ideal sampled on a 4D-point circle grid
 TAIL_ENERGY_LIMIT = 1e-4     # reject truncations worse than this
+PAIR_TOL = 1e-6              # validate_pair: a0 real to this, unimodular to this
 ROOT_INNER = 1.0 + 1e-6      # annulus for genuine eigenvalue roots
 ROOT_OUTER = float(np.exp(np.pi))
 
@@ -33,6 +34,8 @@ class SpectrumSpec:
         eps = 1.0 / self.D
         strip = np.pi / (2 * eps)
         for l in self.lambdas:
+            if not np.isfinite(l):
+                raise ValueError(f"eigenvalue {l} is not finite")
             if l.imag <= 0:
                 raise ValueError(f"eigenvalue {l} not in the open upper half-plane")
             if abs(l.real) > strip:
@@ -106,7 +109,7 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     grid = np.exp(2j * np.pi * np.arange(M) / M)
     a_ideal = circle_samples(pair_ub.u, M) * blaschke_eval(grid, zk)
     p, tail = coeffs_from_circle(a_ideal, spec.D)
-    if tail > TAIL_ENERGY_LIMIT:
+    if not tail <= TAIL_ENERGY_LIMIT:
         raise ValueError(
             f"truncation tail energy {tail:.2e} > {TAIL_ENERGY_LIMIT}: "
             f"D={spec.D} too small for the prescribed spectrum"
@@ -115,7 +118,7 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     phase = np.exp(-1j * np.angle(p[0]))
     a = phase * p
     b = phase * pair_ub.b
-    res = pair_residual(a, b, 16 * spec.D)
+    res = pair_residual(a, b)
     return ScatteringPair(
         a=a,
         b=b,
@@ -124,27 +127,26 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     )
 
 
-def validate_pair(pair: ScatteringPair, tol=1e-6):
+def validate_pair(pair: ScatteringPair):
     """Check the two validity conditions; returns a small report dict."""
     a0 = pair.a[0]
-    res = pair_residual(pair.a, pair.b, 16 * len(pair.a))
-    ok = (abs(a0.imag) <= tol * max(1.0, abs(a0))) and a0.real >= 0 and res <= tol
+    res = pair_residual(pair.a, pair.b)
+    a0_ok = a0.real >= 0 and abs(a0.imag) <= PAIR_TOL * max(1.0, abs(a0))
     return {
         "a0": complex(a0),
-        "a0_real_nonneg": bool(a0.real >= 0 and abs(a0.imag) <= tol * max(1.0, abs(a0))),
+        "a0_real_nonneg": bool(a0_ok),
         "unimodularity_residual": res,
-        "tol": tol,
-        "ok": bool(ok),
+        "tol": PAIR_TOL,
+        "ok": bool(a0_ok and res <= PAIR_TOL),
     }
 
 
-def pair_from_coeffs(a, b, tail_energy=0.0) -> ScatteringPair:
+def pair_from_coeffs(a, b) -> ScatteringPair:
     """Wrap raw coefficient arrays, measuring the unimodularity residual."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return ScatteringPair(
         a=a,
         b=b,
-        unimodularity_residual=pair_residual(a, b, 16 * len(a)),
-        truncation_tail_energy=tail_energy,
+        unimodularity_residual=pair_residual(a, b),
     )

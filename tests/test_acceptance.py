@@ -2,12 +2,15 @@
 
 Run `pytest tests/test_acceptance.py -s` to see the PASS/FAIL line per
 criterion with the measured numbers.  Criterion 3 is expected to fail on
-the transition band of the 4-soliton case: the prescribed bound states
-force exponential tails that the finite window clips, and the clipped
-energy reappears as a broadband reflection floor (~1e-4 in |b|) that
-swamps the prediction exactly where it decays through its nulls.  The
-floor is independent of D and delta, so no parameter choice inside the
-stated setup removes it; the test reports the honest measurement.
+the transition band of the 4-soliton case (4.8089 against 0.20 at
+D=2048).  The cause is the synthesized pair: its truncated a is not
+exactly unimodular with b (residual 6.0e-8 at D=2048, not shrinking with
+D), and after the round trip |b/a|^2 carries a floor of that size, 3.2e-8
+at omega = -18.06 where the prediction is 5.5e-9.  Clipped soliton tails
+are not the cause: a lone 50i soliton, with the shortest tails, fails too
+(0.327; residual 2.1e-9), and the round-trip deviation falls like 1/D
+(1.3e-6 at D=2048) while the transition deviation stays at 4.81.  The
+test reports the honest measurement and keeps its bound.
 """
 
 import time
@@ -62,8 +65,7 @@ def random_signal(rng, D):
     # like exp(signal energy), so pairs with a0 << 1 lose digits in *any*
     # correct implementation and would measure conditioning, not agreement.
     scale = min(0.5, 1.0 / np.sqrt(D))
-    return Signal(samples=scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D)),
-                  eps=1.0 / D)
+    return Signal(samples=scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D)))
 
 
 def test_criterion_1_fast_matches_reference():
@@ -217,7 +219,7 @@ def test_criterion_7_invariant_suite():
     for D in (128, 256, 512, 1024):
         eps = 1.0 / D
         t = -1 + (np.arange(1, D + 1) - 0.5) * eps
-        pair = forward_sequential(Signal(samples=eps * q(t), eps=eps))
+        pair = forward_sequential(Signal(samples=eps * q(t)))
         zs = find_eigenvalues(pair.a)
         eig_errs.append(abs(z_to_lambda(zs[0], eps) - 10j) if len(zs) == 1 else np.inf)
         b_devs.append(abs(poly_eval(np.asarray(pair.b), lambda_to_z(lam_probe, eps)) - be))

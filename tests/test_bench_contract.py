@@ -10,6 +10,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import nftsynth
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -31,3 +33,9 @@ def test_benchmark_patched_names_resolve():
     missing = [f"nftsynth.{mod}.{attr}" for mod, attr in wanted
                if not hasattr(importlib.import_module(f"nftsynth.{mod}"), attr)]
     assert missing == []
+
+
+def test_package_all_resolves():
+    """Every exported name exists on the package, and none is listed twice."""
+    assert [name for name in nftsynth.__all__ if not hasattr(nftsynth, name)] == []
+    assert len(set(nftsynth.__all__)) == len(nftsynth.__all__)

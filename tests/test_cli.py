@@ -21,7 +21,7 @@ def read_report(out):
 
 def test_signal_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
-    sig = Signal(samples=rng.standard_normal(32) + 1j * rng.standard_normal(32), eps=1 / 32)
+    sig = Signal(samples=rng.standard_normal(32) + 1j * rng.standard_normal(32))
     path = tmp_path / "sig.csv"
     write_signal_csv(path, sig)
     back = read_signal_csv(path)
@@ -88,7 +88,7 @@ def test_forward_from_signal_ignores_spec(tmp_path):
     # the spec is only read on the synthesis path; D=500 would be refused
     spec = write_spec(tmp_path / "spec.json", D=500)
     sig = tmp_path / "signal.csv"
-    write_signal_csv(sig, Signal(samples=np.full(4, 0.1 + 0j), eps=0.25))
+    write_signal_csv(sig, Signal(samples=np.full(4, 0.1 + 0j)))
     out = tmp_path / "out"
     assert main(["forward", "--spec", str(spec), "--signal", str(sig),
                  "--out", str(out)]) == 0
@@ -181,6 +181,24 @@ def test_bad_size_is_usage_error(tmp_path, capsys):
     rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("field", [
+    {"lambdas": [[0.0, float("nan")]]},
+    {"lambdas": [[float("nan"), 20.0]]},
+    {"lambdas": [[0.0, float("inf")]]},
+    {"omega_c": float("nan")},
+    {"omega_c": float("inf")},
+    {"D": 512.7},
+], ids=["nan-im-lambda", "nan-re-lambda", "inf-im-lambda", "nan-omega_c", "inf-omega_c",
+        "fractional-D"])
+def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field):
+    # json writes and reads NaN and Infinity, so these reach spec_from_job
+    spec = write_spec(tmp_path / "spec.json", **field)
+    rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o" / "signal.csv").exists()
 
 
 @pytest.mark.parametrize("body", [

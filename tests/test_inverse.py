@@ -11,7 +11,6 @@ from nftsynth.inverse import (
     energy_identity_residual,
     invert_fast,
     invert_sequential,
-    recover_sample,
     transfer_matrix,
 )
 from nftsynth.poly import poly_mul
@@ -23,22 +22,13 @@ def random_signal(rng, D, scale=None):
     if scale is None:
         scale = min(0.5, 2.0 / np.sqrt(D))
     samples = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
-    return Signal(samples=samples, eps=1.0 / D)
+    return Signal(samples=samples)
 
 
 def test_signal_time_grid():
-    sig = Signal(samples=np.zeros(4), eps=0.25)
+    sig = Signal(samples=np.zeros(4))
     assert sig.D == 4
     assert np.allclose(sig.t, [-0.875, -0.625, -0.375, -0.125])
-
-
-def test_recover_sample_hand_values():
-    s = 1.0 / np.sqrt(2.0)
-    assert recover_sample([s], [-s]) == pytest.approx(1.0)
-    assert recover_sample([s], [1j * s]) == pytest.approx(1j)
-    assert recover_sample([1.0], [0.0]) == 0.0
-    with pytest.raises(ZeroDivisionError):
-        recover_sample([1e-15], [0.5])
 
 
 def test_one_sample_roundtrip():
@@ -46,7 +36,7 @@ def test_one_sample_roundtrip():
     rng = np.random.default_rng(5)
     for _ in range(25):
         Q = complex(rng.standard_normal(), rng.standard_normal())
-        pair = forward_sequential(Signal(samples=[Q], eps=1.0))
+        pair = forward_sequential(Signal(samples=[Q]))
         assert invert_sequential(pair).samples[0] == pytest.approx(Q, abs=1e-13)
         fast, F = invert_fast(pair)
         assert fast.samples[0] == pytest.approx(Q, abs=1e-13)
@@ -77,7 +67,7 @@ def test_trivial_pair_gives_zero_signal(invert):
 
 
 def test_two_sample_roundtrip():
-    sig = Signal(samples=np.array([0.3, -0.2j]), eps=0.5)
+    sig = Signal(samples=np.array([0.3, -0.2j]))
     pair = forward_sequential(sig)
     back = invert_sequential(pair)
     assert np.allclose(back.samples, sig.samples, atol=1e-12)
@@ -127,7 +117,7 @@ def spiky_signals(draw):
     q = min(0.5, level / np.sqrt(D)) * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
     spikes = rng.integers(0, D, size=draw(st.integers(0, 3)))
     q[spikes] = amp * np.exp(2j * np.pi * rng.uniform(size=len(spikes)))
-    return Signal(samples=q, eps=1.0 / D), leaf_size
+    return Signal(samples=q), leaf_size
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -210,12 +200,13 @@ def test_invert_fast_matrix_is_forward_product():
 
 
 def test_singular_pair_raises():
-    a = np.array([0.0, 1.0], dtype=complex)   # unimodular but a0 = 0
-    b = np.zeros(2, dtype=complex)
-    with pytest.raises(ZeroDivisionError):
-        invert_sequential((a, b))
-    with pytest.raises(ZeroDivisionError):
-        invert_fast((a, b))
+    unimodular = (np.array([0.0, 1.0]), np.zeros(2))   # unimodular but a0 = 0
+    last = (np.array([1e-15]), np.array([0.5]))        # D = 1: the last sample's a0 vanishes
+    for pair in (unimodular, last):
+        with pytest.raises(ZeroDivisionError):
+            invert_sequential(pair)
+        with pytest.raises(ZeroDivisionError):
+            invert_fast(pair)
 
 
 def test_fast_rejects_non_power_of_two():

@@ -147,7 +147,7 @@ def test_minimum_phase_spot_and_full():
 
 def test_pair_residual_unimodular_pair():
     fp = make_ub(FilterSpec(256, 0.1, 10.0))
-    res = pair_residual(fp.u, fp.b, 4096)
+    res = pair_residual(fp.u, fp.b)
     assert res <= 1e-7
 
 
@@ -170,7 +170,7 @@ def complex_ub(spec):
     if Su.min() <= 0:
         return None, b, np.inf
     u = complex_factor(Su, spec.D)
-    return u, b, pair_residual(u, b, 16 * spec.D)
+    return u, b, pair_residual(u, b)
 
 
 def rounding_spread(spec, u_ref, b_ref):
@@ -233,7 +233,7 @@ def test_make_ub_properties(spec):
     assert not saturated
     assert np.isrealobj(fp.u) and np.isrealobj(fp.b)
     assert fp.residual <= PAIR_RESIDUAL_LIMIT
-    assert pair_residual(fp.u, fp.b, 16 * spec.D) == fp.residual
+    assert pair_residual(fp.u, fp.b) == fp.residual
     u_ref, b_ref, residual_ref = complex_ub(spec)
     assert residual_ref <= 2 * PAIR_RESIDUAL_LIMIT
     du = np.abs(fp.u - u_ref).max() / np.abs(u_ref).max()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nftsynth import synthesis
 from nftsynth.synthesis import (
     ROOT_INNER,
     ROOT_OUTER,
@@ -152,7 +153,7 @@ def test_validate_pair_trivial_and_broken():
 
 def test_validate_pair_accepts_synthesized():
     spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=256, omega_c=10.0)
-    assert validate_pair(synthesize_ab(spec), tol=1e-6)["ok"]
+    assert validate_pair(synthesize_ab(spec))["ok"]
 
 
 def test_synthesize_rejects_too_small_d():
@@ -160,4 +161,13 @@ def test_synthesize_rejects_too_small_d():
     # coefficient tail; at tiny D the truncation must be refused
     spec = SpectrumSpec(lambdas=[0.05j], delta=0.01, D=16, omega_c=10.0)
     with pytest.raises(ValueError, match="[Dd] too small|tail"):
+        synthesize_ab(spec)
+
+
+def test_synthesize_rejects_nan_tail(monkeypatch):
+    truncate = synthesis.coeffs_from_circle
+    monkeypatch.setattr(synthesis, "coeffs_from_circle",
+                        lambda samples, keep: (truncate(samples, keep)[0], float("nan")))
+    spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=64, omega_c=10.0)
+    with pytest.raises(ValueError, match="tail energy nan"):
         synthesize_ab(spec)
