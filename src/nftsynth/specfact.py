@@ -7,6 +7,7 @@ scaled low-pass response delta^2 |psi|^2.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,7 @@ EVEN_TOL = 1e-12            # max |S[k] - S[M-k]| / max S; FFT-sampled responses
 PAIR_RESIDUAL_LIMIT = 1e-7  # make_ub refuses a pair further than this from |u|^2 + |b|^2 = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterSpec:
     D: int
     delta: float
@@ -34,7 +35,7 @@ class FilterSpec:
             raise ValueError(f"D={self.D} is not a power of two >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorPair:
     u: np.ndarray
     b: np.ndarray
@@ -102,6 +103,7 @@ def spectral_factor(power_samples, degree):
     return c.copy()
 
 
+@lru_cache(maxsize=1)
 def make_ub(spec: FilterSpec) -> FactorPair:
     """Factor the low-pass power response into the unit-circle pair (u, b).
 
@@ -112,6 +114,11 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     factorization itself is limited by its stopband zeros.  A contrast
     that saturates, or comes so close that no such pair is found, is
     refused with a ValueError naming the omega where it happens.
+
+    The pair depends on the filter alone, never on the eigenvalues, so
+    the last filter's pair is kept: a transmitter that varies only the
+    eigenvalues, and predict() after synthesize_ab(), factor nothing.
+    The cached u and b are read-only.  A refusal is not cached.
     """
     psi = design_lowpass(spec.D, spec.omega_c)
     M = OVERSAMPLE * spec.D
@@ -145,6 +152,8 @@ def make_ub(spec: FilterSpec) -> FactorPair:
             f"pair residual {residual:.1e} > {PAIR_RESIDUAL_LIMIT}: 1 - |b|^2 dips to "
             f"{Su[low]:.1e} {where}, too close to 0 for the degree-{spec.D} factor u"
         )
+    u.flags.writeable = False
+    b.flags.writeable = False
     return FactorPair(u=u, b=b, residual=residual)
 
 
@@ -159,12 +168,20 @@ def _grid_omega(m, M, D):
 def pair_residual(u, b):
     """max of | |u|^2 + |b|^2 - 1 | over a circle grid 16x the longer length.
 
-    Real coefficients give conjugate samples at k and M-k, so for a real
-    pair one real FFT each over the half grid sees every value.
+    |u|^2 + |b|^2 - 1 is a Laurent polynomial with lags -(L-1)..L-1,
+    L = max(len(u), len(b)): the autocorrelations of u and b, less 1 at
+    lag 0.  Length-2L transforms give those lags without wrap-around
+    (real ones for a real pair).  Lag -k is the conjugate of lag k, so
+    one Hermitian transform of the lags 0..L-1 samples the real function
+    on the 16L-point grid, at a fraction of the cost of transforming u
+    and b there.
     """
-    M = 16 * max(len(u), len(b))
+    L = max(len(u), len(b))
     if np.isrealobj(u) and np.isrealobj(b):
-        su, sb = (np.abs(np.fft.rfft(p, M)) ** 2 for p in (u, b))
+        power = sum(np.abs(np.fft.rfft(p, 2 * L)) ** 2 for p in (u, b))
+        lags = np.fft.irfft(power, 2 * L)[:L]
     else:
-        su, sb = (np.abs(circle_samples(p, M)) ** 2 for p in (u, b))
-    return float(np.max(np.abs(su + sb - 1.0)))
+        power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
+        lags = np.fft.ifft(power)[:L]
+    lags[0] -= 1.0
+    return float(np.max(np.abs(np.fft.hfft(lags, 16 * L))))

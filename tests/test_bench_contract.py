@@ -11,6 +11,7 @@ import importlib
 from pathlib import Path
 
 import nftsynth
+from nftsynth import asymptotics, specfact, synthesis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,3 +40,10 @@ def test_package_all_resolves():
     """Every exported name exists on the package, and none is listed twice."""
     assert [name for name in nftsynth.__all__ if not hasattr(nftsynth, name)] == []
     assert len(set(nftsynth.__all__)) == len(nftsynth.__all__)
+
+
+def test_make_ub_has_one_cached_function():
+    """The benchmark patches make_ub in synthesis and asymptotics; both must be the
+    one cached specfact.make_ub, so no uncached alias escapes the spans."""
+    assert synthesis.make_ub is specfact.make_ub is asymptotics.make_ub
+    assert hasattr(specfact.make_ub, "cache_info")

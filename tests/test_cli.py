@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from nftsynth.cli import main, read_signal_csv, write_signal_csv
+from nftsynth import specfact
+from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.inverse import Signal
 
 
@@ -130,12 +131,24 @@ def test_asymptotics_command(tmp_path):
     assert header == ["omega", "psi", "predicted_power"]
 
 
-def test_bench_command_small(tmp_path, capsys):
+def test_bench_command_small(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bench_D": [64, 128], "delta": 0.01,
                                 "omega_c": 10.0, "lambdas": [[0.0, 20.0]]}))
     out = tmp_path / "out"
+    factored = {}  # degree (= D) -> spectral_factor calls
+    factor = specfact.spectral_factor
+
+    def counting_factor(power, degree):
+        factored[degree] = factored.get(degree, 0) + 1
+        return factor(power, degree)
+
+    monkeypatch.setattr(specfact, "spectral_factor", counting_factor)
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
+    # every timed make_ub and synthesize_ab repetition factors b and u afresh,
+    # not a cached pair
+    assert sorted(factored) == [64, 128]
+    assert min(factored.values()) >= 4 * (BENCH_REPEATS + 1)
     rep = read_report(out)
     assert [r["D"] for r in rep["rows"]] == [64, 128]
     for row in rep["rows"]:
@@ -198,6 +211,20 @@ def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field):
     rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "o" / "signal.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
+@pytest.mark.parametrize("job", [
+    {"lambdas": [[0.0, 0.05]], "delta": 0.01, "D": 16, "omega_c": 10.0},
+    {"lambdas": [], "delta": 0.95, "D": 64, "omega_c": 10.0},
+], ids=["tail-energy", "saturated-contrast"])
+def test_refused_synthesis_is_usage_error(tmp_path, capsys, job, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(job))
+    rc = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: stage 'synthesize'")
     assert not (tmp_path / "o" / "signal.csv").exists()
 
 

@@ -1,9 +1,12 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+from nftsynth.asymptotics import predict
 from nftsynth.poly import circle_samples
 from nftsynth.specfact import (
     LOG_FLOOR,
@@ -16,6 +19,7 @@ from nftsynth.specfact import (
     pair_residual,
     spectral_factor,
 )
+from nftsynth.synthesis import SpectrumSpec, synthesize_ab
 
 
 def complex_factor(S, degree):
@@ -149,6 +153,74 @@ def test_pair_residual_unimodular_pair():
     fp = make_ub(FilterSpec(256, 0.1, 10.0))
     res = pair_residual(fp.u, fp.b)
     assert res <= 1e-7
+
+
+def grid_residual(u, b):
+    """max | |u|^2 + |b|^2 - 1 | sampled directly on the 16L grid: the test oracle."""
+    M = 16 * max(len(u), len(b))
+    su, sb = (np.abs(circle_samples(p, M)) ** 2 for p in (u, b))
+    return float(np.max(np.abs(su + sb - 1.0)))
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 64, 513, 4096])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_pair_residual_matches_grid_oracle(L, kind):
+    rng = np.random.default_rng(L)
+    for len_u, len_b in ((L, L), (L, (L + 1) // 2), (max(1, L // 3), L)):
+        for scale in (1.0, 1.0 / np.sqrt(2 * L)):  # residual ~1 and ~L
+            u, b = (scale * rng.standard_normal(n) for n in (len_u, len_b))
+            if kind == "complex":
+                u = u + 1j * scale * rng.standard_normal(len_u)
+                b = b + 1j * scale * rng.standard_normal(len_b)
+            want = grid_residual(u, b)
+            assert abs(pair_residual(u, b) - want) <= 1e-13 * max(1.0, want)
+
+
+def test_pair_residual_matches_grid_oracle_on_factor_pair():
+    fp = make_ub(FilterSpec(4096, 0.01, 10.0))
+    assert abs(pair_residual(fp.u, fp.b) - grid_residual(fp.u, fp.b)) <= 1e-15
+    rotated = np.exp(0.3j) * fp.u, np.exp(0.3j) * fp.b  # the complex path
+    assert abs(pair_residual(*rotated) - grid_residual(*rotated)) <= 1e-15
+
+
+def test_make_ub_caches_the_last_filter():
+    make_ub.cache_clear()
+    fp = make_ub(FilterSpec(512, 0.01, 10))
+    hits = make_ub.cache_info().hits
+    assert make_ub(FilterSpec(512, 0.01, 10.0)) is fp
+    assert make_ub.cache_info().hits == hits + 1
+
+
+def test_make_ub_cached_pair_is_read_only():
+    fp = make_ub(FilterSpec(512, 0.01, 10.0))
+    with pytest.raises(ValueError):
+        fp.u[0] = 0
+    with pytest.raises(ValueError):
+        fp.b[0] = 0
+    with pytest.raises(FrozenInstanceError):
+        FilterSpec(512, 0.01, 10.0).delta = 0.02
+
+
+def test_make_ub_refusal_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="omega"):
+            make_ub(FilterSpec(512, 0.999, 10.0))
+
+
+def test_warm_cache_gives_cold_results():
+    spec = SpectrumSpec(lambdas=[12.5j, 25j + 3.0], delta=0.01, D=512, omega_c=10.0)
+    make_ub.cache_clear()
+    cold_pair = synthesize_ab(spec)
+    make_ub.cache_clear()
+    cold_norming = predict(spec).norming_predictions
+    hits = make_ub.cache_info().hits
+    warm_pair = synthesize_ab(spec)
+    warm_norming = predict(spec).norming_predictions
+    assert make_ub.cache_info().hits == hits + 2
+    np.testing.assert_array_equal(warm_pair.a, cold_pair.a)
+    np.testing.assert_array_equal(warm_pair.b, cold_pair.b)
+    np.testing.assert_array_equal(warm_norming, cold_norming)
+    assert warm_pair.unimodularity_residual == cold_pair.unimodularity_residual
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.03, 0.01])
