@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 SEQUENTIAL_LIMIT = 4096        # skip the O(D^2) reference above this
 BENCH_SEQUENTIAL_LIMIT = 8192  # scalar reference gets slow beyond this
 BENCH_REPEATS = 5
-DEFAULT_BENCH_D = [512, 1024, 2048, 4096, 8192, 16384]
+DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
 
 
 def load_job(path):

@@ -9,9 +9,9 @@ starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
 `forward_sequential` applies `forward_step` once per sample, O(D^2).
-`forward_fast` is `inverse.transfer_matrix` of the samples: the D
-one-sample matrices multiplied in a balanced tree, one batched FFT
-product per level, O(D log^2 D); (a, b) is its first column.
+`forward_fast` is the first column of `inverse.transfer_matrix` of the
+samples: blocks of one-sample steps, then a balanced tree with one batched
+FFT product per level, O(D log^2 D), carrying first columns only.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 import scipy.fft
 from scipy.integrate import solve_ivp
 
-from .inverse import Signal, transfer_matrix
+from .inverse import Signal, _first_column
 from .poly import EVAL_BLOCK, poly_eval
 from .synthesis import (
     ROOT_INNER,
@@ -85,9 +85,9 @@ def forward_fast(signal: Signal) -> ScatteringPair:
     D = len(q)
     if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
-    F = transfer_matrix(q)
     # initial state is [1; 0]: (a, b) is the first column
-    return pair_from_coeffs(F[0, 0, :D], F[1, 0, :D])
+    a, b = _first_column(q)
+    return pair_from_coeffs(a[:D], b[:D])
 
 
 def reflection_coefficient(pair):

@@ -11,11 +11,20 @@ one-sample forward matrix, in ascending powers of z^{-1},
 
     F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]],    det F = z^{-1},
 
-and `transfer_matrix` multiplies a block of them in a balanced tree, one
-batched `poly_mat_mul` per level; `forward_fast` is that product.  The
-one-step inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
-z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
-coefficient-wise and the recursion needs no inverse matrices of its own.
+and `transfer_matrix` multiplies a block of them.  Every product of n step
+matrices has the para-conjugate form
+
+    F = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
+
+so its second column is its first, [a; b], with the n+1 coefficients
+reversed and conjugated (`_para`).  Both fast transforms therefore carry
+first columns only: `_first_column` steps blocks of BLOCK samples at once,
+then multiplies the blocks in a balanced tree, one batched `poly_mat_mul`
+of a full left factor and a column per level; `forward_fast` reads (a, b)
+from it.  The one-step inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]]
+is exactly z * adj(F(Q)), so the inverse of a block of n samples is
+z^n * adj(F) coefficient-wise and the recursion needs no inverse matrices
+of its own.
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
 integer count of half powers, never materialized in coefficients.
@@ -32,6 +41,8 @@ from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_
 from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 512         # below this, peel sequentially inside the recursion (measured sweep)
+BLOCK = 8               # _first_column steps blocks of this many samples at once (measured sweep)
+CHUNK = 64              # _peel shrinks its matmul every this many steps (measured sweep)
 SINGULAR_A0 = 1e-14
 
 
@@ -112,28 +123,67 @@ def step_matrices(q):
     return M
 
 
+def _para(C):
+    """The full matrices [[a, -z^{-n} b*], [b, z^{-n} a*]] of first columns C = [a; b].
+
+    C has shape (..., 2, n+1); z^{-n} p* reverses and conjugates p's n+1
+    coefficients.  The result has shape (..., 2, 2, n+1).
+    """
+    a, b = C[..., 0, :], C[..., 1, :]
+    ra, rb = np.conj(a[..., ::-1]), np.conj(b[..., ::-1])
+    return np.stack([np.stack([a, -rb], axis=-2), np.stack([b, ra], axis=-2)], axis=-3)
+
+
+def _first_column(q):
+    """First column [a; b] of transfer_matrix(q), shape (2, n+1); n a power of two.
+
+    Blocks of BLOCK samples step [1; 0] forward all at once,
+    a <- f00 a + f01 z^{-1} b and b <- f10 a + f11 z^{-1} b with the
+    coefficients of step_matrices; then a balanced tree multiplies the
+    blocks, later ones on the left, the left factor rebuilt by _para.
+    """
+    M = step_matrices(q)
+    n = len(M)
+    block = min(BLOCK, n)
+    f00, f01, f10, f11 = (M[:, i, j, j].reshape(-1, block)[..., None]
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    C = np.zeros((n // block, 2, block + 1), dtype=complex)
+    C[:, 0, 0] = 1.0
+    for j in range(block):
+        a, b = C[:, 0, :j + 1].copy(), C[:, 1, :j + 1].copy()
+        C[:, 0, :j + 1] = f00[:, j] * a
+        C[:, 1, :j + 1] = f10[:, j] * a
+        C[:, 0, 1:j + 2] += f01[:, j] * b
+        C[:, 1, 1:j + 2] += f11[:, j] * b
+    while len(C) > 1:
+        C = poly_mat_mul(_para(C[1::2]), C[0::2, :, None, :])[..., 0, :]
+    return C[0]
+
+
 def transfer_matrix(q):
     """F(q[n-1]) @ ... @ F(q[0]) as a (2, 2, n+1) array; n a power of two.
 
-    Balanced tree, one batched product per level (later samples on the left).
+    Built from its first column (`_first_column`) by the para-conjugate
+    symmetry of every product of step matrices.
     """
-    M = step_matrices(q)
-    while len(M) > 1:
-        M = poly_mat_mul(M[1::2], M[0::2])
-    return M[0]
+    return _para(_first_column(q))
 
 
 def _peel(V):
     """Peel a window V = [A; B], shape (2, 1, n), one sample at a time.
 
-    Returns the n samples (newest first) and the window's forward matrix.
-    One peel step is [A'; B'] = (1/theta) [A - Q B; conj(Q) z A + z B]
-    with the vanished top coefficient dropped.  In a two-row buffer, row r
-    shifted by s is buf[r, s:s + n], so the step is one matmul of
-    [[1, -Q]] and [[conj(Q), 1]] (times 1/theta) with the shifts 0 and 1.
-    The buffers keep length n + 1 instead of shrinking: the k-th sample
-    reads coefficient 0, which depends only on coefficients 0..k of the
-    window, so the stale values above n - k are never read.
+    Returns the n samples (newest first) and the first column of the
+    window's forward matrix.  One peel step is
+    [A'; B'] = (1/theta) [A - Q B; conj(Q) z A + z B] with the vanished top
+    coefficient dropped.  In a two-row buffer, row r shifted by s is
+    buf[r, s:s + w], so the step is one matmul of [[1, -Q]] and
+    [[conj(Q), 1]] (times 1/theta) with the shifts 0 and 1.  After k steps
+    the window holds n - k live coefficients.  The matmul covers the live
+    window as of the first step of its CHUNK, n - k0, so it shrinks every
+    CHUNK steps; every coefficient it writes goes through the same
+    arithmetic as over the whole buffer.  The coefficients above n - k - 1
+    it leaves stale are never read: the k-th sample reads coefficient 0,
+    which depends only on coefficients 0..k of the window.
     """
     n = V.shape[-1]
     buf = np.zeros((2, 2, n + 1), dtype=complex)      # two buffers, swapped each step
@@ -142,19 +192,22 @@ def _peel(V):
     out = buf[:, :, None, :n]
     c = np.empty((2, 1, 2), dtype=complex)
     qs = np.empty(n, dtype=complex)
-    for k in range(n):
-        cur = k & 1
-        a0 = buf.item(cur, 0, 0)
-        if abs(a0) < SINGULAR_A0:
-            raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
-        Q = -(buf.item(cur, 1, 0) / a0).conjugate()
-        qs[k] = Q
-        ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
-        c[0, 0, 0] = c[1, 0, 1] = ith
-        c[0, 0, 1] = -Q * ith
-        c[1, 0, 0] = Q.conjugate() * ith
-        np.matmul(c, shifted[cur], out=out[1 - cur])
-    return qs, transfer_matrix(qs[::-1])
+    for k0 in range(0, n, CHUNK):
+        w = n - k0
+        live, dest = shifted[..., :w], out[..., :w]
+        for k in range(k0, min(k0 + CHUNK, n)):
+            cur = k & 1
+            a0 = buf.item(cur, 0, 0)
+            if abs(a0) < SINGULAR_A0:
+                raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
+            Q = -(buf.item(cur, 1, 0) / a0).conjugate()
+            qs[k] = Q
+            ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
+            c[0, 0, 0] = c[1, 0, 1] = ith
+            c[0, 0, 1] = -Q * ith
+            c[1, 0, 0] = Q.conjugate() * ith
+            np.matmul(c, live[cur], out=dest[1 - cur])
+    return qs, _first_column(qs[::-1])
 
 
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
@@ -170,9 +223,11 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
     The full product has length 3h, so a cyclic product of length 2h
     gives that middle slice exactly: the wrapped coefficients 2h..3h-1
     land on 0..h-1, which are discarded.  Each node returns its samples
-    (newest first) and the forward matrix of its block, F_hi @ F_lo.
-    A leaf peels its window one sample at a time and builds its F with
-    one `transfer_matrix` call.
+    (newest first) and the first column C = [a; b] of its block's forward
+    matrix; adj(F_hi) = [[z^{-h} a*, z^{-h} b*], [-b, a]] and F_hi come
+    from C_hi, and the node's column is F_hi @ C_lo.  A leaf peels its
+    window one sample at a time and builds its column with one
+    `_first_column` call.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -184,13 +239,14 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
         if n <= leaf_size:
             return _peel(V)
         h = n // 2
-        qs_hi, F_hi = node(V[..., :h])
+        qs_hi, C_hi = node(V[..., :h])
+        F_hi = _para(C_hi)
         adj = np.array([[F_hi[1, 1], -F_hi[0, 1]], [-F_hi[1, 0], F_hi[0, 0]]])
-        qs_lo, F_lo = node(cyclic_mat_mul(adj, V, n)[..., h:])
-        return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, F_lo)
+        qs_lo, C_lo = node(cyclic_mat_mul(adj, V, n)[..., h:])
+        return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, C_lo[:, None, :])[:, 0]
 
-    qs, F = node(np.stack([a, b])[:, None, :])
-    return Signal(samples=qs[::-1]), F
+    qs, C = node(np.stack([a, b])[:, None, :])
+    return Signal(samples=qs[::-1]), _para(C)
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

@@ -15,6 +15,7 @@ from .poly import circle_samples
 
 OVERSAMPLE = 8              # factorization grid = OVERSAMPLE * degree
 LOG_FLOOR = 1e-20           # keeps log(S) finite where the stopband dips to 0
+FLOOR_MARGIN = 1e4          # make_ub refuses max delta^2 |psi|^2 < FLOOR_MARGIN * LOG_FLOOR (scan)
 NEWTON_PASSES = 2           # cheap polish of the cepstral factor
 EVEN_TOL = 1e-12            # max |S[k] - S[M-k]| / max S; FFT-sampled responses give <= ~1e-15
 PAIR_RESIDUAL_LIMIT = 1e-7  # make_ub refuses a pair further than this from |u|^2 + |b|^2 = 1
@@ -113,7 +114,8 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     |u|^2 + |b|^2 - 1 down to rounding level even where the b
     factorization itself is limited by its stopband zeros.  A contrast
     that saturates, or comes so close that no such pair is found, is
-    refused with a ValueError naming the omega where it happens.
+    refused with a ValueError naming the omega where it happens; one so
+    small that LOG_FLOOR would set b is refused naming delta.
 
     The pair depends on the filter alone, never on the eigenvalues, so
     the last filter's pair is kept: a transmitter that varies only the
@@ -123,13 +125,18 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     psi = design_lowpass(spec.D, spec.omega_c)
     M = OVERSAMPLE * spec.D
     Sb = spec.delta**2 * np.abs(circle_samples(psi, M)) ** 2
-    if not Sb.any():
-        raise ValueError(f"delta^2 |psi|^2 underflows to 0 (delta={spec.delta:.3g})")
+    peak = int(np.argmax(Sb))
+    # Below this the floor, not delta, sets b: at D=512, omega_c=10 the peak
+    # of |b| is 2% above delta*|psi| at delta=1e-9 and 23x at 1e-12.
+    if Sb[peak] < FLOOR_MARGIN * LOG_FLOOR:
+        raise ValueError(
+            f"delta={spec.delta:.3g} is too small: max delta^2 |psi|^2 = {Sb[peak]:.1e} < "
+            f"{FLOOR_MARGIN * LOG_FLOOR:.0e}, where LOG_FLOOR rather than delta would set b"
+        )
 
     # 1 - delta^2 |psi|^2 must stay positive.  The truncated sinc itself
     # overshoots |psi| = 1 (DC gain ~1.056, ripple peak ~1.10 for
     # omega_c = 10), so the meaningful precondition is on delta*|psi|.
-    peak = int(np.argmax(Sb))
     if Sb[peak] >= 1.0:
         raise ValueError(
             f"delta*|psi| >= 1 at omega ~ {_grid_omega(peak, M, spec.D):.3f}: "

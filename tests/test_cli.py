@@ -218,13 +218,14 @@ def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field):
 @pytest.mark.parametrize("job", [
     {"lambdas": [[0.0, 0.05]], "delta": 0.01, "D": 16, "omega_c": 10.0},
     {"lambdas": [], "delta": 0.95, "D": 64, "omega_c": 10.0},
-], ids=["tail-energy", "saturated-contrast"])
+    {"lambdas": [], "delta": 1e-12, "D": 512, "omega_c": 10.0},
+], ids=["tail-energy", "saturated-contrast", "floor-swamped-contrast"])
 def test_refused_synthesis_is_usage_error(tmp_path, capsys, job, command):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(job))
     rc = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: stage 'synthesize'")
+    assert capsys.readouterr().err.startswith("error: stage 'synthesize' refused the spec")
     assert not (tmp_path / "o" / "signal.csv").exists()
 
 

@@ -67,7 +67,7 @@ def test_forward_unimodularity():
         assert pair.unimodularity_residual <= 1e-10
 
 
-@pytest.mark.parametrize("D", [2, 4, 8, 32, 128, 1024, 2048])
+@pytest.mark.parametrize("D", [1, 2, 4, 8, 16, 32, 128, 1024, 2048])
 def test_fast_matches_sequential(D):
     rng = np.random.default_rng(200 + D)
     for _ in range(3):

@@ -11,6 +11,7 @@ from nftsynth.inverse import (
     energy_identity_residual,
     invert_fast,
     invert_sequential,
+    step_matrices,
     transfer_matrix,
 )
 from nftsynth.poly import poly_mul
@@ -89,7 +90,7 @@ def test_prefix_determines_newest_samples():
         np.testing.assert_allclose(cut.samples, full[D - m:], rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("D", [2, 4, 8, 16, 32, 64, 128])
+@pytest.mark.parametrize("D", [1, 2, 4, 8, 16, 32, 64, 128])
 def test_fast_matches_sequential_and_roundtrips(D):
     rng = np.random.default_rng(100 + D)
     for _ in range(3):
@@ -137,12 +138,35 @@ def test_fast_inverse_properties(case):
     seq = invert_sequential(pair)
     fast, F = invert_fast(pair, leaf_size=leaf_size)
     np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14)
+    column = transfer_matrix(sig.samples)[:, 0, :D]
+    np.testing.assert_allclose(column[0], pair.a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(column[1], pair.b, rtol=0, atol=1e-12)
     det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
     expected = np.zeros(2 * D + 1, dtype=complex)
     expected[D] = 1.0
     np.testing.assert_allclose(det, expected, rtol=0, atol=1e-10)
     assume(np.abs(seq.samples - sig.samples).max() <= 1e-11)
     np.testing.assert_allclose(fast.samples, seq.samples, rtol=0, atol=1e-10)
+
+
+def test_transfer_matrix_matches_direct_product():
+    """transfer_matrix(q) == F(q[n-1]) @ ... @ F(q[0]), multiplied out one step at a time.
+
+    The O(n^2) oracle convolves every entry (np.convolve), so both columns
+    are checked independently of the tree, the blocks and the
+    para-conjugate rebuild of the second column; |q| reaches 3.
+    """
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4, 8, 16, 32, 64):
+        for scale in (0.1, 1.0, 3.0):
+            q = scale * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            P = np.zeros((2, 2, 1), dtype=complex)
+            P[0, 0, 0] = P[1, 1, 0] = 1.0
+            for S in step_matrices(q):
+                P = np.array([[sum(np.convolve(S[i, k], P[k, j]) for k in range(2))
+                               for j in range(2)] for i in range(2)])
+            np.testing.assert_allclose(transfer_matrix(q), P, rtol=0,
+                                       atol=1e-13 * np.abs(P).max())
 
 
 def test_leaf_size_invariance():

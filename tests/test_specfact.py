@@ -9,6 +9,7 @@ from scipy.special import sici
 from nftsynth.asymptotics import predict
 from nftsynth.poly import circle_samples
 from nftsynth.specfact import (
+    FLOOR_MARGIN,
     LOG_FLOOR,
     NEWTON_PASSES,
     OVERSAMPLE,
@@ -122,6 +123,14 @@ def test_make_ub_vanishing_contrast():
     fp = make_ub(FilterSpec(512, 1e-8, 10.0))
     assert np.abs(circle_samples(fp.b, 4096)).max() <= 2e-8
     assert abs(fp.u[0] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-12])
+def test_make_ub_refuses_floor_swamped_contrast(delta):
+    # b would come from LOG_FLOOR, not delta: max|b| / (delta max|psi|) is
+    # 1.021 at 1e-9 and 22.8 at 1e-12 without the refusal
+    with pytest.raises(ValueError, match=f"delta={delta:.3g}"):
+        make_ub(FilterSpec(512, delta, 10.0))
 
 
 def test_make_ub_rejects_saturating_contrast():
@@ -283,7 +292,8 @@ def test_make_ub_properties(spec):
     """make_ub across the FilterSpec domain (see filter_specs).
 
     A spectrum with delta^2 |psi|^2 >= 1 must be refused with the "omega"
-    error, and one that underflows to 0 with its own error.  Near the
+    error, and one whose peak is below FLOOR_MARGIN * LOG_FLOOR (zero
+    included) with the error naming delta.  Near the
     saturation bound make_ub may refuse too, but only where the complex-FFT
     factorization gives no unit-circle pair either (within a factor 2 of
     PAIR_RESIDUAL_LIMIT, either way).  Every returned pair is
@@ -293,16 +303,17 @@ def test_make_ub_properties(spec):
     """
     peak = spec.delta**2 * _lowpass_power(spec).max()
     saturated = peak >= 1.0
+    swamped = peak < FLOOR_MARGIN * LOG_FLOOR
     try:
         fp = make_ub(spec)
     except ValueError as exc:
-        if peak == 0.0:
-            assert "underflows" in str(exc)
+        if swamped:
+            assert f"delta={spec.delta:.3g}" in str(exc)
             return
         assert "omega" in str(exc)
         assert saturated or complex_ub(spec)[2] > PAIR_RESIDUAL_LIMIT / 2
         return
-    assert not saturated
+    assert not saturated and not swamped
     assert np.isrealobj(fp.u) and np.isrealobj(fp.b)
     assert fp.residual <= PAIR_RESIDUAL_LIMIT
     assert pair_residual(fp.u, fp.b) == fp.residual
