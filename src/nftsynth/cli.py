@@ -4,8 +4,9 @@ Every command reads a spectrum description from a JSON file
 
     {"lambdas": [[re, im], ...], "delta": 0.01, "D": 512, "omega_c": 31.4159}
 
-and writes CSV data files plus a self-describing JSON report into the
-output directory.  Signals go to CSV with header n,t,re_Q,im_Q where
+and writes CSV data files into the output directory, plus report.json:
+one record that the command's runner and its stages fill, written once the
+command succeeds.  Signals go to CSV with header n,t,re_Q,im_Q where
 t = -1 + n*eps - eps/2.  All commands are deterministic.
 """
 
@@ -38,33 +39,41 @@ BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
 
 
-def load_job(path):
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def spec_from_job(job) -> SpectrumSpec:
+    name = "lambdas"
     try:
-        lambdas = [complex(re, im) for re, im in job.get("lambdas", [])]
-        D = float(job["D"])
+        lambdas = [complex(re, im) for re, im in job.get(name, [])]
+        name = "D"
+        D = float(job[name])
         if not D.is_integer():
             raise ValueError(f"D={job['D']} is not an integer")
-        return SpectrumSpec(
-            lambdas=lambdas,
-            delta=float(job["delta"]),
-            D=int(D),
-            omega_c=float(job["omega_c"]),
-        )
+        name = "delta"
+        delta = float(job[name])
+        name = "omega_c"
+        return SpectrumSpec(lambdas=lambdas, delta=delta, D=int(D),
+                            omega_c=float(job[name]))
     except KeyError as exc:
         raise ValueError(f"spectrum JSON missing field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"spectrum JSON field '{name}' has the wrong type: {exc}") from None
+
+
+def _cx(v):
+    """A complex value as its two CSV cells, real and imaginary part."""
+    return [f"{v.real:.17g}", f"{v.imag:.17g}"]
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_signal_csv(path, signal: Signal):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "t", "re_Q", "im_Q"])
-        for n, (t, q) in enumerate(zip(signal.t, signal.samples), start=1):
-            w.writerow([n, f"{t:.12g}", f"{q.real:.17g}", f"{q.imag:.17g}"])
+    _write_csv(path, ["n", "t", "re_Q", "im_Q"],
+               ([n, f"{t:.12g}", *_cx(q)]
+                for n, (t, q) in enumerate(zip(signal.t, signal.samples), start=1)))
 
 
 def read_signal_csv(path) -> Signal:
@@ -86,198 +95,131 @@ def read_signal_csv(path) -> Signal:
     return Signal(samples=q)
 
 
-def write_pair_csv(path, pair):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "re_a", "im_a", "re_b", "im_b"])
-        for j, (av, bv) in enumerate(zip(pair.a, pair.b)):
-            w.writerow([j, f"{av.real:.17g}", f"{av.imag:.17g}",
-                        f"{bv.real:.17g}", f"{bv.imag:.17g}"])
-
-
-def write_report(path, command, payload):
-    doc = {"schema_version": SCHEMA_VERSION, "command": command}
-    doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
-
-
 def _json_default(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
 
 
-def _stage(name, fn, clocks):
+def _stage(name, fn, rep):
+    """Run one named stage, recording its wall clock in the report."""
     t0 = time.perf_counter()
     try:
         out = fn()
     except Exception as exc:
         raise RuntimeError(f"stage '{name}' failed: {exc}") from exc
-    clocks[name] = time.perf_counter() - t0
+    rep["wall_clock_s"][name] = time.perf_counter() - t0
     return out
 
 
-def _synthesize(job, clocks):
+def _synthesize(job, rep):
     """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal)."""
     spec = spec_from_job(job)
     try:
-        pair = _stage("synthesize", lambda: synthesize_ab(spec), clocks)
+        pair = _stage("synthesize", lambda: synthesize_ab(spec), rep)
     except RuntimeError as exc:
         refusal = exc.__cause__
         if isinstance(refusal, ValueError):  # a usage error, exit 2
             raise ValueError(f"stage 'synthesize' refused the spec: {refusal}") from refusal
         raise
-    signal, _F = _stage("invert_fast", lambda: invert_fast(pair, check=False), clocks)
+    signal, _F = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
     return spec, pair, signal
 
 
-def run_synthesize(job, out: Path):
-    clocks = {}
-    spec, pair, signal = _synthesize(job, clocks)
-    write_pair_csv(out / "pair.csv", pair)
-    write_signal_csv(out / "signal.csv", signal)
-    rep = validate_pair(pair)
-    write_report(out / "report.json", "synthesize", {
-        "D": spec.D,
-        "a0": complex(pair.a[0]),
-        "unimodularity_residual": pair.unimodularity_residual,
-        "truncation_tail_energy": pair.truncation_tail_energy,
-        "pair_valid": rep["ok"],
-        "wall_clock_s": clocks,
-    })
-    return 0
-
-
-def run_invert(job, out: Path):
-    clocks = {}
-    spec, pair, signal = _synthesize(job, clocks)
-    payload = {
-        "D": spec.D,
-        "max_abs_sample": float(np.abs(signal.samples).max()),
-        "wall_clock_s": clocks,
-    }
-    if spec.D <= SEQUENTIAL_LIMIT:
+def _check_sequential(pair, signal, rep, key):
+    """Max deviation of the fast samples from the O(D^2) reference, up to
+    SEQUENTIAL_LIMIT samples, under `key`."""
+    if signal.D <= SEQUENTIAL_LIMIT:
         ref = _stage("invert_sequential",
-                     lambda: invert_sequential(pair, check=False), clocks)
-        payload["fast_vs_sequential_max_dev"] = float(
-            np.abs(signal.samples - ref.samples).max())
+                     lambda: invert_sequential(pair, check=False), rep)
+        rep[key] = float(np.abs(signal.samples - ref.samples).max())
+
+
+def run_synthesize(job, out: Path, rep):
+    spec, pair, signal = _synthesize(job, rep)
+    _write_csv(out / "pair.csv", ["j", "re_a", "im_a", "re_b", "im_b"],
+               ([j, *_cx(av), *_cx(bv)] for j, (av, bv) in enumerate(zip(pair.a, pair.b))))
     write_signal_csv(out / "signal.csv", signal)
-    write_report(out / "report.json", "invert", payload)
-    return 0
+    rep.update(D=spec.D, a0=complex(pair.a[0]),
+               unimodularity_residual=pair.unimodularity_residual,
+               truncation_tail_energy=pair.truncation_tail_energy,
+               pair_valid=validate_pair(pair)["ok"])
 
 
-def _write_spectrum_csv(out: Path, omega, vals, poles):
-    with open(out / "reflection.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "re_Qhat", "im_Qhat", "power", "pole"])
-        for om, v, p in zip(omega, vals, poles):
-            w.writerow([f"{om:.12g}", f"{v.real:.17g}", f"{v.imag:.17g}",
-                        f"{abs(v) ** 2:.17g}", int(p)])
+def run_invert(job, out: Path, rep):
+    spec, pair, signal = _synthesize(job, rep)
+    rep.update(D=spec.D, max_abs_sample=float(np.abs(signal.samples).max()))
+    _check_sequential(pair, signal, rep, "fast_vs_sequential_max_dev")
+    write_signal_csv(out / "signal.csv", signal)
 
 
-def run_forward(job, out: Path, signal_path=None):
-    clocks = {}
+def run_forward(job, out: Path, rep, signal_path=None):
     if signal_path:
         signal = read_signal_csv(signal_path)
     else:
-        _spec, _pair, signal = _synthesize(job, clocks)
-    pair = _stage("forward_fast", lambda: forward_fast(signal), clocks)
-    sp = _stage("spectrum", lambda: compute_spectrum(pair), clocks)
-    _write_spectrum_csv(out, sp.omega, sp.reflection, sp.pole_mask)
-    with open(out / "eigenvalues.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["re_z", "im_z", "re_lambda", "im_lambda",
-                    "re_norming", "im_norming"])
-        for z, lam, c in zip(sp.eigen_z, sp.eigen_lambda, sp.norming):
-            w.writerow([f"{z.real:.17g}", f"{z.imag:.17g}",
-                        f"{lam.real:.17g}", f"{lam.imag:.17g}",
-                        f"{c.real:.17g}", f"{c.imag:.17g}"])
-    write_report(out / "report.json", "forward", {
-        "D": signal.D,
-        "unimodularity_residual": pair.unimodularity_residual,
-        "wall_clock_s": clocks,
-        "eigenvalues": [complex(l) for l in sp.eigen_lambda],
-        "norming": [complex(c) for c in sp.norming],
-    })
-    return 0
+        _spec, _pair, signal = _synthesize(job, rep)
+    pair = _stage("forward_fast", lambda: forward_fast(signal), rep)
+    sp = _stage("spectrum", lambda: compute_spectrum(pair), rep)
+    _write_csv(out / "reflection.csv", ["omega", "re_Qhat", "im_Qhat", "power", "pole"],
+               ([f"{om:.12g}", *_cx(v), f"{abs(v) ** 2:.17g}", int(p)]
+                for om, v, p in zip(sp.omega, sp.reflection, sp.pole_mask)))
+    _write_csv(out / "eigenvalues.csv",
+               ["re_z", "im_z", "re_lambda", "im_lambda", "re_norming", "im_norming"],
+               ([*_cx(z), *_cx(lam), *_cx(c)]
+                for z, lam, c in zip(sp.eigen_z, sp.eigen_lambda, sp.norming)))
+    rep.update(D=signal.D, unimodularity_residual=pair.unimodularity_residual,
+               eigenvalues=[complex(l) for l in sp.eigen_lambda],
+               norming=[complex(c) for c in sp.norming])
 
 
-def run_roundtrip(job, out: Path):
-    clocks = {}
-    spec, pair, signal = _synthesize(job, clocks)
-    payload = {"D": spec.D, "delta": spec.delta, "omega_c": spec.omega_c,
-               "lambdas": [complex(l) for l in spec.lambdas]}
+def run_roundtrip(job, out: Path, rep):
+    spec, pair, signal = _synthesize(job, rep)
+    rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
+               lambdas=[complex(l) for l in spec.lambdas])
+    _check_sequential(pair, signal, rep, "inversion_max_dev")
 
-    if spec.D <= SEQUENTIAL_LIMIT:
-        ref = _stage("invert_sequential",
-                     lambda: invert_sequential(pair, check=False), clocks)
-        payload["inversion_max_dev"] = float(
-            np.abs(signal.samples - ref.samples).max())
-
-    pair2 = _stage("forward_fast", lambda: forward_fast(signal), clocks)
-    payload["coefficient_roundtrip_dev"] = float(max(
+    pair2 = _stage("forward_fast", lambda: forward_fast(signal), rep)
+    rep["coefficient_roundtrip_dev"] = float(max(
         np.abs(pair2.a - pair.a).max(), np.abs(pair2.b - pair.b).max()))
 
     omega, vals, _poles = reflection_coefficient(pair2)
     predicted = asymptotic_reflection(omega, spec.delta, spec.omega_c)
     band = np.abs(omega) <= spec.omega_c
     meas = np.abs(vals[band]) ** 2
-    payload["reflection_passband_rel_dev"] = float(
+    rep["reflection_passband_rel_dev"] = float(
         np.abs(meas - predicted[band]).max() / predicted[band].max())
-    payload["radiation_energy"] = float(
-        np.trapezoid(np.abs(vals) ** 2, omega) / np.pi)
+    rep["radiation_energy"] = float(np.trapezoid(np.abs(vals) ** 2, omega) / np.pi)
 
     if spec.lambdas:
-        zs = _stage("eigenvalues", lambda: find_eigenvalues(pair2.a), clocks)
+        zs = _stage("eigenvalues", lambda: find_eigenvalues(pair2.a), rep)
         lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
-        errs = []
-        for target in spec.lambdas:
-            if len(lams) == 0:
-                errs.append(float("inf"))
-                continue
-            errs.append(float(np.abs(lams - target).min()))
-        payload["eigenvalue_errors"] = errs
-        payload["eigenvalue_count"] = int(len(zs))
+        rep["eigenvalue_errors"] = [
+            float(np.abs(lams - t).min()) if len(lams) else float("inf")
+            for t in spec.lambdas]
+        rep["eigenvalue_count"] = int(len(zs))
         if len(zs) == len(spec.lambdas):
             meas_norm = norming_constants(pair2, zs)
             pred = predict(spec).norming_predictions
             # align roots to the spec's eigenvalue order
             order = [int(np.abs(lams - t).argmin()) for t in spec.lambdas]
             devs = np.abs(meas_norm[order] - pred) / np.abs(meas_norm[order])
-            payload["norming_rel_devs"] = [float(d) for d in devs]
-
-    payload["wall_clock_s"] = clocks
-    write_report(out / "report.json", "roundtrip", payload)
-    return 0
+            rep["norming_rel_devs"] = [float(d) for d in devs]
 
 
-def run_asymptotics(job, out: Path):
+def run_asymptotics(job, out: Path, rep):
     spec = spec_from_job(job)
-    band = np.pi * spec.D / 2.0
-    omega = np.linspace(-min(band, 4 * spec.omega_c), min(band, 4 * spec.omega_c), 801)
+    band = min(np.pi * spec.D / 2.0, 4 * spec.omega_c)
+    omega = np.linspace(-band, band, 801)
     psi = filter_amplitude(omega, spec.omega_c)
     power = asymptotic_reflection(omega, spec.delta, spec.omega_c)
-    with open(out / "prediction.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["omega", "psi", "predicted_power"])
-        for row in zip(omega, psi, power):
-            w.writerow([f"{v:.12g}" for v in row])
-    payload = {
-        "psi_at_zero": float(filter_amplitude(0.0, spec.omega_c)),
-        "predicted_power_at_zero": float(
-            asymptotic_reflection(0.0, spec.delta, spec.omega_c)),
-    }
+    _write_csv(out / "prediction.csv", ["omega", "psi", "predicted_power"],
+               ([f"{v:.12g}" for v in row] for row in zip(omega, psi, power)))
+    rep["psi_at_zero"] = float(filter_amplitude(0.0, spec.omega_c))
+    rep["predicted_power_at_zero"] = float(
+        asymptotic_reflection(0.0, spec.delta, spec.omega_c))
     if spec.lambdas:
-        payload["norming_predictions"] = [
+        rep["norming_predictions"] = [
             complex(c) for c in predict(spec).norming_predictions]
-    write_report(out / "report.json", "asymptotics", payload)
-    return 0
 
 
 def _time_median(fn):
@@ -290,16 +232,14 @@ def _time_median(fn):
     return median(times)
 
 
-def run_bench(job, out: Path):
-    ds = [int(d) for d in job.get("bench_D", DEFAULT_BENCH_D)]
-    base = {
-        "lambdas": job.get("lambdas", [[0.0, 20.0]]),
-        "delta": job.get("delta", 0.01),
-        "omega_c": job.get("omega_c", 10.0),
-    }
+def run_bench(job, out: Path, rep):
+    ds = job.get("bench_D", DEFAULT_BENCH_D)
+    if not isinstance(ds, list):
+        raise ValueError(f"bench_D={ds!r} is not a list of sizes")
+    base = {"lambdas": [[0.0, 20.0]], "delta": 0.01, "omega_c": 10.0, **job}
     rows = []
-    for D in ds:
-        spec = spec_from_job({**base, "D": D})
+    for spec in [spec_from_job({**base, "D": d}) for d in ds]:
+        D = spec.D
         row = {"D": D}
         # Both rows time a cold factorization, which make_ub's cache would
         # otherwise serve from the warm-up on; synthesize_ab includes it.
@@ -333,13 +273,9 @@ def run_bench(job, out: Path):
         x = np.array([np.log2(r["D"]) ** 2 for r in rows])
         y = np.array([r["invert_fast_per_sample_us"] for r in rows])
         slope, intercept = np.polyfit(x, y, 1)
-        fit = {
-            "model": "t_us = slope * log2(D)^2 + intercept",
-            "slope": float(slope),
-            "intercept": float(intercept),
-        }
-    write_report(out / "report.json", "bench", {"rows": rows, "fast_per_sample_fit": fit})
-    return 0
+        fit = {"model": "t_us = slope * log2(D)^2 + intercept",
+               "slope": float(slope), "intercept": float(intercept)}
+    rep.update(rows=rows, fast_per_sample_fit=fit)
 
 
 def main(argv=None):
@@ -351,7 +287,7 @@ def main(argv=None):
     for name in ("synthesize", "invert", "forward", "roundtrip",
                  "asymptotics", "bench"):
         p = sub.add_parser(name)
-        p.add_argument("--spec", required=(name != "bench"),
+        p.add_argument("--spec", required=name not in ("bench", "forward"),
                        help="spectrum JSON file")
         p.add_argument("--out", required=True, help="output directory")
         if name == "forward":
@@ -360,25 +296,33 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    job = load_job(args.spec) if args.spec else {}
-    runners = {
-        "synthesize": run_synthesize,
-        "invert": run_invert,
-        "roundtrip": run_roundtrip,
-        "asymptotics": run_asymptotics,
-        "bench": run_bench,
-    }
+    runners = {"synthesize": run_synthesize, "invert": run_invert,
+               "forward": lambda job, out, rep: run_forward(job, out, rep, args.signal),
+               "roundtrip": run_roundtrip, "asymptotics": run_asymptotics,
+               "bench": run_bench}
+    rep = {"schema_version": SCHEMA_VERSION, "command": args.command, "wall_clock_s": {}}
     try:
-        if args.command == "forward":
-            return run_forward(job, out, signal_path=args.signal)
-        return runners[args.command](job, out)
+        job = {}
+        if args.spec:
+            try:
+                with open(args.spec) as fh:
+                    job = json.load(fh)
+            except (OSError, ValueError) as exc:  # missing file, invalid JSON
+                raise ValueError(f"cannot read spec {args.spec}: {exc}") from None
+            if not isinstance(job, dict):
+                raise ValueError(f"spec {args.spec} is not a JSON object")
+        out.mkdir(parents=True, exist_ok=True)
+        runners[args.command](job, out, rep)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    with open(out / "report.json", "w") as fh:
+        json.dump(rep, fh, indent=2, default=_json_default)
+        fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":

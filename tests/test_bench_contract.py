@@ -8,10 +8,11 @@ resolved on the package.
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import nftsynth
-from nftsynth import asymptotics, specfact, synthesis
+from nftsynth import asymptotics, cli, specfact, synthesis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +35,27 @@ def test_benchmark_patched_names_resolve():
     missing = [f"nftsynth.{mod}.{attr}" for mod, attr in wanted
                if not hasattr(importlib.import_module(f"nftsynth.{mod}"), attr)]
     assert missing == []
+
+
+def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
+    """The CLI workload reads its results from calls to these names on
+    nftsynth.cli; a roundtrip that bypasses one of them breaks the workload."""
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    names = _constant("ops.py", "CLI_CAPTURED")
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lambdas": [[0.0, 20.0]], "delta": 0.01, "D": 256,
+                                "omega_c": 10.0}))
+    assert cli.main(["roundtrip", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    assert [name for name in names if name not in calls] == []
 
 
 def test_package_all_resolves():

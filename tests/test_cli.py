@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nftsynth import specfact
+from nftsynth import cli, specfact
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.inverse import Signal
 
@@ -94,6 +94,33 @@ def test_forward_from_signal_ignores_spec(tmp_path):
     assert main(["forward", "--spec", str(spec), "--signal", str(sig),
                  "--out", str(out)]) == 0
     assert read_report(out)["D"] == 4
+
+
+def test_forward_signal_needs_no_spec(tmp_path):
+    sig = tmp_path / "signal.csv"
+    write_signal_csv(sig, Signal(samples=np.full(4, 0.1 + 0j)))
+    out = tmp_path / "out"
+    assert main(["forward", "--signal", str(sig), "--out", str(out)]) == 0
+    assert read_report(out)["D"] == 4
+
+
+def test_forward_without_signal_or_spec_is_usage_error(tmp_path, capsys):
+    rc = main(["forward", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "missing field" in capsys.readouterr().err
+
+
+def test_forward_from_spec_matches_forward_from_signal(tmp_path):
+    spec = write_spec(tmp_path / "spec.json")
+    o1, o2, o3 = tmp_path / "o1", tmp_path / "o2", tmp_path / "o3"
+    assert main(["forward", "--spec", str(spec), "--out", str(o1)]) == 0
+    main(["synthesize", "--spec", str(spec), "--out", str(o2)])
+    assert main(["forward", "--signal", str(o2 / "signal.csv"), "--out", str(o3)]) == 0
+    for name in ("eigenvalues.csv", "reflection.csv"):
+        assert (o1 / name).read_bytes() == (o3 / name).read_bytes()
+    assert {"synthesize", "invert_fast", "forward_fast", "spectrum"} <= set(
+        read_report(o1)["wall_clock_s"])
+    assert len(read_report(o1)["eigenvalues"]) == 1
 
 
 def test_roundtrip_command_radiation(tmp_path):
@@ -196,22 +223,71 @@ def test_bad_size_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("field", [
-    {"lambdas": [[0.0, float("nan")]]},
-    {"lambdas": [[float("nan"), 20.0]]},
-    {"lambdas": [[0.0, float("inf")]]},
-    {"omega_c": float("nan")},
-    {"omega_c": float("inf")},
-    {"D": 512.7},
+@pytest.mark.parametrize("field, message", [
+    ({"lambdas": [[0.0, float("nan")]]}, "not finite"),
+    ({"lambdas": [[float("nan"), 20.0]]}, "not finite"),
+    ({"lambdas": [[0.0, float("inf")]]}, "not finite"),
+    ({"omega_c": float("nan")}, "omega_c=nan"),
+    ({"omega_c": float("inf")}, "omega_c=inf"),
+    ({"D": 512.7}, "D=512.7 is not an integer"),
+    ({"D": None}, "field 'D' has the wrong type"),
+    ({"delta": [0.01]}, "field 'delta' has the wrong type"),
+    ({"lambdas": [[0.0, "a"]]}, "field 'lambdas' has the wrong type"),
 ], ids=["nan-im-lambda", "nan-re-lambda", "inf-im-lambda", "nan-omega_c", "inf-omega_c",
-        "fractional-D"])
-def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field):
+        "fractional-D", "null-D", "list-delta", "string-lambda"])
+def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field, message):
     # json writes and reads NaN and Infinity, so these reach spec_from_job
     spec = write_spec(tmp_path / "spec.json", **field)
     rc = main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not (tmp_path / "o" / "signal.csv").exists()
+
+
+def test_missing_spec_file_is_usage_error(tmp_path, capsys):
+    rc = main(["synthesize", "--spec", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read spec")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ('{"D": 256, "delta": 0.01,', "error: cannot read spec"),
+    ("[0.01, 256]", "is not a JSON object"),
+], ids=["invalid-json", "top-level-list"])
+def test_malformed_spec_json_is_usage_error(tmp_path, capsys, body, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(body)
+    rc = main(["roundtrip", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("bench_d", [[64.7], 64], ids=["fractional-D", "not-a-list"])
+def test_bad_bench_sizes_are_usage_error(tmp_path, capsys, bench_d):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bench_D": bench_d}))
+    rc = main(["bench", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "D=" in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # only the synthesize stage turns a ValueError into a usage error
+    def refuse(a):
+        raise ValueError("no certified count")
+
+    monkeypatch.setattr(cli, "find_eigenvalues", refuse)
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'eigenvalues' failed")
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
