@@ -10,7 +10,6 @@ their own modules.
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import (
-    compute_spectrum,
     find_eigenvalues,
     forward_fast,
     forward_sequential,
@@ -29,7 +28,6 @@ __all__ = [
     "Signal",
     "SpectrumSpec",
     "asymptotic_reflection",
-    "compute_spectrum",
     "filter_amplitude",
     "find_eigenvalues",
     "forward_fast",

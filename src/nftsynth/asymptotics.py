@@ -8,7 +8,6 @@ the finite-D factors b, u at the bound-state points.
 """
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import sici
@@ -20,7 +19,6 @@ from .synthesis import SpectrumSpec, lambda_to_z
 
 @dataclass
 class AsymptoticPrediction:
-    reflection_magnitude: Callable[[np.ndarray], np.ndarray]  # omega -> |qhat|^2
     norming_predictions: np.ndarray
 
 
@@ -67,14 +65,11 @@ def semi_asymptotic_norming(b, u, lambdas, k, eps):
 
 
 def predict(spec: SpectrumSpec) -> AsymptoticPrediction:
-    """Bundle both predictions for a synthesis target."""
+    """Norming-constant predictions for a synthesis target's eigenvalues."""
     fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
     lams = np.asarray(spec.lambdas, dtype=complex)
     norming = np.array(
         [semi_asymptotic_norming(fp.b, fp.u, lams, k, spec.eps) for k in range(len(lams))],
         dtype=complex,
     )
-    return AsymptoticPrediction(
-        reflection_magnitude=lambda w: asymptotic_reflection(w, spec.delta, spec.omega_c),
-        norming_predictions=norming,
-    )
+    return AsymptoticPrediction(norming_predictions=norming)

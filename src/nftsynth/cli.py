@@ -21,13 +21,7 @@ from statistics import median
 import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
-from .forward import (
-    compute_spectrum,
-    find_eigenvalues,
-    forward_fast,
-    norming_constants,
-    reflection_coefficient,
-)
+from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
 from .inverse import Signal, invert_fast, invert_sequential
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
@@ -45,17 +39,18 @@ def spec_from_job(job) -> SpectrumSpec:
         lambdas = [complex(re, im) for re, im in job.get(name, [])]
         name = "D"
         D = float(job[name])
-        if not D.is_integer():
-            raise ValueError(f"D={job['D']} is not an integer")
         name = "delta"
         delta = float(job[name])
         name = "omega_c"
-        return SpectrumSpec(lambdas=lambdas, delta=delta, D=int(D),
-                            omega_c=float(job[name]))
+        omega_c = float(job[name])
     except KeyError as exc:
         raise ValueError(f"spectrum JSON missing field {exc}") from None
-    except TypeError as exc:
+    # ValueError: also a lambdas entry that is not a pair; OverflowError: an integer past float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"spectrum JSON field '{name}' has the wrong type: {exc}") from None
+    if not D.is_integer():
+        raise ValueError(f"D={job['D']} is not an integer")
+    return SpectrumSpec(lambdas=lambdas, delta=delta, D=int(D), omega_c=omega_c)
 
 
 def _cx(v):
@@ -77,12 +72,15 @@ def write_signal_csv(path, signal: Signal):
 
 
 def read_signal_csv(path) -> Signal:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"re_Q", "im_Q"} - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"signal CSV {path} lacks column(s) {sorted(missing)}")
-        rows = list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise ValueError(f"cannot read signal CSV {path}: {exc}") from None
+    missing = {"re_Q", "im_Q"} - set(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"signal CSV {path} lacks column(s) {sorted(missing)}")
     D = len(rows)
     if D < 1 or D & (D - 1):
         raise ValueError(f"signal CSV {path} has {D} rows, not a power of two")
@@ -159,17 +157,22 @@ def run_forward(job, out: Path, rep, signal_path=None):
     else:
         _spec, _pair, signal = _synthesize(job, rep)
     pair = _stage("forward_fast", lambda: forward_fast(signal), rep)
-    sp = _stage("spectrum", lambda: compute_spectrum(pair), rep)
+
+    def spectrum():
+        refl = reflection_coefficient(pair)
+        zs = find_eigenvalues(pair.a)
+        lams = [z_to_lambda(z, signal.eps) for z in zs]
+        return refl, zs, lams, norming_constants(pair, zs)
+
+    (omega, vals, poles), zs, lams, norming = _stage("spectrum", spectrum, rep)
     _write_csv(out / "reflection.csv", ["omega", "re_Qhat", "im_Qhat", "power", "pole"],
                ([f"{om:.12g}", *_cx(v), f"{abs(v) ** 2:.17g}", int(p)]
-                for om, v, p in zip(sp.omega, sp.reflection, sp.pole_mask)))
+                for om, v, p in zip(omega, vals, poles)))
     _write_csv(out / "eigenvalues.csv",
                ["re_z", "im_z", "re_lambda", "im_lambda", "re_norming", "im_norming"],
-               ([*_cx(z), *_cx(lam), *_cx(c)]
-                for z, lam, c in zip(sp.eigen_z, sp.eigen_lambda, sp.norming)))
+               ([*_cx(z), *_cx(lam), *_cx(c)] for z, lam, c in zip(zs, lams, norming)))
     rep.update(D=signal.D, unimodularity_residual=pair.unimodularity_residual,
-               eigenvalues=[complex(l) for l in sp.eigen_lambda],
-               norming=[complex(c) for c in sp.norming])
+               eigenvalues=lams, norming=[complex(c) for c in norming])
 
 
 def run_roundtrip(job, out: Path, rep):
@@ -311,7 +314,10 @@ def main(argv=None):
                 raise ValueError(f"cannot read spec {args.spec}: {exc}") from None
             if not isinstance(job, dict):
                 raise ValueError(f"spec {args.spec} is not a JSON object")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:   # e.g. --out names a file
+            raise ValueError(f"cannot create --out {out}: {exc}") from None
         runners[args.command](job, out, rep)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

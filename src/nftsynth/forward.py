@@ -14,21 +14,12 @@ samples: blocks of one-sample steps, then a balanced tree with one batched
 FFT product per level, O(D log^2 D), carrying first columns only.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.fft
-from scipy.integrate import solve_ivp
 
 from .inverse import Signal, _first_column
-from .poly import EVAL_BLOCK, poly_eval
-from .synthesis import (
-    ROOT_INNER,
-    ROOT_OUTER,
-    ScatteringPair,
-    pair_from_coeffs,
-    z_to_lambda,
-)
+from .poly import EVAL_BLOCK, grid_omega, poly_eval
+from .synthesis import ROOT_INNER, ROOT_OUTER, ScatteringPair, z_to_lambda
 
 REFLECTION_GRID_FACTOR = 4
 POLE_TOL = 1e-12
@@ -50,18 +41,6 @@ NEWTON_FLOOR = 4 * np.finfo(np.longdouble).eps  # |A(w)| / sum |a_j w^j| that en
 ROOT_SEPARATION_TOL = 1e-10  # relative; closer polished roots are one root
 
 
-@dataclass
-class NftSpectrum:
-    """Reflection samples plus the discrete (bound-state) part."""
-
-    omega: np.ndarray
-    reflection: np.ndarray
-    pole_mask: np.ndarray
-    eigen_z: np.ndarray
-    eigen_lambda: np.ndarray
-    norming: np.ndarray
-
-
 def forward_step(a, b, Q):
     """One scattering step; arrays grow by one coefficient."""
     a = np.asarray(a, dtype=complex)
@@ -77,7 +56,7 @@ def forward_sequential(signal: Signal) -> ScatteringPair:
     for Q in signal.samples:
         a, b = forward_step(a, b, Q)
     # b's top coefficient stays 0, so a's does too: D coefficients remain
-    return pair_from_coeffs(a[:-1], b[:-1])
+    return ScatteringPair(a[:-1], b[:-1])
 
 
 def forward_fast(signal: Signal) -> ScatteringPair:
@@ -87,7 +66,7 @@ def forward_fast(signal: Signal) -> ScatteringPair:
         raise ValueError(f"D={D} is not a power of two")
     # initial state is [1; 0]: (a, b) is the first column
     a, b = _first_column(q)
-    return pair_from_coeffs(a[:D], b[:D])
+    return ScatteringPair(a[:D], b[:D])
 
 
 def reflection_coefficient(pair):
@@ -96,14 +75,10 @@ def reflection_coefficient(pair):
     Points where |a| < 1e-12 are flagged as poles and returned as NaN
     rather than divided through.
     """
-    eps = 1.0 / pair.D
     M = REFLECTION_GRID_FACTOR * pair.D
     av = np.fft.fft(pair.a, M)
     bv = np.fft.fft(pair.b, M)
-    # fft bin k sits at z = e^{2 pi i k / M}; z = e^{-2 i omega eps}
-    phi = 2.0 * np.pi * np.arange(M) / M
-    phi[phi > np.pi] -= 2.0 * np.pi
-    omega = -phi / (2.0 * eps)
+    omega = grid_omega(np.arange(M), M, pair.D)
     order = np.argsort(omega)
     omega, av, bv = omega[order], av[order], bv[order]
     poles = np.abs(av) < POLE_TOL
@@ -374,6 +349,9 @@ def continuous_oracle(q, lam):
     phi(-1) = [e^{i lam}, 0]; returns (alpha, beta) = phi(0).  Test-only
     reference for the D -> infinity limit.
     """
+    # imported here: only this test oracle needs it, and it slows every import of nftsynth
+    from scipy.integrate import solve_ivp
+
     lam = complex(lam)
 
     def rhs(t, y):
@@ -385,15 +363,3 @@ def continuous_oracle(q, lam):
     if not sol.success:
         raise RuntimeError(f"scattering ODE integration failed: {sol.message}")
     return complex(sol.y[0, -1]), complex(sol.y[1, -1])
-
-
-def compute_spectrum(pair) -> NftSpectrum:
-    """Full discrete spectrum of a pair: reflection + bound states."""
-    om, vals, poles = reflection_coefficient(pair)
-    zs = find_eigenvalues(pair.a)
-    lams = np.array([z_to_lambda(z, 1.0 / pair.D) for z in zs], dtype=complex)
-    norm = norming_constants(pair, zs) if len(zs) else np.array([], dtype=complex)
-    return NftSpectrum(
-        omega=om, reflection=vals, pole_mask=poles,
-        eigen_z=zs, eigen_lambda=lams, norming=norm,
-    )

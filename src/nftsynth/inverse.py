@@ -68,14 +68,16 @@ class Signal:
 
 
 def _pair_arrays(pair, check):
-    if isinstance(pair, ScatteringPair):
-        if check:
-            rep = validate_pair(pair)
-            if not rep["ok"]:
-                raise ValueError(f"pair fails validation: {rep}")
-        return np.asarray(pair.a, dtype=complex), np.asarray(pair.b, dtype=complex)
-    a, b = pair
-    return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    """(a, b) of a ScatteringPair or an (a, b) tuple, refused with check if
+    validate_pair fails.  An empty pair has no a0 to check; invert_fast
+    refuses its length."""
+    if not isinstance(pair, ScatteringPair):
+        pair = ScatteringPair(*pair)
+    if check and pair.D:
+        rep = validate_pair(pair)
+        if not rep["ok"]:
+            raise ValueError(f"pair fails validation: {rep}")
+    return pair.a, pair.b
 
 
 def invert_sequential(pair, check=True) -> Signal:

@@ -121,6 +121,17 @@ def circle_samples(p, M):
     return np.fft.fft(p, M)
 
 
+def grid_omega(m, M, D):
+    """omega at index m (scalar or array) of the M-point circle grid.
+
+    Grid point m is z = e^{2*pi*i*m/M} (circle_samples), and a D-sample
+    signal has z = e^{-2*i*omega/D}; the angle is taken in (-pi, pi].
+    """
+    ang = 2.0 * np.pi * np.asarray(m) / M
+    ang = ang - 2.0 * np.pi * (ang > np.pi)
+    return -ang * D / 2.0
+
+
 def coeffs_from_circle(samples, keep):
     """Inverse of circle_samples, truncated to `keep` coefficients.
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .poly import circle_samples
+from .poly import circle_samples, grid_omega
 
 OVERSAMPLE = 8              # factorization grid = OVERSAMPLE * degree
 LOG_FLOOR = 1e-20           # keeps log(S) finite where the stopband dips to 0
@@ -139,7 +139,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     # omega_c = 10), so the meaningful precondition is on delta*|psi|.
     if Sb[peak] >= 1.0:
         raise ValueError(
-            f"delta*|psi| >= 1 at omega ~ {_grid_omega(peak, M, spec.D):.3f}: "
+            f"delta*|psi| >= 1 at omega ~ {grid_omega(peak, M, spec.D):.3f}: "
             f"1 - delta^2 |psi|^2 is not positive"
         )
 
@@ -149,7 +149,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     b = spectral_factor(Sb, spec.D)
     Su = 1.0 - np.abs(circle_samples(b, M)) ** 2
     low = int(np.argmin(Su))
-    where = f"at omega ~ {_grid_omega(low, M, spec.D):.3f}"
+    where = f"at omega ~ {grid_omega(low, M, spec.D):.3f}"
     if Su[low] <= 0.0:
         raise ValueError(f"|b| >= 1 {where}: the factor of delta^2 |psi|^2 overshoots")
     u = spectral_factor(Su, spec.D)
@@ -162,14 +162,6 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     u.flags.writeable = False
     b.flags.writeable = False
     return FactorPair(u=u, b=b, residual=residual)
-
-
-def _grid_omega(m, M, D):
-    """Map index m on the M-point circle grid to omega in the base strip."""
-    ang = 2.0 * np.pi * m / M
-    if ang > np.pi:
-        ang -= 2.0 * np.pi
-    return -ang * D / 2.0
 
 
 def pair_residual(u, b):

@@ -7,7 +7,7 @@ times (Blaschke product with the prescribed roots), sampled on an
 oversampled circle grid and truncated back to D coefficients.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,20 @@ class SpectrumSpec:
 class ScatteringPair:
     a: np.ndarray
     b: np.ndarray
-    unimodularity_residual: float = field(default=float("nan"))
-    truncation_tail_energy: float = field(default=0.0)
+    truncation_tail_energy: float = 0.0
+
+    def __post_init__(self):
+        self.a = np.asarray(self.a, dtype=complex)
+        self.b = np.asarray(self.b, dtype=complex)
 
     @property
     def D(self):
         return len(self.a)
+
+    @property
+    def unimodularity_residual(self):
+        """max | |a|^2 + |b|^2 - 1 | on the unit circle, from a and b as they are."""
+        return pair_residual(self.a, self.b)
 
 
 def lambda_to_z(lam, eps):
@@ -118,19 +126,13 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     phase = np.exp(-1j * np.angle(p[0]))
     a = phase * p
     b = phase * pair_ub.b
-    res = pair_residual(a, b)
-    return ScatteringPair(
-        a=a,
-        b=b,
-        unimodularity_residual=res,
-        truncation_tail_energy=tail,
-    )
+    return ScatteringPair(a=a, b=b, truncation_tail_energy=tail)
 
 
 def validate_pair(pair: ScatteringPair):
     """Check the two validity conditions; returns a small report dict."""
     a0 = pair.a[0]
-    res = pair_residual(pair.a, pair.b)
+    res = pair.unimodularity_residual
     a0_ok = a0.real >= 0 and abs(a0.imag) <= PAIR_TOL * max(1.0, abs(a0))
     return {
         "a0": complex(a0),
@@ -139,14 +141,3 @@ def validate_pair(pair: ScatteringPair):
         "tol": PAIR_TOL,
         "ok": bool(a0_ok and res <= PAIR_TOL),
     }
-
-
-def pair_from_coeffs(a, b) -> ScatteringPair:
-    """Wrap raw coefficient arrays, measuring the unimodularity residual."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return ScatteringPair(
-        a=a,
-        b=b,
-        unimodularity_residual=pair_residual(a, b),
-    )

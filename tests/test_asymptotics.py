@@ -117,5 +117,3 @@ def test_predict_bundles_reflection_curve():
     spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=256, omega_c=10.0)
     pred = predict(spec)
     assert len(pred.norming_predictions) == 1
-    w = np.linspace(-20.0, 20.0, 11)
-    assert np.allclose(pred.reflection_magnitude(w), asymptotic_reflection(w, 0.01, 10.0))

@@ -9,6 +9,8 @@ resolved on the package.
 import ast
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import nftsynth
@@ -69,3 +71,14 @@ def test_make_ub_has_one_cached_function():
     one cached specfact.make_ub, so no uncached alias escapes the spans."""
     assert synthesis.make_ub is specfact.make_ub is asymptotics.make_ub
     assert hasattr(specfact.make_ub, "cache_info")
+
+
+def test_cli_import_leaves_ode_solver_out():
+    """Importing the CLI, as the benchmark's set-up does, must not load
+    scipy.integrate: only the continuous_oracle test reference needs it."""
+    src = str(Path(nftsynth.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nftsynth.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

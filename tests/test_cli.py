@@ -7,6 +7,7 @@ import pytest
 from nftsynth import cli, specfact
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.inverse import Signal
+from nftsynth.synthesis import lambda_to_z
 
 
 def write_spec(path, lambdas=((0.0, 20.0),), delta=0.01, D=256, omega_c=10.0, **extra):
@@ -123,6 +124,26 @@ def test_forward_from_spec_matches_forward_from_signal(tmp_path):
     assert len(read_report(o1)["eigenvalues"]) == 1
 
 
+def test_forward_spec_four_soliton_spectrum(tmp_path):
+    """The spectrum stage of `forward --spec` on the 4-soliton D=512 spec: four
+    roots that map to their lambdas, no poles, a finite reflection and nonzero
+    norming constants."""
+    spec = write_spec(tmp_path / "spec.json", D=512,
+                      lambdas=[(0.0, 12.5), (0.0, 25.0), (0.0, 37.5), (0.0, 50.0)])
+    out = tmp_path / "out"
+    assert main(["forward", "--spec", str(spec), "--out", str(out)]) == 0
+    eig = np.loadtxt(out / "eigenvalues.csv", delimiter=",", skiprows=1, ndmin=2)
+    z, lam, norming = (eig[:, k] + 1j * eig[:, k + 1] for k in (0, 2, 4))
+    assert len(z) == 4
+    assert np.allclose([lambda_to_z(l, 1.0 / 512) for l in lam], z)
+    assert np.all(np.abs(norming) > 0)
+    refl = np.loadtxt(out / "reflection.csv", delimiter=",", skiprows=1)
+    assert len(refl) == 4 * 512
+    assert not refl[:, 4].any()
+    assert np.all(np.isfinite(refl[:, 1:4]))
+    assert len(read_report(out)["eigenvalues"]) == 4
+
+
 def test_roundtrip_command_radiation(tmp_path):
     spec = write_spec(tmp_path / "spec.json", lambdas=())
     out = tmp_path / "out"
@@ -233,8 +254,11 @@ def test_bad_size_is_usage_error(tmp_path, capsys):
     ({"D": None}, "field 'D' has the wrong type"),
     ({"delta": [0.01]}, "field 'delta' has the wrong type"),
     ({"lambdas": [[0.0, "a"]]}, "field 'lambdas' has the wrong type"),
+    ({"lambdas": [[0.0, 20.0, 1.0]]}, "field 'lambdas' has the wrong type"),
+    ({"D": 10**400}, "field 'D' has the wrong type"),
 ], ids=["nan-im-lambda", "nan-re-lambda", "inf-im-lambda", "nan-omega_c", "inf-omega_c",
-        "fractional-D", "null-D", "list-delta", "string-lambda"])
+        "fractional-D", "null-D", "list-delta", "string-lambda", "three-part-lambda",
+        "overflowing-D"])
 def test_non_finite_or_fractional_spec_is_usage_error(tmp_path, capsys, field, message):
     # json writes and reads NaN and Infinity, so these reach spec_from_job
     spec = write_spec(tmp_path / "spec.json", **field)
@@ -251,6 +275,16 @@ def test_missing_spec_file_is_usage_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: cannot read spec")
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc = main(["synthesize", "--spec", str(spec), "--out", str(afile)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot create --out")
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize("body, message", [
@@ -322,3 +356,13 @@ def test_bad_signal_csv_is_usage_error(tmp_path, capsys, body):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_missing_signal_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ValueError, match="missing.csv"):
+        read_signal_csv(missing)
+    rc = main(["forward", "--signal", str(missing), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: cannot read signal CSV")
+    assert not (tmp_path / "o" / "report.json").exists()

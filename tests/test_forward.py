@@ -3,7 +3,6 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from nftsynth.forward import (
-    compute_spectrum,
     continuous_oracle,
     find_eigenvalues,
     forward_fast,
@@ -17,9 +16,9 @@ from nftsynth.poly import poly_eval
 from nftsynth.synthesis import (
     ROOT_INNER,
     ROOT_OUTER,
+    ScatteringPair,
     SpectrumSpec,
     lambda_to_z,
-    pair_from_coeffs,
     synthesize_ab,
     z_to_lambda,
 )
@@ -102,7 +101,7 @@ def test_reflection_zero_for_reflectionless_pair():
     D = 32
     a = np.zeros(D, dtype=complex)
     a[0] = 1.0
-    om, vals, poles = reflection_coefficient(pair_from_coeffs(a, np.zeros(D, dtype=complex)))
+    om, vals, poles = reflection_coefficient(ScatteringPair(a, np.zeros(D, dtype=complex)))
     assert not poles.any()
     assert np.allclose(vals, 0.0)
 
@@ -288,7 +287,7 @@ def test_norming_constants_closed_form():
     """
     r, s, c = 1.5 + 0.2j, -2.0 + 0.5j, 0.3 - 0.2j
     a = np.array([1.0, -(r + s), r * s], dtype=complex)
-    pair = pair_from_coeffs(a, np.array([c, 0.0, 0.0], dtype=complex))
+    pair = ScatteringPair(a, np.array([c, 0.0, 0.0], dtype=complex))
     eps = 1.0 / 3.0
     want = [-c / (2j * eps * z) / ((1.0 - w / z) / z) for z, w in ((r, s), (s, r))]
     np.testing.assert_allclose(norming_constants(pair, [r, s]), want, rtol=1e-14)
@@ -304,7 +303,7 @@ def test_norming_constants_rejects_non_root():
 def test_norming_constants_rejects_multiple_root():
     r = 1.5
     a = np.array([1.0, -2.0 * r, r**2], dtype=complex)  # (1 - r z^{-1})^2: double root at z=r
-    pair = pair_from_coeffs(a, np.zeros(3, dtype=complex))
+    pair = ScatteringPair(a, np.zeros(3, dtype=complex))
     with pytest.raises(ValueError, match="multiple root"):
         norming_constants(pair, [r])
 
@@ -345,13 +344,3 @@ def test_sech_bound_state_convergence():
         assert hi / lo >= 1.7
     al, _ = continuous_oracle(q, 10j)
     assert abs(al) <= 1e-6  # the ODE coefficient vanishes at the bound state
-
-
-def test_compute_spectrum_end_to_end():
-    spec = SpectrumSpec(lambdas=FOUR_SOLITON, delta=0.01, D=512, omega_c=10.0)
-    sp = compute_spectrum(synthesize_ab(spec))
-    assert np.allclose([lambda_to_z(l, 1.0 / 512) for l in sp.eigen_lambda], sp.eigen_z)
-    assert len(sp.eigen_lambda) == 4
-    assert not sp.pole_mask.any()
-    assert np.all(np.isfinite(sp.reflection))
-    assert np.all(np.abs(sp.norming) > 0)

@@ -15,7 +15,7 @@ from nftsynth.inverse import (
     transfer_matrix,
 )
 from nftsynth.poly import poly_mul
-from nftsynth.synthesis import pair_from_coeffs
+from nftsynth.synthesis import ScatteringPair
 
 
 def random_signal(rng, D, scale=None):
@@ -62,7 +62,7 @@ def test_trivial_pair_gives_zero_signal(invert):
     D = 8
     a = np.zeros(D, dtype=complex)
     a[0] = 1.0
-    sig = invert(pair_from_coeffs(a, np.zeros(D, dtype=complex)))
+    sig = invert(ScatteringPair(a, np.zeros(D, dtype=complex)))
     assert np.allclose(sig.samples, 0.0)
     assert sig.eps == pytest.approx(1.0 / D)
 
@@ -228,9 +228,9 @@ def test_singular_pair_raises():
     last = (np.array([1e-15]), np.array([0.5]))        # D = 1: the last sample's a0 vanishes
     for pair in (unimodular, last):
         with pytest.raises(ZeroDivisionError):
-            invert_sequential(pair)
+            invert_sequential(pair, check=False)
         with pytest.raises(ZeroDivisionError):
-            invert_fast(pair)
+            invert_fast(pair, check=False)
 
 
 def test_fast_rejects_non_power_of_two():
@@ -245,11 +245,14 @@ def test_fast_rejects_non_power_of_two():
 
 def test_invalid_pair_rejected_when_checking():
     D = 4
-    bad = pair_from_coeffs(0.5 * np.ones(D, dtype=complex), np.zeros(D, dtype=complex))
-    with pytest.raises(ValueError, match="validation"):
-        invert_sequential(bad)
-    got = invert_sequential(bad, check=False)          # opt-out still computes
-    assert got.D == D
+    a, b = 0.5 * np.ones(D, dtype=complex), np.zeros(D, dtype=complex)
+    fast = lambda p, **kw: invert_fast(p, **kw)[0]
+    for invert in (invert_sequential, fast):
+        for bad in (ScatteringPair(a, b), (a, b)):     # a pair or a bare tuple alike
+            with pytest.raises(ValueError, match="validation"):
+                invert(bad)
+            got = invert(bad, check=False)             # opt-out still computes
+            assert got.D == D
 
 
 def test_cost_scaling_smoke():

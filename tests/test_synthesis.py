@@ -9,7 +9,6 @@ from nftsynth.synthesis import (
     SpectrumSpec,
     blaschke_eval,
     lambda_to_z,
-    pair_from_coeffs,
     synthesize_ab,
     validate_pair,
     z_to_lambda,
@@ -139,16 +138,26 @@ def test_tail_energy_shrinks_with_d():
 
 
 def test_validate_pair_trivial_and_broken():
-    good = pair_from_coeffs(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
+    good = ScatteringPair(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
     rep = validate_pair(good)
     assert rep["ok"]
     assert rep["unimodularity_residual"] <= 1e-15
 
     bad = ScatteringPair(
-        a=np.array([1.0 + 0j]), b=np.array([1.0 + 0j]),
-        unimodularity_residual=1.0, truncation_tail_energy=0.0,
+        a=np.array([1.0 + 0j]), b=np.array([1.0 + 0j]), truncation_tail_energy=0.0,
     )
     assert not validate_pair(bad)["ok"]
+
+
+def test_direct_pair_reports_its_residual():
+    """A pair built from bare coefficients derives its residual from a and b."""
+    unimodular = ScatteringPair([0.6, 0.0], [0.0, 0.8j])    # |0.6|^2 + |0.8 z^-1|^2 = 1
+    assert unimodular.a.dtype == unimodular.b.dtype == complex
+    assert unimodular.unimodularity_residual <= 1e-15
+    half = ScatteringPair(np.array([0.5]), np.array([0.5]))  # |a|^2 + |b|^2 = 0.5
+    assert half.unimodularity_residual == pytest.approx(0.5, abs=1e-15)
+    half.b = np.array([np.sqrt(0.75)])                      # follows a and b as they are
+    assert half.unimodularity_residual <= 1e-15
 
 
 def test_validate_pair_accepts_synthesized():
