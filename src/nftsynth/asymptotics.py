@@ -40,8 +40,8 @@ def asymptotic_reflection(omega, delta, omega_c):
     return p / (1.0 - p)
 
 
-def semi_asymptotic_norming(b, u, lambdas, k, eps):
-    """Predicted norming constant for eigenvalue lambdas[k].
+def semi_asymptotic_norming(b, u, lambdas, eps):
+    """Predicted norming constants for all the eigenvalues lambdas.
 
     -(b(z_k)/u(z_k)) * (lam_k - conj(lam_k))
         * prod_{i != k} -(lam_k - conj(lam_i)) / (lam_k - lam_i)
@@ -51,25 +51,16 @@ def semi_asymptotic_norming(b, u, lambdas, k, eps):
     the denominator; tests check this beats the reciprocal arrangement.
     """
     lams = np.asarray(lambdas, dtype=complex)
-    lk = lams[k]
-    zk = lambda_to_z(lk, eps)
-    bv, uv = poly_eval(np.stack([b, u]), zk)
-    pred = -(bv / uv) * (lk - np.conj(lk))
-    for i, li in enumerate(lams):
-        if i == k:
-            continue
-        if lk == li:
-            raise ZeroDivisionError(f"coincident eigenvalues at indices {k}, {i}")
-        pred *= -(lk - np.conj(li)) / (lk - li)
-    return pred
+    bv, uv = poly_eval(np.stack([b, u]), [lambda_to_z(l, eps) for l in lams])
+    diff = lams[:, None] - lams
+    np.fill_diagonal(diff, -1.0)  # so the pairwise factor i = k is lam_k - conj(lam_k)
+    if np.any(diff == 0):
+        k, i = np.argwhere(diff == 0)[0]
+        raise ZeroDivisionError(f"coincident eigenvalues at indices {k}, {i}")
+    return -(bv / uv) * np.prod(-(lams[:, None] - np.conj(lams)) / diff, axis=1)
 
 
 def predict(spec: SpectrumSpec) -> AsymptoticPrediction:
     """Norming-constant predictions for a synthesis target's eigenvalues."""
     fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
-    lams = np.asarray(spec.lambdas, dtype=complex)
-    norming = np.array(
-        [semi_asymptotic_norming(fp.b, fp.u, lams, k, spec.eps) for k in range(len(lams))],
-        dtype=complex,
-    )
-    return AsymptoticPrediction(norming_predictions=norming)
+    return AsymptoticPrediction(semi_asymptotic_norming(fp.b, fp.u, spec.lambdas, spec.eps))

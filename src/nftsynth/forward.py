@@ -18,7 +18,7 @@ import numpy as np
 import scipy.fft
 
 from .inverse import Signal, _first_column
-from .poly import EVAL_BLOCK, grid_omega, poly_eval
+from .poly import grid_omega, poly_eval, power_sums
 from .synthesis import ROOT_INNER, ROOT_OUTER, ScatteringPair, z_to_lambda
 
 REFLECTION_GRID_FACTOR = 4
@@ -93,24 +93,18 @@ def _fft_folded(x, M):
     return scipy.fft.fft(x.reshape(-1, M).sum(axis=0))
 
 
-def _values(a, dA, w):
-    """A(w), A'(w) and sum_j |a_j w^j| at the points w, rows of a (3, len(w)) array.
+def _values(a, w):
+    """A(w), w A'(w) and sum_j |a_j w^j| at the points w, in the precision of w.
 
-    Sums over running powers of w, EVAL_BLOCK of them at a time, in the
-    precision of w.
+    Two power_sums calls: the stack [a; j a] gives A and w A', and |a|
+    at |w| the rounding scale.
     """
-    out = np.empty((3, len(w)), dtype=w.dtype)
-    a, dA = a.astype(w.dtype), dA.astype(w.dtype)
-    rows = max(1, EVAL_BLOCK // len(a))
-    for i in range(0, len(w), rows):
-        V = np.ones((len(w[i:i + rows]), len(a)), dtype=w.dtype)
-        V[:, 1:] = w[i:i + rows, None]
-        V = np.cumprod(V, axis=1)
-        out[:, i:i + rows] = V @ a, V[:, :-1] @ dA, np.abs(V) @ np.abs(a)
-    return out
+    a = a.astype(w.dtype)
+    return (*power_sums(np.stack([a, np.arange(len(a)) * a]), w),
+            power_sums(np.abs(a)[None], np.abs(w))[0])
 
 
-def _newton(a, dA, w):
+def _newton(a, w):
     """Newton's method on A(w) = sum a_j w^j from each point of w.
 
     Returns the points and which of them converged: a relative step
@@ -130,10 +124,10 @@ def _newton(a, dA, w):
             for _ in range(NEWTON_STEPS):
                 if not len(todo):
                     break
-                val, der, scale = _values(a, dA, v)
-                step = val / der
+                val, wder, scale = _values(a, v)
+                step = v * val / wder
                 ok = ((np.abs(step) <= NEWTON_TOL * np.abs(v))
-                      | (np.abs(val) <= floor * scale.real))
+                      | (np.abs(val) <= floor * scale))
                 v = v - step
                 w[todo[ok]], done[todo[ok]] = v[ok], True
                 todo, v = todo[~ok], v[~ok]
@@ -150,7 +144,7 @@ def _distinct(w):
     return np.array(keep, dtype=complex)
 
 
-def _circle(a, dA, r, M):
+def _circle(a, r, M):
     """(count, power sums s_0..s_SEED_MAX) of the zeros of A inside |w| = r.
 
     A(w) = sum a_j w^j is a(z) at w = 1/z.  On the grid w_m = r e^{-2 pi i m/M},
@@ -195,7 +189,7 @@ def _circle(a, dA, r, M):
             M *= 4  # a finer grid has fewer zeros near it
             continue
         grid = lambda m: r * np.exp(-2j * np.pi * m / M)
-        near, done = _newton(a, dA, grid(peaks))
+        near, done = _newton(a, grid(peaks))
         near = _distinct(near[done])
         if np.any(np.abs(np.abs(near) - r) <= NEWTON_TOL * r):
             return None
@@ -232,7 +226,7 @@ def _moment_seeds(s, r):
     return r * np.roots((-1.0) ** np.arange(n + 1) * e)
 
 
-def _polished(a, dA, s, r_lo, r_hi):
+def _polished(a, s, r_lo, r_hi):
     """The zeros of A between |w| = r_lo and r_hi, with power sums s_0..s_n.
 
     Newton's method from the roots of the moment polynomial
@@ -240,16 +234,16 @@ def _polished(a, dA, s, r_lo, r_hi):
     between the circles, each with |a| <= ROOT_RESIDUAL_TOL.
     """
     n = len(s) - 1
-    w, done = _newton(a, dA, _moment_seeds(s, r_hi))
+    w, done = _newton(a, _moment_seeds(s, r_hi))
     if (len(w) == n and np.all(done)
             and np.all((np.abs(w) > r_lo) & (np.abs(w) < r_hi))
             and len(_distinct(w)) == n
-            and np.all(np.abs(_values(a, dA, w)[0]) <= ROOT_RESIDUAL_TOL)):
+            and np.all(np.abs(_values(a, w)[0]) <= ROOT_RESIDUAL_TOL)):
         return w
     return None
 
 
-def _zeros_between(a, dA, lo, hi, M, depth):
+def _zeros_between(a, lo, hi, M, depth):
     """Zeros of A between two circles lo and hi, each (r, count, sums).
 
     When they hold at most SEED_MAX zeros, their moments seed Newton's
@@ -262,17 +256,17 @@ def _zeros_between(a, dA, lo, hi, M, depth):
     if n == 0:
         return np.array([], dtype=complex)
     if 0 < n <= SEED_MAX:
-        w = _polished(a, dA, (s_hi - s_lo)[: n + 1], r_lo, r_hi)
+        w = _polished(a, (s_hi - s_lo)[: n + 1], r_lo, r_hi)
         if w is not None:
             return w
     if n > 0 and depth > 0:
         for t in SPLIT_AT:
             r = r_lo ** (1 - t) * r_hi ** t
-            mid = _circle(a, dA, r, M)
+            mid = _circle(a, r, M)
             if mid is not None:
                 mid = (r, *mid)
-                return np.concatenate([_zeros_between(a, dA, lo, mid, M, depth - 1),
-                                       _zeros_between(a, dA, mid, hi, M, depth - 1)])
+                return np.concatenate([_zeros_between(a, lo, mid, M, depth - 1),
+                                       _zeros_between(a, mid, hi, M, depth - 1)])
     raise RuntimeError(
         f"contour count {n} between |z| = {1 / r_hi:.17g} and {1 / r_lo:.17g} "
         f"not confirmed: neither Newton from the contour seeds nor a split of "
@@ -304,10 +298,9 @@ def find_eigenvalues(a):
     a = np.trim_zeros(np.asarray(a, dtype=complex), "b")
     if len(a) < 2:
         return np.array([], dtype=complex)
-    dA = np.arange(1, len(a)) * a[1:]
     M = 1 << (COUNT_GRID_FACTOR * len(a) - 1).bit_length()
-    outer = _circle(a, dA, 1.0 / ROOT_INNER, M)
-    inner = _circle(a, dA, 1.0 / ROOT_OUTER, INNER_GRID)
+    outer = _circle(a, 1.0 / ROOT_INNER, M)
+    inner = _circle(a, 1.0 / ROOT_OUTER, INNER_GRID)
     if outer is None or inner is None:
         raise ValueError(
             f"the zero count of a inside |z| = "
@@ -315,7 +308,7 @@ def find_eigenvalues(a):
             f"settle on an integer: zeros of a lie on or near that annulus "
             f"boundary, or a is too ill-conditioned there"
         )
-    w = _zeros_between(a, dA, (1.0 / ROOT_OUTER, *inner),
+    w = _zeros_between(a, (1.0 / ROOT_OUTER, *inner),
                        (1.0 / ROOT_INNER, *outer), M, SPLIT_DEPTH)
     roots = 1.0 / w
     lams = np.array([z_to_lambda(z, 1.0 / D) for z in roots])
@@ -328,8 +321,7 @@ def norming_constants(pair, eigen_z):
     Q_k = -b(z_k) / (2 i eps z_k) / a'(z_k), requiring each z_k to be a
     root to 1e-6 and a'(z_k) = -sum_j j a_j z^{-j-1} to be comfortably nonzero.
     """
-    a = np.asarray(pair.a, dtype=complex)
-    b = np.asarray(pair.b, dtype=complex)
+    a, b = pair.a, pair.b
     eps = 1.0 / len(a)
     zs = np.asarray(eigen_z, dtype=complex)
     av, jav, bv = poly_eval(np.stack([a, np.arange(len(a)) * a, b]), zs)

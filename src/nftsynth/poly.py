@@ -15,7 +15,7 @@ _MAT_MUL = "...ijk,...jlk->...ilk"
 # Below this many stacked coefficients an FFT costs per call, not per point,
 # so folding the wrapped top coefficient back costs more than it saves.
 _FOLD_MIN_SIZE = 512
-# poly_eval holds this many powers of its points at once
+# power_sums holds this many powers of its points at once
 EVAL_BLOCK = 1 << 20
 
 
@@ -80,32 +80,37 @@ def poly_mat_mul(X, Y):
     return np.concatenate([C, top], axis=-1)
 
 
+def power_sums(C, w):
+    """sum_j C[r, j] w^j for each row r of C and point of w (1-D), shape (len(C), len(w)).
+
+    In the precision of w: a running product gives the powers, EVAL_BLOCK
+    of them at a time, and one matmul per block applies every row.
+    """
+    C = C.astype(w.dtype, copy=False)
+    out = np.empty((len(w), len(C)), dtype=w.dtype)
+    rows = max(1, EVAL_BLOCK // C.shape[1])
+    for i in range(0, len(w), rows):
+        V = np.empty((len(w[i:i + rows]), C.shape[1]), dtype=w.dtype)
+        V[:, 0] = 1.0
+        V[:, 1:] = w[i:i + rows, None]
+        out[i:i + rows] = np.cumprod(V, axis=1, out=V) @ C.T
+    return out.T
+
+
 def poly_eval(p, z0):
-    """Values of sum c[i] z^{-i} at z0 (scalar or array), by power sums.
+    """Values of sum c[i] z^{-i} at z0 (scalar or array): power_sums at w = 1/z0.
 
     p is one coefficient array or a stack of them (one polynomial per
-    row); the result has shape p.shape[:-1] + z0.shape.  The powers
-    z0^{-i} come from a running product, EVAL_BLOCK of them at a time,
-    and one matmul per block applies every row.
+    row); the result has shape p.shape[:-1] + z0.shape.
     """
     c = np.asarray(p, dtype=complex)
     if c.ndim not in (1, 2) or c.shape[-1] == 0:
         raise ValueError("coefficients must be a non-empty 1-D array or a stack of them")
     z0 = np.asarray(z0, dtype=complex)
-    z = z0.ravel()
-    n = c.shape[-1]
-    if np.any(z == 0) and n > 1:
+    if np.any(z0 == 0) and c.shape[-1] > 1:
         raise ZeroDivisionError("evaluation at z=0 with negative powers")
-    w = 1.0 / z if n > 1 else z  # a constant needs no powers
-    out = np.empty((len(z),) + c.shape[:-1], dtype=complex)
-    rows = max(1, EVAL_BLOCK // n)
-    for i in range(0, len(z), rows):
-        wi = w[i:i + rows]
-        V = np.empty((len(wi), n), dtype=complex)
-        V[:, 0] = 1.0
-        V[:, 1:] = wi[:, None]
-        out[i:i + rows] = np.cumprod(V, axis=1, out=V) @ c.T
-    out = np.moveaxis(out, 0, -1).reshape(c.shape[:-1] + z0.shape)
+    w = 1.0 / z0.ravel() if c.shape[-1] > 1 else z0.ravel()  # a constant needs no powers
+    out = power_sums(np.atleast_2d(c), w).reshape(c.shape[:-1] + z0.shape)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -115,7 +115,8 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     factorization itself is limited by its stopband zeros.  A contrast
     that saturates, or comes so close that no such pair is found, is
     refused with a ValueError naming the omega where it happens; one so
-    small that LOG_FLOOR would set b is refused naming delta.
+    small that LOG_FLOOR would set b is refused naming delta, unless the
+    filter itself is zero to rounding, which is refused naming omega_c and D.
 
     The pair depends on the filter alone, never on the eigenvalues, so
     the last filter's pair is kept: a transmitter that varies only the
@@ -124,7 +125,13 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     """
     psi = design_lowpass(spec.D, spec.omega_c)
     M = OVERSAMPLE * spec.D
-    Sb = spec.delta**2 * np.abs(circle_samples(psi, M)) ** 2
+    Spsi = np.abs(circle_samples(psi, M)) ** 2
+    # omega_c = m pi D puts every tap of psi on a zero of the sinc: delta is not at fault
+    if Spsi.max() < FLOOR_MARGIN * LOG_FLOOR:
+        raise ValueError(
+            f"the filter is zero to rounding at omega_c={spec.omega_c:.6g}, D={spec.D}: "
+            f"max |psi|^2 = {Spsi.max():.1e} < {FLOOR_MARGIN * LOG_FLOOR:.0e}")
+    Sb = spec.delta**2 * Spsi
     peak = int(np.argmax(Sb))
     # Below this the floor, not delta, sets b: at D=512, omega_c=10 the peak
     # of |b| is 2% above delta*|psi| at delta=1e-9 and 23x at 1e-12.

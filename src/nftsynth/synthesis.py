@@ -33,13 +33,17 @@ class SpectrumSpec:
         FilterSpec(self.D, self.delta, self.omega_c)  # reuse validation
         eps = 1.0 / self.D
         strip = np.pi / (2 * eps)
+        lo, hi = np.log([ROOT_INNER, ROOT_OUTER]) / (2 * eps)  # as |z| = exp(2 eps Im lambda)
         for l in self.lambdas:
             if not np.isfinite(l):
                 raise ValueError(f"eigenvalue {l} is not finite")
-            if l.imag <= 0:
-                raise ValueError(f"eigenvalue {l} not in the open upper half-plane")
             if abs(l.real) > strip:
                 raise ValueError(f"Re({l}) outside the strip [-{strip}, {strip}]")
+            if not lo < l.imag < hi:
+                raise ValueError(
+                    f"eigenvalue {l} maps outside {ROOT_INNER:.7g} < |z| < {ROOT_OUTER:.7g}, the "
+                    f"annulus where find_eigenvalues certifies bound states: at D={self.D}, "
+                    f"Im lambda must lie in ({lo:.3g}, {hi:.4g})")
         if len(set(self.lambdas)) != len(self.lambdas):
             raise ValueError("eigenvalues must be pairwise distinct")
 

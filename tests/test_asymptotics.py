@@ -74,16 +74,31 @@ def test_semi_asymptotic_norming_single():
     fp = make_ub(FilterSpec(512, 0.01, 10.0))
     eps = 1.0 / 512
     lam = 20j
-    got = semi_asymptotic_norming(fp.b, fp.u, [lam], 0, eps)
+    got = semi_asymptotic_norming(fp.b, fp.u, [lam], eps)
     z = lambda_to_z(lam, eps)
     expect = -(poly_eval(fp.b, z) / poly_eval(fp.u, z)) * (lam - np.conj(lam))
     assert got == pytest.approx(expect, rel=1e-12)
 
 
+def test_semi_asymptotic_norming_matches_per_k_formula():
+    """All four predictions of one call against the product written out per k."""
+    spec = SpectrumSpec(lambdas=FOUR_SOLITON, delta=0.01, D=512, omega_c=10.0)
+    fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
+    got = semi_asymptotic_norming(fp.b, fp.u, FOUR_SOLITON, spec.eps)
+    assert got.shape == (4,)
+    for k, lk in enumerate(FOUR_SOLITON):
+        zk = lambda_to_z(lk, spec.eps)
+        want = -(poly_eval(fp.b, zk) / poly_eval(fp.u, zk)) * (lk - np.conj(lk))
+        for i, li in enumerate(FOUR_SOLITON):
+            if i != k:
+                want *= -(lk - np.conj(li)) / (lk - li)
+        assert abs(got[k] - want) <= 1e-14 * abs(want)
+
+
 def test_semi_asymptotic_norming_coincident_rejected():
     fp = make_ub(FilterSpec(256, 0.01, 10.0))
     with pytest.raises(ZeroDivisionError, match="coincident"):
-        semi_asymptotic_norming(fp.b, fp.u, [20j, 20j], 0, 1.0 / 256)
+        semi_asymptotic_norming(fp.b, fp.u, [20j, 20j], 1.0 / 256)
 
 
 def test_predictions_match_measured_norming():

@@ -339,6 +339,21 @@ def test_refused_synthesis_is_usage_error(tmp_path, capsys, job, command):
     assert not (tmp_path / "o" / "signal.csv").exists()
 
 
+@pytest.mark.parametrize("job, message", [
+    ({"lambdas": [[0.0, 1e-300]], "D": 512}, "maps outside 1.000001 < |z| < 23.14069"),
+    ({"lambdas": [[0.0, 900.0]], "D": 512}, "Im lambda must lie in (0.000256, 804.2)"),
+    ({"lambdas": [], "delta": 0.5, "D": 64, "omega_c": 64 * np.pi}, "omega_c=201.062, D=64"),
+], ids=["on-the-circle", "past-the-outer-circle", "zero-filter"])
+def test_spec_the_program_cannot_serve_is_usage_error(tmp_path, capsys, job, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"delta": 0.01, "omega_c": 10.0, **job}))
+    rc = main(["roundtrip", "--spec", str(spec), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 @pytest.mark.parametrize("body", [
     "n,t,re_Q,im_Q\n",                                       # header only
     "n,t,re_Q\n1,-0.75,0.1\n2,-0.25,0.2\n",                 # no im_Q column

@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from nftsynth import poly
 from nftsynth.forward import (
+    _values,
     continuous_oracle,
     find_eigenvalues,
     forward_fast,
@@ -131,6 +134,39 @@ def test_radiation_reflection_profile():
     assert abs(vals[i0]) ** 2 == pytest.approx(1.1147e-4, rel=1e-2)
     mags = np.abs(vals)
     assert np.max(mags[np.abs(om) >= 2 * spec.omega_c]) < 0.1 * np.max(mags)
+
+
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+def test_values_against_mpmath(monkeypatch, dtype):
+    """A(w), w A'(w) and sum |a_j w^j| against mpmath in 40 digits, in the
+    precision of w, whatever the point block size.  The bound is first-order
+    rounding of n running complex products and an n-term sum: 4 n u of the
+    matching sum of moduli."""
+    rng = np.random.default_rng(29)
+    n = 20
+    a = rng.normal(size=n) + 1j * rng.normal(size=n)
+    real = np.finfo(dtype).dtype.type
+    w = (rng.uniform(0.2, 1.05, 7).astype(real)
+         * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 7).astype(real)))
+    assert w.dtype == dtype
+    u = float(np.finfo(dtype).eps) / 2
+    mpmath.mp.dps = 40
+
+    def mp(x):  # 30 digits hold a double or an x87 extended value to 1e-30 relative
+        return mpmath.mpc(*(np.format_float_scientific(v, precision=30, unique=False)
+                            for v in (x.real, x.imag)))
+
+    for block in (poly.EVAL_BLOCK, 40, 1):
+        monkeypatch.setattr(poly, "EVAL_BLOCK", block)
+        out = _values(a, w)
+        assert [v.dtype for v in out] == [w.dtype, w.dtype, w.real.dtype]
+        for A, wder, scale, wk in zip(*out, w):
+            terms = [mp(c) * mp(wk) ** j for j, c in enumerate(a)]
+            moduli = [abs(t) for t in terms]
+            assert abs(mp(A) - sum(terms)) <= 4 * n * u * sum(moduli)
+            assert (abs(mp(wder) - sum(j * t for j, t in enumerate(terms)))
+                    <= 4 * n * u * sum(j * m for j, m in enumerate(moduli)))
+            assert abs(mp(scale) - sum(moduli)) <= 4 * n * u * sum(moduli)
 
 
 def test_find_eigenvalues_radiation_only_is_empty():

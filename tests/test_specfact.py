@@ -133,6 +133,12 @@ def test_make_ub_refuses_floor_swamped_contrast(delta):
         make_ub(FilterSpec(512, delta, 10.0))
 
 
+def test_make_ub_names_the_filter_when_it_is_zero():
+    # omega_c = pi D puts every tap of psi on a zero of the sinc; delta is not at fault
+    with pytest.raises(ValueError, match="zero to rounding.*omega_c=201.062, D=64"):
+        make_ub(FilterSpec(64, 0.5, 64 * np.pi))
+
+
 def test_make_ub_rejects_saturating_contrast():
     # passband gain slightly exceeds 1, so delta close to 1 leaves
     # 1 - delta^2 |psi|^2 negative somewhere; must be refused loudly

@@ -89,6 +89,10 @@ def test_spectrumspec_validation():
         SpectrumSpec(lambdas=[20j], delta=0.01, D=500, omega_c=10.0)
     with pytest.raises(ValueError):
         SpectrumSpec(lambdas=[2000.0 + 1j], delta=0.01, D=64, omega_c=10.0)
+    # outside the annulus find_eigenvalues certifies: Im lambda in (2.6e-4, 804) at D=512
+    for lam in (1e-300j, 900j):
+        with pytest.raises(ValueError, match=rf"eigenvalue {lam}.*1\.000001 < \|z\| < 23\.14069"):
+            SpectrumSpec(lambdas=[20j, lam], delta=0.01, D=512, omega_c=10.0)
 
 
 def test_synthesize_radiation_only():
