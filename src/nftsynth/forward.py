@@ -15,7 +15,6 @@ FFT product per level, O(D log^2 D), carrying first columns only.
 """
 
 import numpy as np
-import scipy.fft
 
 from .inverse import Signal, _first_column
 from .poly import grid_omega, poly_eval, power_sums
@@ -88,9 +87,12 @@ def reflection_coefficient(pair):
 
 
 def _fft_folded(x, M):
-    """M-point DFT of x of any length: x is folded modulo M first."""
+    """M-point DFT of x of any length: x is folded modulo M first.
+
+    In x's precision: numpy's FFT transforms clongdouble in long double.
+    """
     x = np.pad(x, (0, -len(x) % M))
-    return scipy.fft.fft(x.reshape(-1, M).sum(axis=0))
+    return np.fft.fft(x.reshape(-1, M).sum(axis=0))
 
 
 def _values(a, w):
@@ -198,7 +200,7 @@ def _circle(a, r, M):
             for wk in near:
                 g = g - w / (w - wk)
         inside = near[np.abs(near) < r]
-        s = (scipy.fft.fft(g)[: SEED_MAX + 1].astype(complex) / M * r ** p
+        s = (np.fft.fft(g)[: SEED_MAX + 1].astype(complex) / M * r ** p
              + np.sum(inside[:, None] ** p, axis=0))
         err = abs(s[0] - round(s[0].real)) if np.isfinite(s[0]) else 1.0
         if err <= COUNT_TOL + fog:

@@ -6,7 +6,6 @@ matrices, filters) is built on the handful of operations here.
 """
 
 import numpy as np
-import scipy.fft
 
 # Below this output length, direct convolution beats FFT multiply.
 _FFT_CUTOFF = 128
@@ -54,7 +53,7 @@ def cyclic_mat_mul(X, Y, m):
     coefficient j lands on j mod m, so a middle product can keep the
     coefficients that no wrapped term reaches.
     """
-    return scipy.fft.ifft(np.einsum(_MAT_MUL, scipy.fft.fft(X, m), scipy.fft.fft(Y, m)))
+    return np.fft.ifft(np.einsum(_MAT_MUL, np.fft.fft(X, m), np.fft.fft(Y, m)))
 
 
 def poly_mat_mul(X, Y):

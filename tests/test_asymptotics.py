@@ -2,7 +2,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from nftsynth import asymptotics
 from nftsynth.asymptotics import (
+    LAGUERRE_SPLIT,
+    SERIES_MAX,
+    SI_BLOCK,
+    SI_FLAT,
     asymptotic_reflection,
     filter_amplitude,
     predict,
@@ -38,6 +43,54 @@ def test_sine_integral_against_mpmath():
 
     assert err(np.linspace(0.01, 29.9, 57)) <= 1e-12
     assert err(np.concatenate([np.linspace(30.1, 200.0, 57), [1e3, 1e5]])) <= 1e-12
+
+
+@pytest.mark.parametrize("switch", [SERIES_MAX, LAGUERRE_SPLIT])
+def test_sine_integral_across_range_switches(switch):
+    """Dense mpmath comparison within 1e-3 of each point where Si changes method."""
+    s = switch + np.linspace(-1e-3, 1e-3, 201)
+    s = np.concatenate([s, -s])
+    ref = np.array([float(mpmath.si(float(x))) for x in s])
+    assert np.max(np.abs(sine_integral(s) - ref)) <= 1e-12
+
+
+def test_sine_integral_special_values():
+    assert sine_integral(0.0) == 0.0
+    assert sine_integral(5e-324) == 5e-324  # Si(s) = s to first order
+    assert sine_integral(SI_FLAT) == sine_integral(np.nextafter(SI_FLAT, np.inf)) == np.pi / 2
+    assert sine_integral(1e300) == np.pi / 2
+    assert sine_integral(np.inf) == np.pi / 2
+    assert sine_integral(-np.inf) == -np.pi / 2
+    assert np.isnan(sine_integral(np.nan))
+
+
+def test_sine_integral_shapes(monkeypatch):
+    """A scalar gives a float, an array keeps its shape, and the block size
+    the points are taken in changes the values by rounding only (the matrix
+    products may sum in another order)."""
+    assert type(sine_integral(3.0)) is float
+    assert type(sine_integral(np.float64(-250.0))) is float
+    assert sine_integral(np.ones((2, 3, 4))).shape == (2, 3, 4)
+    assert sine_integral(np.zeros(0)).shape == (0,)
+    s = np.linspace(-100.0, 100.0, 3 * SI_BLOCK + 3).reshape(3, -1)
+    whole = sine_integral(s)
+    monkeypatch.setattr(asymptotics, "SI_BLOCK", 7)
+    assert np.allclose(sine_integral(s), whole, rtol=0.0, atol=1e-14)
+
+
+def test_filter_amplitude_one_sine_integral_call(monkeypatch):
+    """Both Si terms come from one call on the stacked arguments."""
+    calls = []
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return sine_integral(s)
+
+    monkeypatch.setattr(asymptotics, "sine_integral", counted)
+    w = np.linspace(-30.0, 30.0, 7)
+    expected = np.abs(sine_integral(w + 10.0) - sine_integral(w - 10.0)) / np.pi
+    assert np.array_equal(filter_amplitude(w, 10.0), expected)
+    assert calls == [(2, 7)]
 
 
 def test_filter_amplitude_even_and_peak():

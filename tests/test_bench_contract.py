@@ -74,11 +74,12 @@ def test_make_ub_has_one_cached_function():
 
 
 def test_cli_import_leaves_ode_solver_out():
-    """Importing the CLI, as the benchmark's set-up does, must not load
-    scipy.integrate: only the continuous_oracle test reference needs it."""
+    """Importing the package and the CLI, as the benchmark's set-up does, must
+    load no scipy module at all: only the continuous_oracle test reference
+    (scipy.integrate) and the tests use scipy."""
     src = str(Path(nftsynth.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nftsynth.cli; "
-            "print('scipy.integrate' in sys.modules)")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nftsynth, nftsynth.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ from numpy.polynomial import polynomial as P
 
 from nftsynth import poly
 from nftsynth.forward import (
+    _fft_folded,
     _values,
     continuous_oracle,
     find_eigenvalues,
@@ -134,6 +135,22 @@ def test_radiation_reflection_profile():
     assert abs(vals[i0]) ** 2 == pytest.approx(1.1147e-4, rel=1e-2)
     mags = np.abs(vals)
     assert np.max(mags[np.abs(om) >= 2 * spec.omega_c]) < 0.1 * np.max(mags)
+
+
+def test_fft_folded_keeps_long_double():
+    """The extended-precision contour pass needs the folded DFT in long double:
+    a clongdouble input comes back clongdouble and within 100 eps (of the long
+    double) of a direct long-double DFT, relative to the sum of moduli."""
+    rng = np.random.default_rng(31)
+    M = 64
+    x = (rng.normal(size=150) + 1j * rng.normal(size=150)).astype(np.clongdouble)
+    out = _fft_folded(x, M)
+    assert out.dtype == np.clongdouble
+    pi = np.arccos(np.longdouble(-1.0))  # np.pi would be a double
+    jk = np.outer(np.arange(M), np.arange(len(x))) % M
+    direct = np.exp(-2j * pi * jk.astype(np.longdouble) / M) @ x
+    eps = np.finfo(np.longdouble).eps
+    assert np.max(np.abs(out - direct)) <= 100 * eps * np.sum(np.abs(x))
 
 
 @pytest.mark.parametrize("dtype", [complex, np.clongdouble])
