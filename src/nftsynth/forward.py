@@ -10,8 +10,9 @@ polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
 `forward_sequential` applies `forward_step` once per sample, O(D^2).
 `forward_fast` is the first column of `inverse.transfer_matrix` of the
-samples: blocks of one-sample steps, then a balanced tree with one batched
-FFT product per level, O(D log^2 D), carrying first columns only.
+samples: blocks of one-sample steps (the two-row step of the `inverse`
+module docstring, batched over the blocks), then a balanced tree with one
+batched FFT product per level, O(D log^2 D), carrying first columns only.
 """
 
 import numpy as np

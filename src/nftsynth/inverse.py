@@ -17,14 +17,37 @@ matrices has the para-conjugate form
     F = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
 so its second column is its first, [a; b], with the n+1 coefficients
-reversed and conjugated (`_para`).  Both fast transforms therefore carry
-first columns only: `_first_column` steps blocks of BLOCK samples at once,
-then multiplies the blocks in a balanced tree, one batched `poly_mat_mul`
-of a full left factor and a column per level; `forward_fast` reads (a, b)
-from it.  The one-step inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]]
-is exactly z * adj(F(Q)), so the inverse of a block of n samples is
-z^n * adj(F) coefficient-wise and the recursion needs no inverse matrices
-of its own.
+reversed and conjugated (`_para`), and its first row is [a, -z^{-n} b*].
+Both fast transforms therefore carry first columns only.  The one-step
+inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
+z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
+coefficient-wise and the recursion needs no inverse matrices of its own.
+
+One two-row step, on the rows R0, R1 of one buffer,
+
+    R0'[j] = (1/theta) * (R0[j] - Q R1[j]),
+    R1'[j] = (1/theta) * (conj(Q) R0[j+1] + R1[j+1]),
+
+does the work of both.  On a window [A; B] of the pair it is the peel
+step: A - Q B, and conj(Q) A + B times z with its vanished constant
+coefficient dropped.  On the first row [alpha, gamma] of a product of
+steps taken newest first, P' = P F(Q) reads
+
+    alpha' = (1/theta) * (alpha - conj(Q) gamma),
+    gamma' = (1/theta) * z^{-1} (Q alpha + gamma),
+
+and with both stored over n+1 slots reversed and conjugated,
+R0[j] = conj(alpha[n-j]) and R1[j] = conj(gamma[n-j]), that is the same
+step: conjugation swaps Q and conj(Q), and the reversal turns z^{-1}
+into the shift by one.  Starting from the identity's first row,
+R0[n] = 1, after n steps a = alpha = conj(R0[n::-1]) and, by the first
+row of the para-conjugate form, b = -conj(gamma[::-1]) = -R1.  So
+`_peel` puts the accumulator left of its window in one buffer and peels
+and accumulates with one matmul per sample, and `_first_column` runs the
+accumulator half on all blocks of BLOCK samples at once, then multiplies
+the blocks in a balanced tree, one batched `poly_mat_mul` of a full left
+factor and a column per level; `forward_fast` reads (a, b) from it.
+
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
 integer count of half powers, never materialized in coefficients.
@@ -41,8 +64,8 @@ from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_
 from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 512         # below this, peel sequentially inside the recursion (measured sweep)
-BLOCK = 8               # _first_column steps blocks of this many samples at once (measured sweep)
-CHUNK = 64              # _peel shrinks its matmul every this many steps (measured sweep)
+BLOCK = 32              # _first_column steps blocks of this many samples at once (measured sweep)
+CHUNK = 64              # _peel slides its matmul every this many steps (measured sweep)
 SINGULAR_A0 = 1e-14
 
 
@@ -114,6 +137,8 @@ def step_matrices(q):
 
     The last axis holds ascending powers of z^{-1}:
     F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]].
+    This is the tests' oracle: no library code calls it, since both fast
+    transforms apply F(Q) through the two-row step of the module docstring.
     """
     q = np.asarray(q, dtype=complex)
     ith = 1.0 / np.sqrt(1.0 + np.abs(q) ** 2)
@@ -131,32 +156,47 @@ def _para(C):
     C has shape (..., 2, n+1); z^{-n} p* reverses and conjugates p's n+1
     coefficients.  The result has shape (..., 2, 2, n+1).
     """
-    a, b = C[..., 0, :], C[..., 1, :]
-    ra, rb = np.conj(a[..., ::-1]), np.conj(b[..., ::-1])
-    return np.stack([np.stack([a, -rb], axis=-2), np.stack([b, ra], axis=-2)], axis=-3)
+    F = np.empty(C.shape[:-1] + C.shape[-2:], dtype=complex)
+    F[..., 0, :] = C
+    np.conj(C[..., ::-1, ::-1], out=F[..., 1, :])    # [b; a] reversed and conjugated
+    F[..., 0, 1, :] *= -1
+    return F
+
+
+def _column(R):
+    """First column [a; b], shape (..., 2, n+1), from accumulator rows R of
+    the same shape: a = conj(R0[n::-1]), b = -R1 (module docstring)."""
+    C = np.empty_like(R)
+    np.conj(R[..., 0, ::-1], out=C[..., 0, :])
+    np.negative(R[..., 1, :], out=C[..., 1, :])
+    return C
 
 
 def _first_column(q):
     """First column [a; b] of transfer_matrix(q), shape (2, n+1); n a power of two.
 
-    Blocks of BLOCK samples step [1; 0] forward all at once,
-    a <- f00 a + f01 z^{-1} b and b <- f10 a + f11 z^{-1} b with the
-    coefficients of step_matrices; then a balanced tree multiplies the
+    Blocks of BLOCK samples run the accumulator half of the two-row step
+    (module docstring) all at once: one batched matmul per sample
+    position, each block taking its samples newest first, from the first
+    row [1, 0] of the identity.  Then a balanced tree multiplies the
     blocks, later ones on the left, the left factor rebuilt by _para.
     """
-    M = step_matrices(q)
-    n = len(M)
+    q = np.asarray(q, dtype=complex)
+    n = len(q)
     block = min(BLOCK, n)
-    f00, f01, f10, f11 = (M[:, i, j, j].reshape(-1, block)[..., None]
-                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    C = np.zeros((n // block, 2, block + 1), dtype=complex)
-    C[:, 0, 0] = 1.0
-    for j in range(block):
-        a, b = C[:, 0, :j + 1].copy(), C[:, 1, :j + 1].copy()
-        C[:, 0, :j + 1] = f00[:, j] * a
-        C[:, 1, :j + 1] = f10[:, j] * a
-        C[:, 0, 1:j + 2] += f01[:, j] * b
-        C[:, 1, 1:j + 2] += f11[:, j] * b
+    qk = q.reshape(-1, block)[:, ::-1].T                # (block, blocks): step k, newest first
+    ith = 1.0 / np.sqrt(1.0 + np.abs(qk) ** 2)
+    c = np.empty(qk.shape + (2, 1, 2), dtype=complex)
+    c[..., 0, 0, 0] = c[..., 1, 0, 1] = ith
+    c[..., 0, 0, 1] = -qk * ith
+    c[..., 1, 0, 0] = np.conj(qk) * ith
+    buf = np.zeros((2, qk.shape[1], 2, block + 2), dtype=complex)   # two buffers, swapped each step
+    buf[0, :, 0, block] = 1.0
+    shifted = sliding_window_view(buf, block + 1, axis=-1).transpose(0, 1, 3, 2, 4)
+    out = buf[:, :, :, None, :block + 1]
+    for k in range(block):
+        np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
+    C = _column(buf[block & 1, ..., :block + 1])
     while len(C) > 1:
         C = poly_mat_mul(_para(C[1::2]), C[0::2, :, None, :])[..., 0, :]
     return C[0]
@@ -175,41 +215,55 @@ def _peel(V):
     """Peel a window V = [A; B], shape (2, 1, n), one sample at a time.
 
     Returns the n samples (newest first) and the first column of the
-    window's forward matrix.  One peel step is
-    [A'; B'] = (1/theta) [A - Q B; conj(Q) z A + z B] with the vanished top
-    coefficient dropped.  In a two-row buffer, row r shifted by s is
-    buf[r, s:s + w], so the step is one matmul of [[1, -Q]] and
-    [[conj(Q), 1]] (times 1/theta) with the shifts 0 and 1.  After k steps
-    the window holds n - k live coefficients.  The matmul covers the live
-    window as of the first step of its CHUNK, n - k0, so it shrinks every
-    CHUNK steps; every coefficient it writes goes through the same
-    arithmetic as over the whole buffer.  The coefficients above n - k - 1
-    it leaves stale are never read: the k-th sample reads coefficient 0,
-    which depends only on coefficients 0..k of the window.
+    window's forward matrix.  The buffer is [accumulator, n+1 slots |
+    window, n slots | one zero slot], and one two-row step (module
+    docstring), one matmul of [[1, -Q]] and [[conj(Q), 1]] (times 1/theta)
+    with the shifts 0 and 1, peels the window and accumulates the first
+    row of the peeled steps' product at once.  In a two-row buffer, row r
+    shifted by s is buf[r, s:s + w].  R1[n] reads the window's constant
+    coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
+    step leaves their rounding residue there, so it is reset to 0.
+
+    After k steps the accumulator is live from slot n - k and the window
+    holds n - k live coefficients.  The matmul's views are made once per
+    CHUNK of steps and cover slots n - k1 (k1 the step that ends the
+    chunk) to the window's live end at the chunk's first step.  Every
+    coefficient it writes goes through the same arithmetic as over the
+    whole buffer; the zeros below n - k stay zero.  The window
+    coefficients it leaves stale are never read: the k-th sample reads
+    coefficient 0, which depends only on coefficients 0..k of the window.
     """
     n = V.shape[-1]
-    buf = np.zeros((2, 2, n + 1), dtype=complex)      # two buffers, swapped each step
-    buf[0, :, :n] = V[:, 0]
-    shifted = sliding_window_view(buf, n, axis=-1).transpose(0, 2, 1, 3)   # [buffer, s, r]
-    out = buf[:, :, None, :n]
+    L = 2 * n + 2                                      # slots per row
+    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
+    buf[0, 0, n] = 1.0
+    buf[0, :, n + 1:L - 1] = V[:, 0]
+    flat = buf.reshape(-1)
+    shifted = sliding_window_view(buf, L - 1, axis=-1).transpose(0, 2, 1, 3)   # [buffer, s, r]
+    out = buf[:, :, None, :L - 1]
     c = np.empty((2, 1, 2), dtype=complex)
+    cf = c.reshape(-1)
+    # reading buffer b: flat indices of its A0 and B0, and of R1[n] in the buffer it writes
+    at = [(2 * L * b + n + 1, 2 * L * b + L + n + 1, 2 * L * (1 - b) + L + n) for b in (0, 1)]
     qs = np.empty(n, dtype=complex)
     for k0 in range(0, n, CHUNK):
-        w = n - k0
-        live, dest = shifted[..., :w], out[..., :w]
-        for k in range(k0, min(k0 + CHUNK, n)):
-            cur = k & 1
-            a0 = buf.item(cur, 0, 0)
+        k1 = min(k0 + CHUNK, n)
+        span = slice(n - k1, L - 1 - k0)
+        steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
+        for k in range(k0, k1):
+            src, dst, ia, ib, ir = steps[k & 1]
+            a0 = flat.item(ia)
             if abs(a0) < SINGULAR_A0:
                 raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
-            Q = -(buf.item(cur, 1, 0) / a0).conjugate()
+            Q = -(flat.item(ib) / a0).conjugate()
             qs[k] = Q
             ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
-            c[0, 0, 0] = c[1, 0, 1] = ith
-            c[0, 0, 1] = -Q * ith
-            c[1, 0, 0] = Q.conjugate() * ith
-            np.matmul(c, live[cur], out=dest[1 - cur])
-    return qs, _first_column(qs[::-1])
+            cf[0] = cf[3] = ith
+            cf[1] = -Q * ith
+            cf[2] = Q.conjugate() * ith
+            np.matmul(c, src, out=dst)
+            flat[ir] = 0.0
+    return qs, _column(buf[n & 1, :, :n + 1])
 
 
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
@@ -227,9 +281,9 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
     land on 0..h-1, which are discarded.  Each node returns its samples
     (newest first) and the first column C = [a; b] of its block's forward
     matrix; adj(F_hi) = [[z^{-h} a*, z^{-h} b*], [-b, a]] and F_hi come
-    from C_hi, and the node's column is F_hi @ C_lo.  A leaf peels its
-    window one sample at a time and builds its column with one
-    `_first_column` call.
+    from C_hi, and the node's column is F_hi @ C_lo.  A leaf (`_peel`)
+    peels its window one sample at a time and accumulates its column in
+    the same matmul.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)

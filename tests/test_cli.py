@@ -66,7 +66,23 @@ def test_invert_command(tmp_path):
     assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
     assert rep["fast_vs_sequential_max_dev"] <= 1e-10
+    assert "over_sequential_limit" not in rep
     assert rep["max_abs_sample"] > 0
+
+
+@pytest.mark.parametrize("command, key", [("invert", "fast_vs_sequential_max_dev"),
+                                          ("roundtrip", "inversion_max_dev")])
+def test_sequential_check_skip_is_reported(tmp_path, monkeypatch, command, key):
+    """Above SEQUENTIAL_LIMIT the O(D^2) reference is skipped, and the
+    report says so under its own key rather than leaving the deviation out."""
+    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 128)
+    spec = write_spec(tmp_path / "spec.json", D=256)
+    out = tmp_path / "out"
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
+    rep = read_report(out)
+    assert key not in rep
+    assert rep["over_sequential_limit"] == {"skipped": key, "D": 256, "limit": 128}
+    assert "invert_sequential" not in rep["wall_clock_s"]
 
 
 def test_forward_command_from_signal(tmp_path):

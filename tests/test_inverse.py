@@ -5,9 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nftsynth.forward import forward_sequential, forward_step
+from nftsynth.forward import forward_fast, forward_sequential, forward_step
 from nftsynth.inverse import (
+    BLOCK,
+    CHUNK,
+    LEAF_SIZE,
     Signal,
+    _peel,
     energy_identity_residual,
     invert_fast,
     invert_sequential,
@@ -154,10 +158,12 @@ def test_transfer_matrix_matches_direct_product():
 
     The O(n^2) oracle convolves every entry (np.convolve), so both columns
     are checked independently of the tree, the blocks and the
-    para-conjugate rebuild of the second column; |q| reaches 3.
+    para-conjugate rebuild of the second column; |q| reaches 3.  Up to
+    4 * BLOCK samples, so that both the batched block step and the tree
+    above it run.
     """
     rng = np.random.default_rng(29)
-    for n in (1, 2, 4, 8, 16, 32, 64):
+    for n in sorted({1, 2, 4, 8, 16, 32, 64, 4 * BLOCK}):
         for scale in (0.1, 1.0, 3.0):
             q = scale * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
             P = np.zeros((2, 2, 1), dtype=complex)
@@ -167,6 +173,42 @@ def test_transfer_matrix_matches_direct_product():
                                for j in range(2)] for i in range(2)])
             np.testing.assert_allclose(transfer_matrix(q), P, rtol=0,
                                        atol=1e-13 * np.abs(P).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, LEAF_SIZE])
+def test_peel_returns_samples_and_column(n):
+    """_peel of a pair returns its samples and the column transfer_matrix(samples)[:, 0].
+
+    n need not be a power of two: zero samples before the signal leave
+    the first column [1; 0] of their steps as it is, so forward_fast and
+    transfer_matrix of the signal padded at its old end with zeros give
+    the pair and the column (zero past coefficient n).  A background of
+    energy ~1 (as in spiky_signals) carries 0-3 spikes of modulus up to 3.
+    The column is
+    checked on every draw against the samples _peel returns, and b's top
+    coefficient is exactly 0 (the accumulator's gamma_0 is reset every
+    step).  Layer peeling is ill-conditioned for some spiky signals (see
+    test_fast_inverse_properties), so the samples are checked against the
+    signal where the sequential reference recovers it to 1e-11, and on
+    every draw without spikes.
+    """
+    pad = np.zeros((1 << (n - 1).bit_length()) - n)
+    for spikes in range(4):
+        rng = np.random.default_rng([n, spikes])
+        q = random_signal(rng, n, scale=min(0.5, 0.7 / np.sqrt(n))).samples
+        at = rng.integers(0, n, size=spikes)
+        q[at] = 3.0 * rng.uniform(size=spikes) * np.exp(2j * np.pi * rng.uniform(size=spikes))
+        pair = forward_fast(Signal(samples=np.concatenate([pad, q])))
+        a, b = pair.a[:n], pair.b[:n]
+        qs, column = _peel(np.stack([a, b])[:, None, :])
+        expected = transfer_matrix(np.concatenate([pad, qs[::-1]]))[:, 0]
+        got = np.zeros_like(expected)
+        got[:, :n + 1] = column
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+        assert column[1, n] == 0
+        seq = invert_sequential((a, b), check=False).samples
+        if spikes == 0 or np.abs(seq - q).max() <= 1e-11:
+            np.testing.assert_allclose(qs[::-1], q, rtol=0, atol=1e-10)
 
 
 def test_leaf_size_invariance():
