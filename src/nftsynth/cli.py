@@ -229,10 +229,13 @@ def run_asymptotics(job, out: Path, rep):
             complex(c) for c in predict(spec).norming_predictions]
 
 
-def _time_median(fn):
-    fn()  # warm-up
+def _time_median(fn, repeats=BENCH_REPEATS):
+    """Median wall time of `repeats` calls, after one warm-up call; a
+    single call is timed cold."""
+    if repeats > 1:
+        fn()  # warm-up
     times = []
-    for _ in range(BENCH_REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -262,8 +265,11 @@ def run_bench(job, out: Path, rep):
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
         signal, _F = invert_fast(pair, check=False)
         if D <= BENCH_SEQUENTIAL_LIMIT:
+            # above the commands' own limit the O(D^2) reference takes seconds: one cold call
+            repeats = BENCH_REPEATS if D <= SEQUENTIAL_LIMIT else 1
             row["invert_sequential_s"] = _time_median(
-                lambda: invert_sequential(pair, check=False))
+                lambda: invert_sequential(pair, check=False), repeats)
+            row["invert_sequential_repeats"] = repeats
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
         row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
         for key in list(row):

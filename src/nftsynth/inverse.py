@@ -4,7 +4,10 @@ Two implementations of the same map.  `invert_sequential` peels one
 sample at a time, O(D^2); it is the normative reference.  `invert_fast`
 splits the pair in half, peels the newer half, transfers the older half
 through that half's inverse matrix, and recurses -- O(D log^2 D).  Both
-read each sample from the constant coefficients as Q = -conj(b0)/conj(a0).
+read each sample as Q = -conj(B0/A0), a ratio of the current window's
+constant coefficients, which no common scale of the window changes:
+`invert_sequential` peels unnormalized, while `invert_fast` keeps the
+step matrix's 1/theta, because its accumulator is the F it returns.
 
 One step matrix serves both transforms.  `step_matrices` defines the
 one-sample forward matrix, in ascending powers of z^{-1},
@@ -57,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .poly import cyclic_mat_mul, poly_mat_mul
 from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_mul)
@@ -110,25 +112,32 @@ def invert_sequential(pair, check=True) -> Signal:
     baseline the fast version is checked against, and its cost per
     sample is proportional to the remaining window at every size
     (no vectorization floor hiding the quadratic growth).
+
+    Each step reads Q = -conj(B0/A0) and takes the window [A; B] through
+    the step unnormalized, A' = A - Q B and B'[j] = conj(Q) A[j+1] + B[j+1]:
+    theta times the normalized step of the module docstring.  Q is a ratio
+    of the two rows' constant coefficients, so a common scale of the rows
+    changes no sample.  The scale stays bounded.  A0' = A0 + |B0|^2/conj(A0)
+    = theta^2 A0, so |A0| only grows, and after k steps the rows are
+    theta_1...theta_k times the normalized window, whose coefficients are at
+    most 1 for a valid pair.  By the energy identity the product over all D
+    steps is 1/|a0| <= 1/SINGULAR_A0, so nothing overflows.  A is left one
+    coefficient longer than B; the next step's zip stops at B's end.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
-    A = [complex(v) for v in a]
-    B = [complex(v) for v in b]
+    A = a.tolist()
+    B = b.tolist()
     out = np.empty(D, dtype=complex)
     for n in range(D, 0, -1):
         a0 = A[0]
         if abs(a0) < SINGULAR_A0:
             raise ZeroDivisionError(f"singular recovery at step {n}")
-        Q = -B[0].conjugate() / a0.conjugate()
+        Q = -(B[0] / a0).conjugate()
         out[n - 1] = Q
-        ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
-        c = Q * ith
-        qc = Q.conjugate() * ith
-        newA = [ai * ith - c * bi for ai, bi in zip(A, B)]
-        del newA[n - 1 :]
-        newB = [qc * ai + ith * bi for ai, bi in zip(A[1:n], B[1:n])]
-        A, B = newA, newB
+        qc = Q.conjugate()
+        A, B = ([ai - Q * bi for ai, bi in zip(A, B)],
+                [qc * ai + bi for ai, bi in zip(A[1:], B[1:])])
     return Signal(samples=out)
 
 
@@ -163,6 +172,16 @@ def _para(C):
     return F
 
 
+def _shifted(buf):
+    """A view of buf (contiguous, shape (..., 2, L)) whose [..., s, r, :] is
+    row r shifted by s, buf[..., r, s:s + L - 1]: the two-row step's
+    matmul operand.  Built as an ndarray over buf's memory, since numpy's
+    sliding_window_view makes the same view at ~25 times the cost."""
+    *lead, rows, L = buf.shape
+    *st, sr, sw = buf.strides
+    return np.ndarray((*lead, 2, rows, L - 1), buf.dtype, buffer=buf, strides=(*st, sw, sr, sw))
+
+
 def _column(R):
     """First column [a; b], shape (..., 2, n+1), from accumulator rows R of
     the same shape: a = conj(R0[n::-1]), b = -R1 (module docstring)."""
@@ -192,7 +211,7 @@ def _first_column(q):
     c[..., 1, 0, 0] = np.conj(qk) * ith
     buf = np.zeros((2, qk.shape[1], 2, block + 2), dtype=complex)   # two buffers, swapped each step
     buf[0, :, 0, block] = 1.0
-    shifted = sliding_window_view(buf, block + 1, axis=-1).transpose(0, 1, 3, 2, 4)
+    shifted = _shifted(buf)
     out = buf[:, :, :, None, :block + 1]
     for k in range(block):
         np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
@@ -239,7 +258,7 @@ def _peel(V):
     buf[0, 0, n] = 1.0
     buf[0, :, n + 1:L - 1] = V[:, 0]
     flat = buf.reshape(-1)
-    shifted = sliding_window_view(buf, L - 1, axis=-1).transpose(0, 2, 1, 3)   # [buffer, s, r]
+    shifted = _shifted(buf)                            # [buffer, s, r]
     out = buf[:, :, None, :L - 1]
     c = np.empty((2, 1, 2), dtype=complex)
     cf = c.reshape(-1)

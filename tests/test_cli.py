@@ -208,6 +208,17 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
         return factor(power, degree)
 
     monkeypatch.setattr(specfact, "spectral_factor", counting_factor)
+    # 64 is within the commands' reference limit, 128 only within the bench's
+    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 64)
+    monkeypatch.setattr(cli, "BENCH_SEQUENTIAL_LIMIT", 128)
+    referenced = []  # D of every invert_sequential call
+    reference = cli.invert_sequential
+
+    def counting_reference(pair, check=True):
+        referenced.append(len(pair.a))
+        return reference(pair, check)
+
+    monkeypatch.setattr(cli, "invert_sequential", counting_reference)
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     # every timed make_ub and synthesize_ab repetition factors b and u afresh,
     # not a cached pair
@@ -226,16 +237,21 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
         assert row["find_eigenvalues_per_sample_us"] > 0
     assert "slope" in rep["fast_per_sample_fit"]
     assert "invert_sequential_per_sample_us" in rep["rows"][0]
+    # a median after a warm-up within the limit, one cold call above it
+    assert [r["invert_sequential_repeats"] for r in rep["rows"]] == [BENCH_REPEATS, 1]
+    assert referenced == [64] * (BENCH_REPEATS + 1) + [128]
 
 
-def test_bench_single_size_has_no_fit(tmp_path, capsys):
+def test_bench_single_size_has_no_fit(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bench_D": [64]}))
     out = tmp_path / "out"
+    monkeypatch.setattr(cli, "BENCH_SEQUENTIAL_LIMIT", 32)   # no reference row above it
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
     assert [r["D"] for r in rep["rows"]] == [64]
     assert rep["fast_per_sample_fit"] is None
+    assert not any(k.startswith("invert_sequential") for k in rep["rows"][0])
 
 
 def test_missing_field_is_usage_error(tmp_path, capsys):
