@@ -6,18 +6,17 @@ produces the length-D polynomials u(z) and b(z) with
 scaled low-pass response delta^2 |psi|^2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .poly import circle_samples, grid_omega
+from .poly import grid_omega
 
 OVERSAMPLE = 8              # factorization grid = OVERSAMPLE * degree
 LOG_FLOOR = 1e-20           # keeps log(S) finite where the stopband dips to 0
 FLOOR_MARGIN = 1e4          # make_ub refuses max delta^2 |psi|^2 < FLOOR_MARGIN * LOG_FLOOR (scan)
 NEWTON_PASSES = 2           # cheap polish of the cepstral factor
-EVEN_TOL = 1e-12            # max |S[k] - S[M-k]| / max S; FFT-sampled responses give <= ~1e-15
 PAIR_RESIDUAL_LIMIT = 1e-7  # make_ub refuses a pair further than this from |u|^2 + |b|^2 = 1
 
 
@@ -40,7 +39,7 @@ class FilterSpec:
 class FactorPair:
     u: np.ndarray
     b: np.ndarray
-    residual: float = field(default=float("nan"))
+    residual: float
 
 
 def design_lowpass(D, omega_c=10.0):
@@ -63,43 +62,28 @@ def _causal_project(half, M):
     exp() of the projection of log S is the real minimum-phase root of S.
     """
     g = np.fft.irfft(half, M)
-    h = np.zeros(M // 2 + 1)
-    h[0] = g[0] / 2
-    h[1 : M // 2] = g[1 : M // 2]
-    h[M // 2] = g[M // 2] / 2
-    return np.fft.rfft(h, M)
+    g[0] /= 2
+    g[M // 2] /= 2
+    return np.fft.rfft(g[: M // 2 + 1], M)
 
 
-def spectral_factor(power_samples, degree):
-    """Minimum-phase m(z), length `degree`, with |m|^2 ~ power_samples.
+def spectral_factor(half, degree):
+    """Real minimum-phase m(z), length `degree`, with |m|^2 ~ S.
 
-    Cepstral construction (exp of the causal projection of log S) plus a
-    couple of multiplicative corrections m <- m * (1 + P+[S/|m|^2 - 1])
-    that pull the truncated coefficient vector back toward the grid
-    values.  The grid must oversample the degree or the cepstrum aliases,
-    and it must be even (S[k] = S[M-k]), so that the factor is real: all
-    transforms run over the M//2+1 samples of the half grid.
+    `half` holds an even S on samples 0..M/2 of the M-point circle grid,
+    M = 2 (len(half) - 1), as np.abs(np.fft.rfft(x, M))**2 gives it.
+    Cepstral construction (exp of the causal projection of log S) plus
+    corrections m <- m * (1 + P+[S/|m|^2 - 1]) that pull the truncated
+    coefficients back toward the grid values.  make_ub establishes S >= 0,
+    not zero to rounding (LOG_FLOOR stands in for its zeros), and
+    M >= OVERSAMPLE * degree, without which the cepstrum aliases.
     """
-    S = np.asarray(power_samples, dtype=float)
-    M = len(S)
-    if np.any(S < 0):
-        raise ValueError("power spectrum has negative samples")
-    if not np.any(S > 0):
-        raise ValueError("power spectrum is identically zero")
-    if M < OVERSAMPLE * degree:
-        raise ValueError(f"grid {M} undersamples degree {degree} (need >= {OVERSAMPLE}x)")
-    mirror = S[-np.arange(M // 2 + 1)]
-    odd = np.abs(S[: M // 2 + 1] - mirror).max() / S.max()
-    if odd > EVEN_TOL:
-        raise ValueError(f"power spectrum is not even (S[k] vs S[M-k] differ by {odd:.1e} "
-                         f"relative > {EVEN_TOL}): its factor would not be real")
-    S = (S[: M // 2 + 1] + mirror) / 2
-
-    m = np.exp(_causal_project(np.log(S + LOG_FLOOR), M))
+    M = 2 * (len(half) - 1)
+    m = np.exp(_causal_project(np.log(half + LOG_FLOOR), M))
     c = np.fft.irfft(m, M)[:degree]
     for _ in range(NEWTON_PASSES):
         m = np.fft.rfft(c, M)
-        E = S / np.abs(m) ** 2 - 1.0
+        E = half / np.abs(m) ** 2 - 1.0
         c = np.fft.irfft(m * (1.0 + _causal_project(E, M)), M)[:degree]
     return c.copy()
 
@@ -117,6 +101,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     refused with a ValueError naming the omega where it happens; one so
     small that LOG_FLOOR would set b is refused naming delta, unless the
     filter itself is zero to rounding, which is refused naming omega_c and D.
+    Both power responses are rfft half spectra on the OVERSAMPLE * D grid.
 
     The pair depends on the filter alone, never on the eigenvalues, so
     the last filter's pair is kept: a transmitter that varies only the
@@ -125,7 +110,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     """
     psi = design_lowpass(spec.D, spec.omega_c)
     M = OVERSAMPLE * spec.D
-    Spsi = np.abs(circle_samples(psi, M)) ** 2
+    Spsi = np.abs(np.fft.rfft(psi, M)) ** 2
     # omega_c = m pi D puts every tap of psi on a zero of the sinc: delta is not at fault
     if Spsi.max() < FLOOR_MARGIN * LOG_FLOOR:
         raise ValueError(
@@ -154,7 +139,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     # |b| = 1, or u may not follow a 1 - |b|^2 that nearly vanishes.
     # Either way there is no unit-circle pair to return.
     b = spectral_factor(Sb, spec.D)
-    Su = 1.0 - np.abs(circle_samples(b, M)) ** 2
+    Su = 1.0 - np.abs(np.fft.rfft(b, M)) ** 2
     low = int(np.argmin(Su))
     where = f"at omega ~ {grid_omega(low, M, spec.D):.3f}"
     if Su[low] <= 0.0:
