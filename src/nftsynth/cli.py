@@ -22,7 +22,7 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
-from .inverse import Signal, invert_fast, invert_sequential
+from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast, invert_sequential
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
@@ -288,7 +288,8 @@ def run_bench(job, out: Path, rep):
         slope, intercept = np.polyfit(x, y, 1)
         fit = {"model": "t_us = slope * log2(D)^2 + intercept",
                "slope": float(slope), "intercept": float(intercept)}
-    rep.update(rows=rows, fast_per_sample_fit=fit)
+    rep.update(rows=rows, fast_per_sample_fit=fit,
+               constants={"LEAF_SIZE": LEAF_SIZE, "BLOCK": BLOCK, "CHUNK": CHUNK})
 
 
 def main(argv=None):

@@ -5,9 +5,8 @@ sample at a time, O(D^2); it is the normative reference.  `invert_fast`
 splits the pair in half, peels the newer half, transfers the older half
 through that half's inverse matrix, and recurses -- O(D log^2 D).  Both
 read each sample as Q = -conj(B0/A0), a ratio of the current window's
-constant coefficients, which no common scale of the window changes:
-`invert_sequential` peels unnormalized, while `invert_fast` keeps the
-step matrix's 1/theta, because its accumulator is the F it returns.
+constant coefficients, which no common scale of the window changes, so
+both peel without the step matrix's 1/theta.
 
 One step matrix serves both transforms.  `step_matrices` defines the
 one-sample forward matrix, in ascending powers of z^{-1},
@@ -25,6 +24,12 @@ Both fast transforms therefore carry first columns only.  The one-step
 inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
 z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
 coefficient-wise and the recursion needs no inverse matrices of its own.
+
+One FFT of a column gives all four entries of its para-conjugate form.
+z^{-n} p* has the coefficients conj(p[n-k]), so at length 2n its spectrum
+is w^{jn} conj(P_j) = (-1)^j conj(P_j), with P = FFT(p) and w = e^{-2 pi i/2n}.
+`_para_mul` multiplies two blocks' forms this way, and an `invert_fast`
+node transfers its older window through adj(F) from the same spectrum.
 
 One two-row step, on the rows R0, R1 of one buffer,
 
@@ -48,24 +53,30 @@ row of the para-conjugate form, b = -conj(gamma[::-1]) = -R1.  So
 `_peel` puts the accumulator left of its window in one buffer and peels
 and accumulates with one matmul per sample, and `_first_column` runs the
 accumulator half on all blocks of BLOCK samples at once, then multiplies
-the blocks in a balanced tree, one batched `poly_mat_mul` of a full left
-factor and a column per level; `forward_fast` reads (a, b) from it.
+the blocks in a balanced tree, one batched `_para_mul` per level;
+`forward_fast` reads (a, b) from it.
+
+The step's 1/theta is a scale common to both rows.  `_peel` drops it, as
+`invert_sequential` does, and divides the column it accumulates, a block
+of F, once by prod(theta).  For a pair that passes the a0 check that
+product is at most 1/|a0| <= 1/SINGULAR_A0 (`invert_sequential`), so the
+unnormalized rows stay far from overflow.  `_first_column` keeps 1/theta
+in every step: it transforms arbitrary signals, and over a block their
+prod(theta) has no bound.
 
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
 integer count of half powers, never materialized in coefficients.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import cyclic_mat_mul, poly_mat_mul
 from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_mul)
 from .synthesis import ScatteringPair, validate_pair
 
-LEAF_SIZE = 512         # below this, peel sequentially inside the recursion (measured sweep)
+LEAF_SIZE = 256         # below this, peel sequentially inside the recursion (measured sweep)
 BLOCK = 32              # _first_column steps blocks of this many samples at once (measured sweep)
 CHUNK = 64              # _peel slides its matmul every this many steps (measured sweep)
 SINGULAR_A0 = 1e-14
@@ -172,6 +183,46 @@ def _para(C):
     return F
 
 
+def _para_mul(P, L, X, Y):
+    """_para(X) @ Y for stacks of first columns X = [a; b] and Y = [c; d].
+
+    X and Y have shape (..., 2, h+1); P and L are their FFTs at length 2h,
+    and L is overwritten.  By the (-1)^j identity (module docstring) P holds
+    the spectra of all four entries of _para(X), so the product costs one
+    inverse FFT.  It has 2h+1 coefficients: the top one,
+    _para(X)[..., h] @ Y[..., h], wraps onto z^0 at length 2h, so it is
+    subtracted there and appended.  (Columns of h steps have zero top
+    coefficients, and so does their product.)  Returns shape (..., 2, 2h+1).
+    """
+    h = X.shape[-1] - 1
+    A, B = P[..., 0, :], P[..., 1, :]
+    c, d = L[..., 0, :], L[..., 1, :]
+    d[..., 1::2] *= -1
+    out = np.empty(X.shape[:-1] + (2 * h + 1,), dtype=complex)
+    out[..., :2 * h] = np.fft.ifft(np.stack([A * c - B.conj() * d, B * c + A.conj() * d], axis=-2))
+    ch, dh = Y[..., 0, h], Y[..., 1, h]
+    out[..., 0, 2 * h] = X[..., 0, h] * ch - X[..., 1, 0].conj() * dh
+    out[..., 1, 2 * h] = X[..., 1, h] * ch + X[..., 0, 0].conj() * dh
+    out[..., 0] -= out[..., 2 * h]
+    return out
+
+
+def _older_window(P, V):
+    """Coefficients h..2h-1 of adj(_para(C)) @ V, shape (2, h): `invert_fast`'s window step.
+
+    V has shape (2, 2h), and P is the FFT of C = [a; b] (h+1 coefficients)
+    at length 2h.  adj(_para(C)) = [[z^{-h} a*, z^{-h} b*], [-b, a]], so its
+    spectra are [[(-1)^j conj(A), (-1)^j conj(B)], [-B, A]] (module
+    docstring).  The linear product has 3h coefficients; at length 2h its
+    top h wrap onto 0..h-1 and leave h..2h-1 exact.
+    """
+    A, B = P
+    X = np.fft.fft(V)
+    W = np.stack([A.conj() * X[0] + B.conj() * X[1], A * X[1] - B * X[0]])
+    W[0, 1::2] *= -1
+    return np.fft.ifft(W)[:, V.shape[-1] // 2:]
+
+
 def _shifted(buf):
     """A view of buf (contiguous, shape (..., 2, L)) whose [..., s, r, :] is
     row r shifted by s, buf[..., r, s:s + L - 1]: the two-row step's
@@ -198,7 +249,8 @@ def _first_column(q):
     (module docstring) all at once: one batched matmul per sample
     position, each block taking its samples newest first, from the first
     row [1, 0] of the identity.  Then a balanced tree multiplies the
-    blocks, later ones on the left, the left factor rebuilt by _para.
+    blocks, later ones on the left (`_para_mul`), from one FFT of every
+    column per level.
     """
     q = np.asarray(q, dtype=complex)
     n = len(q)
@@ -217,7 +269,8 @@ def _first_column(q):
         np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
     C = _column(buf[block & 1, ..., :block + 1])
     while len(C) > 1:
-        C = poly_mat_mul(_para(C[1::2]), C[0::2, :, None, :])[..., 0, :]
+        S = np.fft.fft(C, 2 * (C.shape[-1] - 1))
+        C = _para_mul(S[1::2], S[0::2], C[1::2], C[0::2])
     return C[0]
 
 
@@ -231,14 +284,15 @@ def transfer_matrix(q):
 
 
 def _peel(V):
-    """Peel a window V = [A; B], shape (2, 1, n), one sample at a time.
+    """Peel a window V = [A; B], shape (2, n), one sample at a time.
 
     Returns the n samples (newest first) and the first column of the
     window's forward matrix.  The buffer is [accumulator, n+1 slots |
     window, n slots | one zero slot], and one two-row step (module
-    docstring), one matmul of [[1, -Q]] and [[conj(Q), 1]] (times 1/theta)
-    with the shifts 0 and 1, peels the window and accumulates the first
-    row of the peeled steps' product at once.  In a two-row buffer, row r
+    docstring), one matmul of [[1, -Q]] and [[conj(Q), 1]] with the shifts
+    0 and 1, peels the window and accumulates the first row of the peeled
+    steps' product at once.  The step is unnormalized, so the column is
+    divided once by prod(theta) at the end.  In a two-row buffer, row r
     shifted by s is buf[r, s:s + w].  R1[n] reads the window's constant
     coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
     step leaves their rounding residue there, so it is reset to 0.
@@ -251,58 +305,64 @@ def _peel(V):
     whole buffer; the zeros below n - k stay zero.  The window
     coefficients it leaves stale are never read: the k-th sample reads
     coefficient 0, which depends only on coefficients 0..k of the window.
+
+    A window far from any valid pair can grow the rows past the largest
+    double; that raises FloatingPointError rather than return inf or NaN.
     """
     n = V.shape[-1]
     L = 2 * n + 2                                      # slots per row
     buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
     buf[0, 0, n] = 1.0
-    buf[0, :, n + 1:L - 1] = V[:, 0]
+    buf[0, :, n + 1:L - 1] = V
     flat = buf.reshape(-1)
     shifted = _shifted(buf)                            # [buffer, s, r]
     out = buf[:, :, None, :L - 1]
-    c = np.empty((2, 1, 2), dtype=complex)
+    c = np.ones((2, 1, 2), dtype=complex)
     cf = c.reshape(-1)
     # reading buffer b: flat indices of its A0 and B0, and of R1[n] in the buffer it writes
     at = [(2 * L * b + n + 1, 2 * L * b + L + n + 1, 2 * L * (1 - b) + L + n) for b in (0, 1)]
     qs = np.empty(n, dtype=complex)
-    for k0 in range(0, n, CHUNK):
-        k1 = min(k0 + CHUNK, n)
-        span = slice(n - k1, L - 1 - k0)
-        steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
-        for k in range(k0, k1):
-            src, dst, ia, ib, ir = steps[k & 1]
-            a0 = flat.item(ia)
-            if abs(a0) < SINGULAR_A0:
-                raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
-            Q = -(flat.item(ib) / a0).conjugate()
-            qs[k] = Q
-            ith = 1.0 / math.sqrt(1.0 + Q.real * Q.real + Q.imag * Q.imag)
-            cf[0] = cf[3] = ith
-            cf[1] = -Q * ith
-            cf[2] = Q.conjugate() * ith
-            np.matmul(c, src, out=dst)
-            flat[ir] = 0.0
-    return qs, _column(buf[n & 1, :, :n + 1])
+    with np.errstate(over="raise", invalid="raise"):
+        for k0 in range(0, n, CHUNK):
+            k1 = min(k0 + CHUNK, n)
+            span = slice(n - k1, L - 1 - k0)
+            steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
+            for k in range(k0, k1):
+                src, dst, ia, ib, ir = steps[k & 1]
+                a0 = flat.item(ia)
+                if abs(a0) < SINGULAR_A0:
+                    raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
+                Q = -(flat.item(ib) / a0).conjugate()
+                qs[k] = Q
+                cf[1] = -Q
+                cf[2] = Q.conjugate()
+                np.matmul(c, src, out=dst)
+                flat[ir] = 0.0
+        scale = np.prod(np.hypot(1.0, np.abs(qs)))
+    if not np.isfinite(scale):
+        raise FloatingPointError(f"leaf scale prod(theta) = {scale}: invalid pair")
+    C = _column(buf[n & 1, :, :n + 1])
+    C /= scale
+    return qs, C
 
 
 def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
     """O(D log^2 D) inversion; returns (Signal, transfer_matrix(samples)).
 
-    Node contract: the input V = [A; B], shape (2, 1, n), holds the first
+    Node contract: the input V = [A; B], shape (2, n), holds the first
     n coefficients of the pair after peeling everything newer.  The newer
     half of the window determines its own samples (the constant
     coefficients of the peeled iterates do not depend on the older half),
-    so the recursion peels V[..., :h] first.  The older half's window is
+    so the recursion peels V[:, :h] first.  The older half's window is
     then coefficients h..2h-1 of adj(F_hi) @ V, i.e. the first h
-    coefficients of V pushed through that half's inverse z^h adj(F_hi).
-    The full product has length 3h, so a cyclic product of length 2h
-    gives that middle slice exactly: the wrapped coefficients 2h..3h-1
-    land on 0..h-1, which are discarded.  Each node returns its samples
-    (newest first) and the first column C = [a; b] of its block's forward
-    matrix; adj(F_hi) = [[z^{-h} a*, z^{-h} b*], [-b, a]] and F_hi come
-    from C_hi, and the node's column is F_hi @ C_lo.  A leaf (`_peel`)
-    peels its window one sample at a time and accumulates its column in
-    the same matmul.
+    coefficients of V pushed through that half's inverse z^h adj(F_hi)
+    (`_older_window`).  Each node returns its samples (newest first) and
+    the first column C = [a; b] of its block's forward matrix, F_hi @ C_lo
+    (`_para_mul`).  One FFT of C_hi serves both products, so a node runs
+    ten length-2h transforms of one row: C_hi, V and C_lo forward, two
+    rows each, and the two products back.  A leaf (`_peel`) peels its
+    window one sample at a time and accumulates its column in the same
+    matmul.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -314,13 +374,12 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
         if n <= leaf_size:
             return _peel(V)
         h = n // 2
-        qs_hi, C_hi = node(V[..., :h])
-        F_hi = _para(C_hi)
-        adj = np.array([[F_hi[1, 1], -F_hi[0, 1]], [-F_hi[1, 0], F_hi[0, 0]]])
-        qs_lo, C_lo = node(cyclic_mat_mul(adj, V, n)[..., h:])
-        return np.concatenate([qs_hi, qs_lo]), poly_mat_mul(F_hi, C_lo[:, None, :])[:, 0]
+        qs_hi, C_hi = node(V[:, :h])
+        P = np.fft.fft(C_hi, n)
+        qs_lo, C_lo = node(_older_window(P, V))
+        return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n), C_hi, C_lo)
 
-    qs, C = node(np.stack([a, b])[:, None, :])
+    qs, C = node(np.stack([a, b]))
     return Signal(samples=qs[::-1]), _para(C)
 
 

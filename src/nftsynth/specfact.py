@@ -31,8 +31,8 @@ class FilterSpec:
             raise ValueError(f"delta={self.delta} out of range (0, 1)")
         if not 0.0 < self.omega_c < np.inf:
             raise ValueError(f"omega_c={self.omega_c} must be positive and finite")
-        if self.D < 2 or self.D & (self.D - 1):
-            raise ValueError(f"D={self.D} is not a power of two >= 2")
+        if not isinstance(self.D, (int, np.integer)) or self.D < 2 or self.D & (self.D - 1):
+            raise ValueError(f"D={self.D} is not an integer power of two >= 2")
 
 
 @dataclass(frozen=True)

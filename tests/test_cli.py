@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nftsynth import cli, specfact
+from nftsynth import cli, inverse, specfact
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.inverse import Signal
 from nftsynth.synthesis import lambda_to_z
@@ -236,6 +236,8 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
         assert row["find_eigenvalues_s"] > 0
         assert row["find_eigenvalues_per_sample_us"] > 0
     assert "slope" in rep["fast_per_sample_fit"]
+    assert rep["constants"] == {"LEAF_SIZE": inverse.LEAF_SIZE, "BLOCK": inverse.BLOCK,
+                                "CHUNK": inverse.CHUNK}
     assert "invert_sequential_per_sample_us" in rep["rows"][0]
     # a median after a warm-up within the limit, one cold call above it
     assert [r["invert_sequential_repeats"] for r in rep["rows"]] == [BENCH_REPEATS, 1]

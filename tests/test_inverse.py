@@ -11,7 +11,11 @@ from nftsynth.inverse import (
     BLOCK,
     CHUNK,
     LEAF_SIZE,
+    SINGULAR_A0,
     Signal,
+    _older_window,
+    _para,
+    _para_mul,
     _peel,
     energy_identity_residual,
     invert_fast,
@@ -209,7 +213,7 @@ def test_transfer_matrix_matches_direct_product():
                                        atol=1e-13 * np.abs(P).max())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, LEAF_SIZE])
+@pytest.mark.parametrize("n", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, LEAF_SIZE, 512])
 def test_peel_returns_samples_and_column(n):
     """_peel of a pair returns its samples and the column transfer_matrix(samples)[:, 0].
 
@@ -234,7 +238,7 @@ def test_peel_returns_samples_and_column(n):
         q[at] = 3.0 * rng.uniform(size=spikes) * np.exp(2j * np.pi * rng.uniform(size=spikes))
         pair = forward_fast(Signal(samples=np.concatenate([pad, q])))
         a, b = pair.a[:n], pair.b[:n]
-        qs, column = _peel(np.stack([a, b])[:, None, :])
+        qs, column = _peel(np.stack([a, b]))
         expected = transfer_matrix(np.concatenate([pad, qs[::-1]]))[:, 0]
         got = np.zeros_like(expected)
         got[:, :n + 1] = column
@@ -243,6 +247,125 @@ def test_peel_returns_samples_and_column(n):
         seq = invert_sequential((a, b), check=False).samples
         if spikes == 0 or np.abs(seq - q).max() <= 1e-11:
             np.testing.assert_allclose(qs[::-1], q, rtol=0, atol=1e-10)
+
+
+def _high_energy_pair():
+    """forward_fast of a weak D=512 signal whose sixteen newest samples have
+    modulus 3, and the signal: prod(theta) = 1/|a0| ~ 1e8.  Peeled first,
+    the strong samples amplify little rounding, and the reference recovers
+    the signal to ~3e-6; strong samples peeled later amplify it past 1."""
+    rng = np.random.default_rng(41)
+    q = 0.01 * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    q[-16:] = 3.0 * np.exp(2j * np.pi * rng.uniform(size=16))
+    return forward_fast(Signal(samples=q)), q
+
+
+def test_peel_high_energy():
+    """The unnormalized leaf divides its column once by prod(theta) ~ 1e8.
+
+    The samples against invert_sequential, relative to their largest,
+    within the amplified rounding both peels share; the column against
+    transfer_matrix of them at 1e-14 relative.  Also through the tree,
+    with 64-sample leaves."""
+    pair, q = _high_energy_pair()
+    assert np.prod(np.hypot(1.0, np.abs(q))) >= 1e8
+    seq = invert_sequential(pair).samples
+    np.testing.assert_allclose(seq, q, rtol=0, atol=1e-5)
+    qs, column = _peel(np.stack([pair.a, pair.b]))
+    assert np.abs(qs[::-1] - seq).max() <= 1e-12 * np.abs(seq).max()
+    expected = transfer_matrix(qs[::-1])[:, 0]
+    np.testing.assert_allclose(column, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
+    fast, F = invert_fast(pair, leaf_size=64)
+    assert np.abs(fast.samples - seq).max() <= 1e-12 * np.abs(seq).max()
+    np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14 * np.abs(F).max())
+
+
+def test_peel_refuses_singular_and_overflowing_windows():
+    """A vanishing a0 raises ZeroDivisionError; a window whose unnormalized
+    rows or prod(theta) overflow raises FloatingPointError, never returning
+    inf or NaN."""
+    pair, _ = _high_energy_pair()
+    a = pair.a.copy()
+    a[0] = 0.5 * SINGULAR_A0
+    with pytest.raises(ZeroDivisionError):
+        _peel(np.stack([a, pair.b]))
+    with pytest.raises(ZeroDivisionError):
+        invert_fast((a, pair.b), check=False, leaf_size=64)
+    one = np.zeros(8, dtype=complex)
+    one[0] = 1.0
+    for a0, b in ((1.0, np.full(8, 1e200)),          # A - Q B overflows in the step
+                  (SINGULAR_A0, np.full(8, 1e300))):  # Q = -conj(B0/A0) overflows
+        a = one * a0
+        with pytest.raises(FloatingPointError):
+            _peel(np.stack([a, b]))
+        with pytest.raises(FloatingPointError):
+            invert_fast((a, b), check=False, leaf_size=4)
+
+
+def mat_convolve(X, Y):
+    """X @ Y for (..., 2, 2, Lx) and (..., 2, k, Ly) stacks, entry by entry with np.convolve."""
+    lead = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3])
+    X = np.broadcast_to(X, lead + X.shape[-3:])
+    Y = np.broadcast_to(Y, lead + Y.shape[-3:])
+    out = np.zeros(lead + (2, Y.shape[-2], X.shape[-1] + Y.shape[-1] - 1), dtype=complex)
+    for idx in np.ndindex(out.shape[:-1]):
+        *b, i, l = idx
+        for j in range(2):
+            out[idx] += np.convolve(X[(*b, i, j)], Y[(*b, j, l)])
+    return out
+
+
+def random_stack(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("h", [1 << k for k in range(9)])
+def test_para_spectra_from_one_fft(h):
+    """At length 2h, z^{-h} p* transforms to (-1)^j conj(P_j): one FFT of a
+    stack of columns C gives the spectra of all four entries of _para(C)."""
+    C = random_stack(np.random.default_rng(h), (3, 2, h + 1))
+    S = np.fft.fft(C, 2 * h)
+    A, B = S[:, 0], S[:, 1]
+    sign = (-1.0) ** np.arange(2 * h)
+    built = np.stack([np.stack([A, -sign * B.conj()], 1), np.stack([B, sign * A.conj()], 1)], 1)
+    expected = np.fft.fft(_para(C), 2 * h)
+    np.testing.assert_allclose(built, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 8, 64, 256])
+def test_para_mul_matches_convolve(h):
+    """_para_mul == _para(X) @ Y, multiplied out with np.convolve.
+
+    Random columns have nonzero top coefficients, so the product's top
+    coefficient wraps onto z^0 at length 2h, and only the fold puts it
+    back.  (A block's column has a zero top, so on transfer matrices the
+    fold adds nothing.)  h = 3 is not a power of two."""
+    rng = np.random.default_rng(h)
+    for lead in ((), (3,), (2, 3)):
+        X = random_stack(rng, lead + (2, h + 1))
+        Y = random_stack(rng, lead + (2, h + 1))
+        ref = mat_convolve(_para(X), Y[..., None, :])[..., 0, :]
+        out = _para_mul(np.fft.fft(X, 2 * h), np.fft.fft(Y, 2 * h), X, Y)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
+def test_older_window_middle_product(h):
+    """_older_window gives coefficients h..2h-1 of adj(_para(C)) @ V exactly.
+
+    The linear product has length 3h; at length 2h its coefficients
+    2h..3h-1 wrap onto 0..h-1 and nothing lands on h..2h-1, which is the
+    window step of invert_fast.  adj([[p, q], [r, s]]) = [[s, -q], [-r, p]].
+    """
+    rng = np.random.default_rng(h)
+    C = random_stack(rng, (2, h + 1))
+    V = random_stack(rng, (2, 2 * h))
+    F = _para(C)
+    adj = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
+    ref = mat_convolve(adj, V[:, None, :])[:, 0, h:2 * h]
+    out = _older_window(np.fft.fft(C, 2 * h), V)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_leaf_size_invariance():

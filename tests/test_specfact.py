@@ -73,6 +73,9 @@ def test_filterspec_validation():
         FilterSpec(500, 0.01, 10.0)
     with pytest.raises(ValueError):
         FilterSpec(512, 0.01, -1.0)
+    with pytest.raises(ValueError, match=r"D=512\.0 is not an integer"):
+        FilterSpec(512.0, 0.01)
+    assert FilterSpec(np.int64(512), 0.01).D == 512       # numpy integers pass
 
 
 def test_factor_flat_spectrum():

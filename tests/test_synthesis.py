@@ -87,6 +87,9 @@ def test_spectrumspec_validation():
         SpectrumSpec(lambdas=[20j, 20j], delta=0.01, D=512, omega_c=10.0)
     with pytest.raises(ValueError):
         SpectrumSpec(lambdas=[20j], delta=0.01, D=500, omega_c=10.0)
+    with pytest.raises(ValueError, match=r"D=512\.0 is not an integer"):
+        SpectrumSpec(lambdas=[20j], delta=0.01, D=512.0)
+    assert SpectrumSpec(lambdas=[20j], delta=0.01, D=np.int64(512)).D == 512
     with pytest.raises(ValueError):
         SpectrumSpec(lambdas=[2000.0 + 1j], delta=0.01, D=64, omega_c=10.0)
     # outside the annulus find_eigenvalues certifies: Im lambda in (2.6e-4, 804) at D=512
