@@ -9,6 +9,11 @@ import numpy as np
 
 # Below this output length, direct convolution beats FFT multiply.
 _FFT_CUTOFF = 128
+# 2x2 @ 2xk matrix product at each coefficient (the last axis)
+_MAT_MUL = "...ijk,...jlk->...ilk"
+# Below this many stacked coefficients an FFT costs per call, not per point,
+# so folding the wrapped top coefficient back costs more than it saves.
+_FOLD_MIN_SIZE = 512
 # power_sums holds this many powers of its points at once
 EVAL_BLOCK = 1 << 20
 
@@ -36,6 +41,31 @@ def poly_mul(p, q):
     m = 1 << (n - 1).bit_length()
     out = np.fft.ifft(np.fft.fft(p, m) * np.fft.fft(q, m))
     return out[:n]
+
+
+def poly_mat_mul(X, Y):
+    """Batched X @ Y for stacks of 2x2 polynomial matrices.
+
+    X has shape (..., 2, 2, Lx) and Y shape (..., 2, k, Ly), with the
+    coefficients of each entry along the last axis; the result has length
+    n = Lx + Ly - 1 there.  One FFT per operand at the power of two
+    m >= n - 1 (and >= Lx, Ly), a 2x2 contraction per frequency and one
+    inverse FFT.  When n = m + 1, only the top coefficient
+    X[..., -1] @ Y[..., -1] wraps onto z^0, so it is subtracted there and
+    appended; stacks smaller than _FOLD_MIN_SIZE coefficients transform
+    at 2m and skip the fold.
+    """
+    lx, ly = X.shape[-1], Y.shape[-1]
+    n = lx + ly - 1
+    m = 1 << (max(n - 1, lx, ly) - 1).bit_length()
+    if n > m and X.size < _FOLD_MIN_SIZE:
+        m *= 2
+    C = np.fft.ifft(np.einsum(_MAT_MUL, np.fft.fft(X, m), np.fft.fft(Y, m)))
+    if n <= m:
+        return C[..., :n]
+    top = np.einsum(_MAT_MUL, X[..., -1:], Y[..., -1:])
+    C[..., :1] -= top
+    return np.concatenate([C, top], axis=-1)
 
 
 def power_sums(C, w):
