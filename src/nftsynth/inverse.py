@@ -30,6 +30,8 @@ z^{-n} p* has the coefficients conj(p[n-k]), so at length 2n its spectrum
 is w^{jn} conj(P_j) = (-1)^j conj(P_j), with P = FFT(p) and w = e^{-2 pi i/2n}.
 `_para_mul` multiplies two blocks' forms this way, and an `invert_fast`
 node transfers its older window through adj(F) from the same spectrum.
+A column of h steps has degree below h, so a product of two has degree
+below 2h: the length-2h transform holds it without wrapping.
 
 One two-row step, on the rows R0, R1 of one buffer,
 
@@ -54,7 +56,10 @@ row of the para-conjugate form, b = -conj(gamma[::-1]) = -R1.  So
 and accumulates with one matmul per sample, and `_first_column` runs the
 accumulator half on all blocks of BLOCK samples at once, then multiplies
 the blocks in a balanced tree, one batched `_para_mul` per level;
-`forward_fast` reads (a, b) from it.
+`forward_fast` reads (a, b) from it.  The columns' top coefficients are
+exactly 0: a[n] = conj(R0[0]) is a slot no nonzero product reaches, and
+b[n] = -R1[n], which `_peel` resets after every step and `_first_column`
+reads from the buffer slot past its block columns, which no step writes.
 
 The step's 1/theta is a scale common to both rows.  `_peel` drops it, as
 `invert_sequential` does, and divides the column it accumulates, a block
@@ -183,27 +188,20 @@ def _para(C):
     return F
 
 
-def _para_mul(P, L, X, Y):
-    """_para(X) @ Y for stacks of first columns X = [a; b] and Y = [c; d].
+def _para_mul(P, L):
+    """_para(X) @ Y for stacks of first columns X = [a; b] and Y = [c; d] of h steps.
 
-    X and Y have shape (..., 2, h+1); P and L are their FFTs at length 2h,
-    and L is overwritten.  By the (-1)^j identity (module docstring) P holds
-    the spectra of all four entries of _para(X), so the product costs one
-    inverse FFT.  It has 2h+1 coefficients: the top one,
-    _para(X)[..., h] @ Y[..., h], wraps onto z^0 at length 2h, so it is
-    subtracted there and appended.  (Columns of h steps have zero top
-    coefficients, and so does their product.)  Returns shape (..., 2, 2h+1).
+    P and L are their FFTs at length 2h, shape (..., 2, 2h); L is overwritten.
+    P holds the spectra of all four entries of _para(X) (the (-1)^j identity
+    of the module docstring), so the product costs one inverse FFT.  Its
+    degree is below 2h, so nothing wraps, and its top coefficient is 0.
+    Returns shape (..., 2, 2h+1).
     """
-    h = X.shape[-1] - 1
     A, B = P[..., 0, :], P[..., 1, :]
     c, d = L[..., 0, :], L[..., 1, :]
     d[..., 1::2] *= -1
-    out = np.empty(X.shape[:-1] + (2 * h + 1,), dtype=complex)
-    out[..., :2 * h] = np.fft.ifft(np.stack([A * c - B.conj() * d, B * c + A.conj() * d], axis=-2))
-    ch, dh = Y[..., 0, h], Y[..., 1, h]
-    out[..., 0, 2 * h] = X[..., 0, h] * ch - X[..., 1, 0].conj() * dh
-    out[..., 1, 2 * h] = X[..., 1, h] * ch + X[..., 0, 0].conj() * dh
-    out[..., 0] -= out[..., 2 * h]
+    out = np.zeros(P.shape[:-1] + (P.shape[-1] + 1,), dtype=complex)
+    out[..., :-1] = np.fft.ifft(np.stack([A * c - B.conj() * d, B * c + A.conj() * d], axis=-2))
     return out
 
 
@@ -270,7 +268,7 @@ def _first_column(q):
     C = _column(buf[block & 1, ..., :block + 1])
     while len(C) > 1:
         S = np.fft.fft(C, 2 * (C.shape[-1] - 1))
-        C = _para_mul(S[1::2], S[0::2], C[1::2], C[0::2])
+        C = _para_mul(S[1::2], S[0::2])
     return C[0]
 
 
@@ -377,7 +375,7 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
         qs_hi, C_hi = node(V[:, :h])
         P = np.fft.fft(C_hi, n)
         qs_lo, C_lo = node(_older_window(P, V))
-        return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n), C_hi, C_lo)
+        return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n))
 
     qs, C = node(np.stack([a, b]))
     return Signal(samples=qs[::-1]), _para(C)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nftsynth import inverse
 from nftsynth.forward import forward_fast, forward_sequential, forward_step
 from nftsynth.inverse import (
     BLOCK,
@@ -13,6 +14,7 @@ from nftsynth.inverse import (
     LEAF_SIZE,
     SINGULAR_A0,
     Signal,
+    _first_column,
     _older_window,
     _para,
     _para_mul,
@@ -213,6 +215,19 @@ def test_transfer_matrix_matches_direct_product():
                                        atol=1e-13 * np.abs(P).max())
 
 
+def _spiky_pair(n, spikes):
+    """(q, a, b): n samples of background energy ~1 carrying `spikes` spikes of
+    modulus up to 3, and the first n coefficients of their pair, from
+    forward_fast of q padded at its old end with zeros to a power of two."""
+    rng = np.random.default_rng([n, spikes])
+    q = random_signal(rng, n, scale=min(0.5, 0.7 / np.sqrt(n))).samples
+    at = rng.integers(0, n, size=spikes)
+    q[at] = 3.0 * rng.uniform(size=spikes) * np.exp(2j * np.pi * rng.uniform(size=spikes))
+    pad = np.zeros((1 << (n - 1).bit_length()) - n)
+    pair = forward_fast(Signal(samples=np.concatenate([pad, q])))
+    return q, pair.a[:n], pair.b[:n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, LEAF_SIZE, 512])
 def test_peel_returns_samples_and_column(n):
     """_peel of a pair returns its samples and the column transfer_matrix(samples)[:, 0].
@@ -232,12 +247,7 @@ def test_peel_returns_samples_and_column(n):
     """
     pad = np.zeros((1 << (n - 1).bit_length()) - n)
     for spikes in range(4):
-        rng = np.random.default_rng([n, spikes])
-        q = random_signal(rng, n, scale=min(0.5, 0.7 / np.sqrt(n))).samples
-        at = rng.integers(0, n, size=spikes)
-        q[at] = 3.0 * rng.uniform(size=spikes) * np.exp(2j * np.pi * rng.uniform(size=spikes))
-        pair = forward_fast(Signal(samples=np.concatenate([pad, q])))
-        a, b = pair.a[:n], pair.b[:n]
+        q, a, b = _spiky_pair(n, spikes)
         qs, column = _peel(np.stack([a, b]))
         expected = transfer_matrix(np.concatenate([pad, qs[::-1]]))[:, 0]
         got = np.zeros_like(expected)
@@ -332,22 +342,78 @@ def test_para_spectra_from_one_fft(h):
     np.testing.assert_allclose(built, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
+def zero_top_columns(rng, shape, h):
+    """A stack of first columns [a; b] of shape shape + (2, h+1) with zero top
+    coefficients, _para_mul's contract: _first_column of random samples,
+    |q| up to 3, for h a power of two, else random columns with the top
+    set to 0."""
+    if h & (h - 1):
+        C = random_stack(rng, shape + (2, h + 1))
+        C[..., h] = 0.0
+        return C
+    q = 3.0 * rng.uniform(size=(*shape, h)) * np.exp(2j * np.pi * rng.uniform(size=(*shape, h)))
+    return np.array([_first_column(x) for x in q.reshape(-1, h)]).reshape(shape + (2, h + 1))
+
+
 @pytest.mark.parametrize("h", [1, 2, 3, 8, 64, 256])
 def test_para_mul_matches_convolve(h):
     """_para_mul == _para(X) @ Y, multiplied out with np.convolve.
 
-    Random columns have nonzero top coefficients, so the product's top
-    coefficient wraps onto z^0 at length 2h, and only the fold puts it
-    back.  (A block's column has a zero top, so on transfer matrices the
-    fold adds nothing.)  h = 3 is not a power of two."""
+    X and Y have zero top coefficients, as every column of h steps does,
+    so the product has degree below 2h and needs nothing past the
+    length-2h transform.  h = 3 is not a power of two."""
     rng = np.random.default_rng(h)
     for lead in ((), (3,), (2, 3)):
-        X = random_stack(rng, lead + (2, h + 1))
-        Y = random_stack(rng, lead + (2, h + 1))
+        X = zero_top_columns(rng, lead, h)
+        Y = zero_top_columns(rng, lead, h)
         ref = mat_convolve(_para(X), Y[..., None, :])[..., 0, :]
-        out = _para_mul(np.fft.fft(X, 2 * h), np.fft.fft(Y, 2 * h), X, Y)
+        out = _para_mul(np.fft.fft(X, 2 * h), np.fft.fft(Y, 2 * h))
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_columns_have_zero_tops(monkeypatch):
+    """a and b have a top coefficient of exactly 0 wherever a column is formed.
+
+    _para_mul relies on it.  Every _peel column, n = 1..512, of the spiky
+    pairs of test_peel_returns_samples_and_column (R1[n] is reset after
+    every step); every _first_column block column and tree product of
+    random signals with |q| up to 3 (the buffer slot past the blocks is
+    never written); and the first column of invert_fast's F at
+    D = 1..4096, with default and 16-sample leaves.  (F's second column
+    has conj of a constant coefficient on top, which is not zero.)"""
+    for n in range(1, 513):
+        for spikes in range(4):
+            _, a, b = _spiky_pair(n, spikes)
+            _, column = _peel(np.stack([a, b]))
+            assert np.all(column[:, n] == 0.0), (n, spikes)
+
+    formed = []
+
+    def recorded(f):
+        def wrapper(*args):
+            formed.append(f(*args))
+            return formed[-1]
+        return wrapper
+
+    monkeypatch.setattr(inverse, "_column", recorded(inverse._column))
+    monkeypatch.setattr(inverse, "_para_mul", recorded(inverse._para_mul))
+    rng = np.random.default_rng(43)
+    for D in (1, 2, 4, BLOCK, 2 * BLOCK, 8 * BLOCK, 4096):
+        q = 3.0 * rng.uniform(size=D) * np.exp(2j * np.pi * rng.uniform(size=D))
+        formed.clear()
+        inverse._first_column(q)
+        assert len(formed) == 1 + max(0, (D // BLOCK).bit_length() - 1)
+        for C in formed:
+            assert np.all(C[..., -1] == 0.0), (D, C.shape)
+    monkeypatch.undo()
+
+    for k in range(13):
+        D = 1 << k
+        pair = forward_fast(random_signal(np.random.default_rng(D), D))
+        for leaf in (LEAF_SIZE, 16):
+            _, F = invert_fast(pair, leaf_size=leaf)
+            assert np.all(F[:, 0, D] == 0.0), (D, leaf)
 
 
 @pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
