@@ -142,10 +142,11 @@ def run_synthesize(job, out: Path, rep):
     _write_csv(out / "pair.csv", ["j", "re_a", "im_a", "re_b", "im_b"],
                ([j, *_cx(av), *_cx(bv)] for j, (av, bv) in enumerate(zip(pair.a, pair.b))))
     write_signal_csv(out / "signal.csv", signal)
+    check = validate_pair(pair)
     rep.update(D=spec.D, a0=complex(pair.a[0]),
-               unimodularity_residual=pair.unimodularity_residual,
+               unimodularity_residual=check["unimodularity_residual"],
                truncation_tail_energy=pair.truncation_tail_energy,
-               pair_valid=validate_pair(pair)["ok"])
+               pair_valid=check["ok"])
 
 
 def run_invert(job, out: Path, rep):

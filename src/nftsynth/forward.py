@@ -8,11 +8,15 @@ tracked as a counter) is
 starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
-`forward_sequential` applies `forward_step` once per sample, O(D^2).
-`forward_fast` is the first column of `inverse.transfer_matrix` of the
-samples: blocks of one-sample steps (the two-row step of the `inverse`
-module docstring, batched over the blocks), then a balanced tree with one
-batched FFT product per level, O(D log^2 D), carrying first columns only.
+`forward_step` is the one reference of this step matrix, and
+`forward_sequential` applies it once per sample, O(D^2).  `forward_fast`
+is the first column of `inverse.transfer_matrix` of the samples: blocks
+of one-sample steps (the two-row step of the `inverse` module docstring,
+batched over the blocks), then a balanced tree with one batched FFT
+product per level, O(D log^2 D), carrying first columns only.  The block
+steps drop 1/theta, as `invert_fast`'s leaves do, and each block divides
+its column once by prod(theta); where the rows or that product overflow,
+`forward_fast` raises FloatingPointError.
 """
 
 import numpy as np

@@ -8,13 +8,14 @@ read each sample as Q = -conj(B0/A0), a ratio of the current window's
 constant coefficients, which no common scale of the window changes, so
 both peel without the step matrix's 1/theta.
 
-One step matrix serves both transforms.  `step_matrices` defines the
-one-sample forward matrix, in ascending powers of z^{-1},
+One step matrix serves both transforms: the one-sample forward matrix,
+in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
 
     F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]],    det F = z^{-1},
 
-and `transfer_matrix` multiplies a block of them.  Every product of n step
-matrices has the para-conjugate form
+which `forward.forward_step` applies to a column; `transfer_matrix`
+multiplies a block of them.  Every product of n step matrices has the
+para-conjugate form
 
     F = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
@@ -35,39 +36,42 @@ below 2h: the length-2h transform holds it without wrapping.
 
 One two-row step, on the rows R0, R1 of one buffer,
 
-    R0'[j] = (1/theta) * (R0[j] - Q R1[j]),
-    R1'[j] = (1/theta) * (conj(Q) R0[j+1] + R1[j+1]),
+    R0'[j] = R0[j] - Q R1[j],
+    R1'[j] = conj(Q) R0[j+1] + R1[j+1],
 
-does the work of both.  On a window [A; B] of the pair it is the peel
-step: A - Q B, and conj(Q) A + B times z with its vanished constant
-coefficient dropped.  On the first row [alpha, gamma] of a product of
-steps taken newest first, P' = P F(Q) reads
+does theta times the work of both.  On a window [A; B] of the pair it is
+the peel step: A - Q B, and conj(Q) A + B times z with its vanished
+constant coefficient dropped.  On the first row [alpha, gamma] of a
+product of steps taken newest first, P' = theta P F(Q) reads
 
-    alpha' = (1/theta) * (alpha - conj(Q) gamma),
-    gamma' = (1/theta) * z^{-1} (Q alpha + gamma),
+    alpha' = alpha - conj(Q) gamma,
+    gamma' = z^{-1} (Q alpha + gamma),
 
 and with both stored over n+1 slots reversed and conjugated,
 R0[j] = conj(alpha[n-j]) and R1[j] = conj(gamma[n-j]), that is the same
 step: conjugation swaps Q and conj(Q), and the reversal turns z^{-1}
 into the shift by one.  Starting from the identity's first row,
-R0[n] = 1, after n steps a = alpha = conj(R0[n::-1]) and, by the first
-row of the para-conjugate form, b = -conj(gamma[::-1]) = -R1.  So
-`_peel` puts the accumulator left of its window in one buffer and peels
-and accumulates with one matmul per sample, and `_first_column` runs the
-accumulator half on all blocks of BLOCK samples at once, then multiplies
-the blocks in a balanced tree, one batched `_para_mul` per level;
-`forward_fast` reads (a, b) from it.  The columns' top coefficients are
-exactly 0: a[n] = conj(R0[0]) is a slot no nonzero product reaches, and
-b[n] = -R1[n], which `_peel` resets after every step and `_first_column`
-reads from the buffer slot past its block columns, which no step writes.
+R0[n] = 1, after n steps prod(theta) a = alpha = conj(R0[n::-1]) and, by
+the first row of the para-conjugate form, prod(theta) b =
+-conj(gamma[::-1]) = -R1.  So `_peel` puts the accumulator left of its
+window in one buffer and peels and accumulates with one matmul per
+sample, and `_first_column` runs the accumulator half on all blocks of
+BLOCK samples at once, then multiplies the blocks in a balanced tree, one
+batched `_para_mul` per level; `forward_fast` reads (a, b) from it.  The
+columns' top coefficients are exactly 0: a[n] = conj(R0[0]) is a slot no
+nonzero product reaches, and b[n] = -R1[n], which `_peel` resets after
+every step and `_first_column` reads from the buffer slot past its block
+columns, which no step writes.
 
-The step's 1/theta is a scale common to both rows.  `_peel` drops it, as
-`invert_sequential` does, and divides the column it accumulates, a block
-of F, once by prod(theta).  For a pair that passes the a0 check that
-product is at most 1/|a0| <= 1/SINGULAR_A0 (`invert_sequential`), so the
-unnormalized rows stay far from overflow.  `_first_column` keeps 1/theta
-in every step: it transforms arbitrary signals, and over a block their
-prod(theta) has no bound.
+The step's 1/theta is a scale common to both rows, and both leaves drop
+it, as `invert_sequential` does: `_peel` and every block of
+`_first_column` step unnormalized and divide the column they accumulate,
+a block of F, once by prod(theta).  One division rounds once, where a
+1/theta in every step would round |Q|^2 away step after step.  For a pair
+that passes the a0 check prod(theta) is at most 1/|a0| <= 1/SINGULAR_A0
+(`invert_sequential`), so `_peel`'s rows stay far from overflow.  Over a
+block of an arbitrary signal it has no bound; an overflow raises
+FloatingPointError in either leaf rather than return inf, NaN or zeros.
 
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
@@ -157,24 +161,6 @@ def invert_sequential(pair, check=True) -> Signal:
     return Signal(samples=out)
 
 
-def step_matrices(q):
-    """One-sample forward matrices F(q[k]) stacked as an (n, 2, 2, 2) array.
-
-    The last axis holds ascending powers of z^{-1}:
-    F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]].
-    This is the tests' oracle: no library code calls it, since both fast
-    transforms apply F(Q) through the two-row step of the module docstring.
-    """
-    q = np.asarray(q, dtype=complex)
-    ith = 1.0 / np.sqrt(1.0 + np.abs(q) ** 2)
-    M = np.zeros((len(q), 2, 2, 2), dtype=complex)
-    M[:, 0, 0, 0] = ith
-    M[:, 0, 1, 1] = q * ith
-    M[:, 1, 0, 0] = -np.conj(q) * ith
-    M[:, 1, 1, 1] = ith
-    return M
-
-
 def _para(C):
     """The full matrices [[a, -z^{-n} b*], [b, z^{-n} a*]] of first columns C = [a; b].
 
@@ -244,9 +230,12 @@ def _first_column(q):
     """First column [a; b] of transfer_matrix(q), shape (2, n+1); n a power of two.
 
     Blocks of BLOCK samples run the accumulator half of the two-row step
-    (module docstring) all at once: one batched matmul per sample
-    position, each block taking its samples newest first, from the first
-    row [1, 0] of the identity.  Then a balanced tree multiplies the
+    (module docstring) all at once: one batched matmul of [[1, -Q]] and
+    [[conj(Q), 1]] per sample position, each block taking its samples
+    newest first, from the first row [1, 0] of the identity.  The step is
+    unnormalized, as in `_peel`, so each block's column is divided once by
+    its prod(theta); if the rows or that product overflow,
+    FloatingPointError is raised.  Then a balanced tree multiplies the
     blocks, later ones on the left (`_para_mul`), from one FFT of every
     column per level.
     """
@@ -254,18 +243,19 @@ def _first_column(q):
     n = len(q)
     block = min(BLOCK, n)
     qk = q.reshape(-1, block)[:, ::-1].T                # (block, blocks): step k, newest first
-    ith = 1.0 / np.sqrt(1.0 + np.abs(qk) ** 2)
     c = np.empty(qk.shape + (2, 1, 2), dtype=complex)
-    c[..., 0, 0, 0] = c[..., 1, 0, 1] = ith
-    c[..., 0, 0, 1] = -qk * ith
-    c[..., 1, 0, 0] = np.conj(qk) * ith
+    c[..., 0, 0, 0] = c[..., 1, 0, 1] = 1.0
+    c[..., 0, 0, 1] = -qk
+    c[..., 1, 0, 0] = np.conj(qk)
     buf = np.zeros((2, qk.shape[1], 2, block + 2), dtype=complex)   # two buffers, swapped each step
     buf[0, :, 0, block] = 1.0
     shifted = _shifted(buf)
     out = buf[:, :, :, None, :block + 1]
-    for k in range(block):
-        np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
-    C = _column(buf[block & 1, ..., :block + 1])
+    with np.errstate(over="raise", invalid="raise"):
+        for k in range(block):
+            np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
+        C = _column(buf[block & 1, ..., :block + 1])
+        C /= np.prod(np.hypot(1.0, np.abs(q)).reshape(-1, block), axis=1)[:, None, None]
     while len(C) > 1:
         S = np.fft.fft(C, 2 * (C.shape[-1] - 1))
         C = _para_mul(S[1::2], S[0::2])
@@ -344,7 +334,7 @@ def _peel(V):
     return qs, C
 
 
-def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
+def invert_fast(pair, check=True):
     """O(D log^2 D) inversion; returns (Signal, transfer_matrix(samples)).
 
     Node contract: the input V = [A; B], shape (2, n), holds the first
@@ -369,7 +359,7 @@ def invert_fast(pair, check=True, leaf_size=LEAF_SIZE):
 
     def node(V):
         n = V.shape[-1]
-        if n <= leaf_size:
+        if n <= LEAF_SIZE:
             return _peel(V)
         h = n // 2
         qs_hi, C_hi = node(V[:, :h])

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from nftsynth import cli, inverse, specfact
+from nftsynth import cli, inverse, specfact, synthesis
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.inverse import Signal
 from nftsynth.synthesis import lambda_to_z
@@ -49,6 +49,24 @@ def test_synthesize_command(tmp_path):
     assert int(rows[1][0]) == 1
     assert float(rows[1][1]) == pytest.approx(-1.0 + 0.5 / 256, abs=1e-12)
     assert (out / "pair.csv").exists()
+
+
+def test_synthesize_computes_pair_residual_once(tmp_path, monkeypatch):
+    """The report's unimodularity_residual and pair_valid come from one
+    validate_pair report: one pair_residual call on the 16D-point grid."""
+    residual = synthesis.pair_residual
+    calls = []
+
+    def counted(u, b):
+        calls.append(residual(u, b))
+        return calls[-1]
+
+    monkeypatch.setattr(synthesis, "pair_residual", counted)
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "out"
+    assert main(["synthesize", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert read_report(out)["unimodularity_residual"] == calls[0]
 
 
 def test_synthesize_deterministic(tmp_path):
@@ -343,6 +361,17 @@ def test_bad_bench_sizes_are_usage_error(tmp_path, capsys, bench_d):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "D=" in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_forward_overflowing_signal_exits_1(tmp_path, capsys):
+    """forward_fast's FloatingPointError on a signal whose block scale
+    overflows (64 samples of 1e12) fails its stage; no report is written."""
+    sig = tmp_path / "signal.csv"
+    write_signal_csv(sig, Signal(samples=np.full(64, 1e12 + 0j)))
+    out = tmp_path / "out"
+    assert main(["forward", "--signal", str(sig), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'forward_fast' failed")
+    assert not (out / "report.json").exists()
 
 
 def test_stage_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -88,6 +88,29 @@ def test_fast_rejects_non_power_of_two():
         forward_fast(Signal(samples=np.zeros(0)))
 
 
+def test_fast_huge_sample():
+    """One sample Q of modulus 1e200 at index 3 of eight: its step scales the
+    rows by theta ~ 1e200, which the block divides out once, so a[0] = 1/theta
+    and b[4] = -conj(Q)/theta = -conj(Q)/|Q| to rounding.  (Normalizing each
+    step, 1 + |Q|^2 overflows and the whole pair reads zero.)"""
+    Q = 1e200 * np.exp(0.3j)
+    q = np.zeros(8, dtype=complex)
+    q[3] = Q
+    pair = forward_fast(Signal(samples=q))
+    assert abs(pair.b[4] + np.conj(Q) / abs(Q)) <= 1e-15
+    assert pair.a[0] == pytest.approx(1e-200, rel=1e-15)
+    assert np.all(pair.a[1:] == 0) and np.all(np.delete(pair.b, 4) == 0)
+    assert pair.unimodularity_residual <= 1e-15
+
+
+def test_fast_overflow_raises():
+    """64 samples of 1e12: a 32-sample block's prod(theta) is ~1e384, past
+    the largest double.  forward_fast raises rather than return a pair
+    whose rows overflowed."""
+    with pytest.raises(FloatingPointError):
+        forward_fast(Signal(samples=np.full(64, 1e12 + 0j)))
+
+
 @pytest.mark.parametrize("lambdas,b_tol", [([], 1e-7), (FOUR_SOLITON, 1e-5)])
 def test_forward_inverse_roundtrip(lambdas, b_tol):
     # Bound states push b's energy into coefficients ~e^{2 Im(lam)} that the

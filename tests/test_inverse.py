@@ -22,7 +22,6 @@ from nftsynth.inverse import (
     energy_identity_residual,
     invert_fast,
     invert_sequential,
-    step_matrices,
     transfer_matrix,
 )
 from nftsynth.poly import poly_mul
@@ -180,7 +179,9 @@ def test_fast_inverse_properties(case):
     D = sig.D
     pair = forward_sequential(sig)
     seq = invert_sequential(pair)
-    fast, F = invert_fast(pair, leaf_size=leaf_size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "LEAF_SIZE", leaf_size)
+        fast, F = invert_fast(pair)
     np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14)
     column = transfer_matrix(sig.samples)[:, 0, :D]
     np.testing.assert_allclose(column[0], pair.a, rtol=0, atol=1e-12)
@@ -193,11 +194,25 @@ def test_fast_inverse_properties(case):
     np.testing.assert_allclose(fast.samples, seq.samples, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("D", [256, 1024, 2048])
+def test_weak_signal_matrix_matches_transfer_matrix(D):
+    """invert_fast's F == transfer_matrix of its samples on weak signals,
+    |q| ~ 1e-8..1e-2.  Both leaves step unnormalized and divide once by
+    prod(theta); a 1/theta in every block step rounds |Q|^2 away step
+    after step, and transfer_matrix then drifts by up to ~1e-13 at D = 2048."""
+    for s in (1e-8, 1e-7, 1e-6, 1e-4, 1e-2):
+        rng = np.random.default_rng([D, round(-np.log10(s))])
+        q = s * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
+        sig, F = invert_fast(forward_fast(Signal(samples=q)))
+        np.testing.assert_allclose(F, transfer_matrix(sig.samples), rtol=0, atol=1e-14)
+
+
 def test_transfer_matrix_matches_direct_product():
     """transfer_matrix(q) == F(q[n-1]) @ ... @ F(q[0]), multiplied out one step at a time.
 
-    The O(n^2) oracle convolves every entry (np.convolve), so both columns
-    are checked independently of the tree, the blocks and the
+    Each F(Q) is forward_step applied to [1; 0] and [0; 1], its two
+    columns.  The O(n^2) oracle convolves every entry (np.convolve), so
+    both columns are checked independently of the tree, the blocks and the
     para-conjugate rebuild of the second column; |q| reaches 3.  Up to
     4 * BLOCK samples, so that both the batched block step and the tree
     above it run.
@@ -208,8 +223,10 @@ def test_transfer_matrix_matches_direct_product():
             q = scale * rng.uniform(size=n) * np.exp(2j * np.pi * rng.uniform(size=n))
             P = np.zeros((2, 2, 1), dtype=complex)
             P[0, 0, 0] = P[1, 1, 0] = 1.0
-            for S in step_matrices(q):
-                P = np.array([[sum(np.convolve(S[i, k], P[k, j]) for k in range(2))
+            for Q in q:
+                (a1, b1), (a2, b2) = forward_step([1.0], [0.0], Q), forward_step([0.0], [1.0], Q)
+                S = np.array([[a1, a2], [b1, b2]])
+                P =np.array([[sum(np.convolve(S[i, k], P[k, j]) for k in range(2))
                                for j in range(2)] for i in range(2)])
             np.testing.assert_allclose(transfer_matrix(q), P, rtol=0,
                                        atol=1e-13 * np.abs(P).max())
@@ -270,7 +287,7 @@ def _high_energy_pair():
     return forward_fast(Signal(samples=q)), q
 
 
-def test_peel_high_energy():
+def test_peel_high_energy(monkeypatch):
     """The unnormalized leaf divides its column once by prod(theta) ~ 1e8.
 
     The samples against invert_sequential, relative to their largest,
@@ -285,12 +302,13 @@ def test_peel_high_energy():
     assert np.abs(qs[::-1] - seq).max() <= 1e-12 * np.abs(seq).max()
     expected = transfer_matrix(qs[::-1])[:, 0]
     np.testing.assert_allclose(column, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-    fast, F = invert_fast(pair, leaf_size=64)
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 64)
+    fast, F = invert_fast(pair)
     assert np.abs(fast.samples - seq).max() <= 1e-12 * np.abs(seq).max()
     np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14 * np.abs(F).max())
 
 
-def test_peel_refuses_singular_and_overflowing_windows():
+def test_peel_refuses_singular_and_overflowing_windows(monkeypatch):
     """A vanishing a0 raises ZeroDivisionError; a window whose unnormalized
     rows or prod(theta) overflow raises FloatingPointError, never returning
     inf or NaN."""
@@ -299,8 +317,10 @@ def test_peel_refuses_singular_and_overflowing_windows():
     a[0] = 0.5 * SINGULAR_A0
     with pytest.raises(ZeroDivisionError):
         _peel(np.stack([a, pair.b]))
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 64)
     with pytest.raises(ZeroDivisionError):
-        invert_fast((a, pair.b), check=False, leaf_size=64)
+        invert_fast((a, pair.b), check=False)
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 4)
     one = np.zeros(8, dtype=complex)
     one[0] = 1.0
     for a0, b in ((1.0, np.full(8, 1e200)),          # A - Q B overflows in the step
@@ -309,7 +329,7 @@ def test_peel_refuses_singular_and_overflowing_windows():
         with pytest.raises(FloatingPointError):
             _peel(np.stack([a, b]))
         with pytest.raises(FloatingPointError):
-            invert_fast((a, b), check=False, leaf_size=4)
+            invert_fast((a, b), check=False)
 
 
 def mat_convolve(X, Y):
@@ -412,7 +432,8 @@ def test_columns_have_zero_tops(monkeypatch):
         D = 1 << k
         pair = forward_fast(random_signal(np.random.default_rng(D), D))
         for leaf in (LEAF_SIZE, 16):
-            _, F = invert_fast(pair, leaf_size=leaf)
+            monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
+            _, F = invert_fast(pair)
             assert np.all(F[:, 0, D] == 0.0), (D, leaf)
 
 
@@ -434,12 +455,13 @@ def test_older_window_middle_product(h):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_leaf_size_invariance():
+def test_leaf_size_invariance(monkeypatch):
     rng = np.random.default_rng(7)
     pair = forward_sequential(random_signal(rng, 64))
     ref, _ = invert_fast(pair)
     for leaf in (2, 8, 32, 64):
-        alt, _ = invert_fast(pair, leaf_size=leaf)
+        monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
+        alt, _ = invert_fast(pair)
         assert np.allclose(alt.samples, ref.samples, atol=1e-12)
 
 
@@ -451,7 +473,7 @@ def test_energy_identity():
         assert energy_identity_residual(sig, pair.a[0]) <= 1e-8
 
 
-def test_transfer_matrix_det_is_z_to_the_minus_D():
+def test_transfer_matrix_det_is_z_to_the_minus_D(monkeypatch):
     """det F = z^{-D} for invert_fast's forward matrix F, checked on coefficients.
 
     Evaluating the determinant pointwise off the circle is hopeless at
@@ -460,8 +482,9 @@ def test_transfer_matrix_det_is_z_to_the_minus_D():
     D=256 runs the recursion.
     """
     rng = np.random.default_rng(3)
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 32)
     for D in (16, 256):
-        _, F = invert_fast(forward_sequential(random_signal(rng, D)), leaf_size=32)
+        _, F = invert_fast(forward_sequential(random_signal(rng, D)))
         assert F.shape == (2, 2, D + 1)
         det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
         expected = np.zeros(2 * D + 1, dtype=complex)
@@ -469,7 +492,7 @@ def test_transfer_matrix_det_is_z_to_the_minus_D():
         assert np.allclose(det, expected, atol=1e-10)
 
 
-def test_invert_fast_matrix_is_forward_product():
+def test_invert_fast_matrix_is_forward_product(monkeypatch):
     """invert_fast's F is the forward product of the samples it recovers.
 
     Each column is built with forward_step, the O(D) per step reference,
@@ -479,7 +502,8 @@ def test_invert_fast_matrix_is_forward_product():
     """
     rng = np.random.default_rng(17)
     D = 256
-    sig, F = invert_fast(forward_sequential(random_signal(rng, D)), leaf_size=32)
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 32)
+    sig, F = invert_fast(forward_sequential(random_signal(rng, D)))
     for col, (top, bottom) in enumerate((([1.0], [0.0]), ([0.0], [1.0]))):
         for Q in sig.samples:
             top, bottom = forward_step(top, bottom, Q)
