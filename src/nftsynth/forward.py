@@ -57,7 +57,9 @@ def forward_step(a, b, Q):
 
 def forward_sequential(signal: Signal) -> ScatteringPair:
     a, b = [1.0], [0.0]
-    for Q in signal.samples:
+    for k, Q in enumerate(signal.samples):
+        if not np.isfinite(Q):
+            raise FloatingPointError(f"sample q[{k}] = {Q} is not finite")
         a, b = forward_step(a, b, Q)
     # b's top coefficient stays 0, so a's does too: D coefficients remain
     return ScatteringPair(a[:-1], b[:-1])

@@ -20,48 +20,43 @@ para-conjugate form
     F = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
 so its second column is its first, [a; b], with the n+1 coefficients
-reversed and conjugated (`_para`), and its first row is [a, -z^{-n} b*].
-Both fast transforms therefore carry first columns only.  The one-step
-inverse matrix (1/theta) * [[1, -Q], [z*conj(Q), z]] is exactly
-z * adj(F(Q)), so the inverse of a block of n samples is z^n * adj(F)
-coefficient-wise and the recursion needs no inverse matrices of its own.
+reversed and conjugated (`_para`), and both fast transforms carry first
+columns only.  So do the inverses, by one identity:
 
-One FFT of a column gives all four entries of its para-conjugate form.
+    adj(_para([a; b])) = [[z^{-n} a*, z^{-n} b*], [-b, a]] = _para([z^{-n} a*; -b]).
+
+The adjoint column [z^{-n} a*; -b], the first column of adj(F), is an
+involution of [a; b] (`_column`: a -> conj(a[::-1]), b -> -b).  The
+one-step inverse (1/theta) * [[1, -Q], [z*conj(Q), z]] is z * adj(F(Q)),
+so z^n * adj(F) undoes a block of n samples.
+
+One FFT of a column gives all four entries of its para-conjugate form:
 z^{-n} p* has the coefficients conj(p[n-k]), so at length 2n its spectrum
-is w^{jn} conj(P_j) = (-1)^j conj(P_j), with P = FFT(p) and w = e^{-2 pi i/2n}.
-`_para_mul` multiplies two blocks' forms this way, and an `invert_fast`
-node transfers its older window through adj(F) from the same spectrum.
-A column of h steps has degree below h, so a product of two has degree
-below 2h: the length-2h transform holds it without wrapping.
+is w^{jn} conj(P_j) = (-1)^j conj(P_j), with P = FFT(p) and w = e^{-2 pi i/2n},
+and the adjoint column's spectra are [(-1)^j conj(A); -B] (`_adjoint`).
+So `_para_mul` is the one product of both transforms: it multiplies two
+blocks' forms in `_first_column`'s tree and in every `invert_fast` node,
+and takes the node's older window through adj(F) of the newer half.
 
 One two-row step, on the rows R0, R1 of one buffer,
 
     R0'[j] = R0[j] - Q R1[j],
     R1'[j] = conj(Q) R0[j+1] + R1[j+1],
 
-does theta times the work of both.  On a window [A; B] of the pair it is
-the peel step: A - Q B, and conj(Q) A + B times z with its vanished
-constant coefficient dropped.  On the first row [alpha, gamma] of a
-product of steps taken newest first, P' = theta P F(Q) reads
-
-    alpha' = alpha - conj(Q) gamma,
-    gamma' = z^{-1} (Q alpha + gamma),
-
-and with both stored over n+1 slots reversed and conjugated,
-R0[j] = conj(alpha[n-j]) and R1[j] = conj(gamma[n-j]), that is the same
-step: conjugation swaps Q and conj(Q), and the reversal turns z^{-1}
-into the shift by one.  Starting from the identity's first row,
-R0[n] = 1, after n steps prod(theta) a = alpha = conj(R0[n::-1]) and, by
-the first row of the para-conjugate form, prod(theta) b =
--conj(gamma[::-1]) = -R1.  So `_peel` puts the accumulator left of its
-window in one buffer and peels and accumulates with one matmul per
-sample, and `_first_column` runs the accumulator half on all blocks of
-BLOCK samples at once, then multiplies the blocks in a balanced tree, one
-batched `_para_mul` per level; `forward_fast` reads (a, b) from it.  The
-columns' top coefficients are exactly 0: a[n] = conj(R0[0]) is a slot no
-nonzero product reaches, and b[n] = -R1[n], which `_peel` resets after
-every step and `_first_column` reads from the buffer slot past its block
-columns, which no step writes.
+is theta * z * adj(F(Q)) applied to the column [R0; R1], slot j holding
+the coefficient of z^{-j} (z shifts by one slot).  On a window [A; B] of
+the pair it is theta times the inverse step: the peel.  Started from
+[z^{-n}; 0] (R0[n] = 1), n steps taken newest first leave prod(theta) *
+adj(F) [1; 0], prod(theta) times the adjoint column, which `_column` maps
+back to [a; b].  So `_peel` puts this accumulator left of its window in
+one buffer and peels and accumulates with one matmul per sample, and
+`_first_column` runs the accumulator half on all blocks of BLOCK samples
+at once, then multiplies the blocks in a balanced tree, one batched
+`_para_mul` per level; `forward_fast` reads (a, b) from it.  The columns'
+top coefficients are exactly 0: a[n] = conj(R0[0]) is a slot no nonzero
+product reaches, and b[n] = -R1[n], which `_peel` resets after every step
+and `_first_column` reads from the buffer slot past its block columns,
+which no step writes.
 
 The step's 1/theta is a scale common to both rows, and both leaves drop
 it, as `invert_sequential` does: `_peel` and every block of
@@ -78,6 +73,7 @@ identically and cancels in every recovery ratio, so it is tracked as an
 integer count of half powers, never materialized in coefficients.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +138,8 @@ def invert_sequential(pair, check=True) -> Signal:
     theta_1...theta_k times the normalized window, whose coefficients are at
     most 1 for a valid pair.  By the energy identity the product over all D
     steps is 1/|a0| <= 1/SINGULAR_A0, so nothing overflows.  A is left one
-    coefficient longer than B; the next step's zip stops at B's end.
+    coefficient longer than B; the next step's zip stops at B's end.  A
+    non-finite sample (a NaN or inf in the pair) raises FloatingPointError.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -154,6 +151,8 @@ def invert_sequential(pair, check=True) -> Signal:
         if abs(a0) < SINGULAR_A0:
             raise ZeroDivisionError(f"singular recovery at step {n}")
         Q = -(B[0] / a0).conjugate()
+        if not cmath.isfinite(Q):
+            raise FloatingPointError(f"sample q[{n - 1}] = {Q} is not finite: invalid pair")
         out[n - 1] = Q
         qc = Q.conjugate()
         A, B = ([ai - Q * bi for ai, bi in zip(A, B)],
@@ -175,13 +174,14 @@ def _para(C):
 
 
 def _para_mul(P, L):
-    """_para(X) @ Y for stacks of first columns X = [a; b] and Y = [c; d] of h steps.
+    """_para(X) @ Y cyclically at length 2h, for stacks of columns X (h+1 coefficients) and Y.
 
-    P and L are their FFTs at length 2h, shape (..., 2, 2h); L is overwritten.
-    P holds the spectra of all four entries of _para(X) (the (-1)^j identity
-    of the module docstring), so the product costs one inverse FFT.  Its
-    degree is below 2h, so nothing wraps, and its top coefficient is 0.
-    Returns shape (..., 2, 2h+1).
+    P and L are their FFTs at length 2h, shape (..., 2, 2h); L is
+    overwritten.  P gives all four entries of _para(X) (module docstring),
+    so the product costs one inverse FFT.  Returns shape (..., 2, 2h+1).
+    The tree's products, of two columns of h steps, do not wrap, and their
+    top coefficient is 0.  The window step's product, of an adjoint column
+    and 2h coefficients, wraps onto 0..h-1; only h..2h-1 are read.
     """
     A, B = P[..., 0, :], P[..., 1, :]
     c, d = L[..., 0, :], L[..., 1, :]
@@ -191,20 +191,11 @@ def _para_mul(P, L):
     return out
 
 
-def _older_window(P, V):
-    """Coefficients h..2h-1 of adj(_para(C)) @ V, shape (2, h): `invert_fast`'s window step.
-
-    V has shape (2, 2h), and P is the FFT of C = [a; b] (h+1 coefficients)
-    at length 2h.  adj(_para(C)) = [[z^{-h} a*, z^{-h} b*], [-b, a]], so its
-    spectra are [[(-1)^j conj(A), (-1)^j conj(B)], [-B, A]] (module
-    docstring).  The linear product has 3h coefficients; at length 2h its
-    top h wrap onto 0..h-1 and leave h..2h-1 exact.
-    """
-    A, B = P
-    X = np.fft.fft(V)
-    W = np.stack([A.conj() * X[0] + B.conj() * X[1], A * X[1] - B * X[0]])
-    W[0, 1::2] *= -1
-    return np.fft.ifft(W)[:, V.shape[-1] // 2:]
+def _adjoint(P):
+    """Spectra of _column(C) from P, the FFT of C at length 2h (module docstring)."""
+    Pa = np.stack([np.conj(P[0]), -P[1]])
+    Pa[0, 1::2] *= -1
+    return Pa
 
 
 def _shifted(buf):
@@ -218,8 +209,8 @@ def _shifted(buf):
 
 
 def _column(R):
-    """First column [a; b], shape (..., 2, n+1), from accumulator rows R of
-    the same shape: a = conj(R0[n::-1]), b = -R1 (module docstring)."""
+    """[conj(R0[n::-1]); -R1] for R of shape (..., 2, n+1): the adjoint-column
+    involution (module docstring), from accumulator rows to [a; b]."""
     C = np.empty_like(R)
     np.conj(R[..., 0, ::-1], out=C[..., 0, :])
     np.negative(R[..., 1, :], out=C[..., 1, :])
@@ -232,7 +223,7 @@ def _first_column(q):
     Blocks of BLOCK samples run the accumulator half of the two-row step
     (module docstring) all at once: one batched matmul of [[1, -Q]] and
     [[conj(Q), 1]] per sample position, each block taking its samples
-    newest first, from the first row [1, 0] of the identity.  The step is
+    newest first, from the column [z^{-block}; 0].  The step is
     unnormalized, as in `_peel`, so each block's column is divided once by
     its prod(theta); if the rows or that product overflow,
     FloatingPointError is raised.  Then a balanced tree multiplies the
@@ -278,8 +269,8 @@ def _peel(V):
     window's forward matrix.  The buffer is [accumulator, n+1 slots |
     window, n slots | one zero slot], and one two-row step (module
     docstring), one matmul of [[1, -Q]] and [[conj(Q), 1]] with the shifts
-    0 and 1, peels the window and accumulates the first row of the peeled
-    steps' product at once.  The step is unnormalized, so the column is
+    0 and 1, peels the window and accumulates the peeled steps' adjoint
+    column at once.  The step is unnormalized, so the column is
     divided once by prod(theta) at the end.  In a two-row buffer, row r
     shifted by s is buf[r, s:s + w].  R1[n] reads the window's constant
     coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
@@ -343,14 +334,14 @@ def invert_fast(pair, check=True):
     coefficients of the peeled iterates do not depend on the older half),
     so the recursion peels V[:, :h] first.  The older half's window is
     then coefficients h..2h-1 of adj(F_hi) @ V, i.e. the first h
-    coefficients of V pushed through that half's inverse z^h adj(F_hi)
-    (`_older_window`).  Each node returns its samples (newest first) and
-    the first column C = [a; b] of its block's forward matrix, F_hi @ C_lo
-    (`_para_mul`).  One FFT of C_hi serves both products, so a node runs
-    ten length-2h transforms of one row: C_hi, V and C_lo forward, two
-    rows each, and the two products back.  A leaf (`_peel`) peels its
-    window one sample at a time and accumulates its column in the same
-    matmul.
+    coefficients of V pushed through that half's inverse z^h adj(F_hi):
+    a `_para_mul` by the adjoint column of C_hi (`_adjoint`).  Each node
+    returns its samples (newest first) and the first column C = [a; b]
+    of its block's forward matrix, F_hi @ C_lo, another `_para_mul`.  One
+    FFT of C_hi serves both products, so a node runs ten length-2h
+    transforms of one row: C_hi, V and C_lo forward, two rows each, and
+    the two products back.  A leaf (`_peel`) peels its window one sample
+    at a time and accumulates its column in the same matmul.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -364,7 +355,7 @@ def invert_fast(pair, check=True):
         h = n // 2
         qs_hi, C_hi = node(V[:, :h])
         P = np.fft.fft(C_hi, n)
-        qs_lo, C_lo = node(_older_window(P, V))
+        qs_lo, C_lo = node(_para_mul(_adjoint(P), np.fft.fft(V))[:, h:n])
         return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n))
 
     qs, C = node(np.stack([a, b]))

@@ -3,7 +3,8 @@
 perfbench/spans.py and perfbench/ops.py wrap nftsynth functions by module
 attribute.  Deleting or renaming one of them breaks the benchmark without
 failing any other test, so the names are read from those files here and
-resolved on the package.
+resolved on the package, and one small spec per workload runs through the
+harness's own operation and check.
 """
 
 import ast
@@ -12,6 +13,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import nftsynth
 from nftsynth import asymptotics, cli, specfact, synthesis
@@ -83,3 +85,24 @@ def test_cli_import_leaves_ode_solver_out():
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_workloads_run_through_harness_calls(tmp_path, monkeypatch):
+    """Each workload's small warm-up spec goes through perfbench/ops.py as
+    a benchmark run takes it (run_library or run_cli, then check) and
+    verifies.  This pins the call shapes the harness uses: invert_fast's
+    (Signal, F) return and its check= keyword, predict(spec).norming_predictions
+    and energy_identity_residual(signal, a0)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    ops = importlib.import_module("ops")
+    workloads = importlib.import_module("workloads")
+    nft = SimpleNamespace(**{m: importlib.import_module(f"nftsynth.{m}") for m in (
+        "poly", "synthesis", "inverse", "forward", "asymptotics", "cli")})
+    for name in workloads.WORKLOADS:
+        doc = workloads.warmup_spec(name, 1, small=True)
+        if workloads.kind(name) == workloads.CLI:
+            out, rc, report = ops.run_cli(nft, doc, tmp_path)
+        else:
+            out, rc, report = ops.run_library(nft, doc), None, None
+        outcome = ops.check(nft, doc, out, cli_rc=rc, report=report)
+        assert outcome.status == "ok", (name, outcome.detail)

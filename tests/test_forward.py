@@ -111,6 +111,17 @@ def test_fast_overflow_raises():
         forward_fast(Signal(samples=np.full(64, 1e12 + 0j)))
 
 
+def test_non_finite_sample_raises():
+    """A NaN sample raises FloatingPointError from both forward transforms,
+    never a pair of NaNs; the reference names the sample."""
+    q = np.full(8, 0.1 + 0j)
+    q[3] = np.nan
+    with pytest.raises(FloatingPointError, match=r"sample q\[3\] = \(nan\+0j\) is not finite"):
+        forward_sequential(Signal(samples=q))
+    with pytest.raises(FloatingPointError):
+        forward_fast(Signal(samples=q))
+
+
 @pytest.mark.parametrize("lambdas,b_tol", [([], 1e-7), (FOUR_SOLITON, 1e-5)])
 def test_forward_inverse_roundtrip(lambdas, b_tol):
     # Bound states push b's energy into coefficients ~e^{2 Im(lam)} that the

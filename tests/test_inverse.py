@@ -14,8 +14,9 @@ from nftsynth.inverse import (
     LEAF_SIZE,
     SINGULAR_A0,
     Signal,
+    _adjoint,
+    _column,
     _first_column,
-    _older_window,
     _para,
     _para_mul,
     _peel,
@@ -439,11 +440,13 @@ def test_columns_have_zero_tops(monkeypatch):
 
 @pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
 def test_older_window_middle_product(h):
-    """_older_window gives coefficients h..2h-1 of adj(_para(C)) @ V exactly.
+    """invert_fast's window step, _para_mul(_adjoint(P), FFT(V)), gives
+    coefficients h..2h-1 of adj(_para(C)) @ V exactly.
 
     The linear product has length 3h; at length 2h its coefficients
-    2h..3h-1 wrap onto 0..h-1 and nothing lands on h..2h-1, which is the
-    window step of invert_fast.  adj([[p, q], [r, s]]) = [[s, -q], [-r, p]].
+    2h..3h-1 wrap onto 0..h-1 and nothing lands on h..2h-1.
+    adj([[p, q], [r, s]]) = [[s, -q], [-r, p]], and _adjoint(P) is the
+    spectrum of the adjoint column _column(C), whose form is adj(_para(C)).
     """
     rng = np.random.default_rng(h)
     C = random_stack(rng, (2, h + 1))
@@ -451,7 +454,10 @@ def test_older_window_middle_product(h):
     F = _para(C)
     adj = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
     ref = mat_convolve(adj, V[:, None, :])[:, 0, h:2 * h]
-    out = _older_window(np.fft.fft(C, 2 * h), V)
+    P = np.fft.fft(C, 2 * h)
+    expected = np.fft.fft(_column(C), 2 * h)
+    assert np.abs(_adjoint(P) - expected).max() <= 1e-13 * np.abs(expected).max()
+    out = _para_mul(_adjoint(P), np.fft.fft(V))[:, h:2 * h]
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -520,6 +526,21 @@ def test_singular_pair_raises():
             invert_sequential(pair, check=False)
         with pytest.raises(ZeroDivisionError):
             invert_fast(pair, check=False)
+
+
+def test_non_finite_pair_raises():
+    """A NaN in the pair raises FloatingPointError from both inversions,
+    never a signal of NaNs.  With a = 1 and b[2] = NaN, the first two
+    steps read finite samples and the third reads NaN; the fast leaf sees
+    it in its scale prod(theta)."""
+    a = np.zeros(8, dtype=complex)
+    a[0] = 1.0
+    b = np.zeros(8, dtype=complex)
+    b[2] = np.nan
+    with pytest.raises(FloatingPointError, match=r"sample q\[5\] = \(nan\+nanj\) is not finite"):
+        invert_sequential((a, b), check=False)
+    with pytest.raises(FloatingPointError, match=r"leaf scale prod\(theta\) = nan"):
+        invert_fast((a, b), check=False)
 
 
 def test_fast_rejects_non_power_of_two():

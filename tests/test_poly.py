@@ -4,6 +4,7 @@ import pytest
 
 from nftsynth import poly
 from nftsynth.poly import (
+    as_coeffs,
     circle_samples,
     coeffs_from_circle,
     poly_eval,
@@ -70,6 +71,15 @@ def test_eval_matches_naive_sum():
 def test_eval_rejects_zero():
     with pytest.raises(ZeroDivisionError):
         poly_eval([1.0, 2.0], 0.0)
+
+
+def test_coefficient_shape_refusals():
+    """Empty coefficients, and more than a stack of rows, are refused by name."""
+    with pytest.raises(ValueError, match="coefficient array must be 1-D and non-empty"):
+        as_coeffs([])
+    for bad in (np.ones((2, 2, 3)), np.ones((3, 0)), []):
+        with pytest.raises(ValueError, match="non-empty 1-D array or a stack of them"):
+            poly_eval(bad, 2.0)
 
 
 def test_eval_array_argument():
@@ -148,6 +158,11 @@ def test_coeffs_from_circle_roundtrip_exact():
     coeffs, tail = coeffs_from_circle(samples, 2)
     np.testing.assert_allclose(coeffs, [1.0, 0.5], atol=1e-15)
     assert tail <= 1e-28
+
+
+def test_coeffs_from_circle_rejects_keeping_more_than_samples():
+    with pytest.raises(ValueError, match="cannot keep more coefficients than samples"):
+        coeffs_from_circle(np.ones(4), 5)
 
 
 def test_coeffs_from_circle_identity_property():

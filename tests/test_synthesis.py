@@ -80,6 +80,13 @@ def test_blaschke_vanishes_at_roots():
         assert blaschke_eval(r, roots) == 0
 
 
+def test_blaschke_refuses_its_pole():
+    """At z = 1/conj(z_k) the denominator 1 - z conj(z_k) is exactly 0."""
+    for zk in (0.5, 0.5j):
+        with pytest.raises(ZeroDivisionError, match=r"evaluation at a pole 1/conj"):
+            blaschke_eval(1.0 / np.conj(zk), [1.3 + 0.1j, zk])
+
+
 def test_spectrumspec_validation():
     with pytest.raises(ValueError):
         SpectrumSpec(lambdas=[-20j], delta=0.01, D=512, omega_c=10.0)
