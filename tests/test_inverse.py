@@ -454,10 +454,10 @@ def test_older_window_middle_product(h):
     F = _para(C)
     adj = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
     ref = mat_convolve(adj, V[:, None, :])[:, 0, h:2 * h]
-    P = np.fft.fft(C, 2 * h)
+    Pa = _adjoint(np.fft.fft(C, 2 * h))
     expected = np.fft.fft(_column(C), 2 * h)
-    assert np.abs(_adjoint(P) - expected).max() <= 1e-13 * np.abs(expected).max()
-    out = _para_mul(_adjoint(P), np.fft.fft(V))[:, h:2 * h]
+    assert np.abs(Pa - expected).max() <= 1e-13 * np.abs(expected).max()
+    out = _para_mul(Pa, np.fft.fft(V))[:, h:2 * h]
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
