@@ -11,6 +11,7 @@ t = -1 + n*eps - eps/2.  All commands are deterministic.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import sys
@@ -22,13 +23,14 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
-from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast, invert_sequential
+from .inverse import (BLOCK, CHUNK, LEAF_SIZE, SINGULAR_A0, Signal, invert_fast,
+                      invert_sequential)
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
 SCHEMA_VERSION = 1
-SEQUENTIAL_LIMIT = 4096        # skip the O(D^2) reference above this
-BENCH_SEQUENTIAL_LIMIT = 8192  # scalar reference gets slow beyond this
+SEQUENTIAL_LIMIT = 4096        # skip the commands' O(D^2) row-peel check above this
+BENCH_SEQUENTIAL_LIMIT = 8192  # bench's scalar reference gets slow beyond this
 BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
 
@@ -111,7 +113,8 @@ def _stage(name, fn, rep):
 
 
 def _synthesize(job, rep):
-    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal)."""
+    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal, F),
+    F the samples' forward matrix that invert_fast returns."""
     spec = spec_from_job(job)
     try:
         pair = _stage("synthesize", lambda: synthesize_ab(spec), rep)
@@ -120,25 +123,59 @@ def _synthesize(job, rep):
         if isinstance(refusal, ValueError):  # a usage error, exit 2
             raise ValueError(f"stage 'synthesize' refused the spec: {refusal}") from refusal
         raise
-    signal, _F = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
-    return spec, pair, signal
+    signal, F = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
+    return spec, pair, signal, F
+
+
+def _transfer_column_dev(pair, F):
+    """max |F[:, 0, :] - [a; b]|, the pair padded by one zero coefficient:
+    how far the samples' forward matrix is from the pair they came from."""
+    return float(np.abs(F[:, 0, :] - np.pad(np.stack([pair.a, pair.b]), ((0, 0), (0, 1)))).max())
+
+
+def _peel_rows(pair):
+    """The samples of `pair` by `invert_sequential`'s unnormalized recursion,
+    one numpy step on the window's rows per sample.
+
+    The same O(D^2) arithmetic as the scalar reference, at numpy speed,
+    and none of `invert_fast`'s leaves or tree, so it checks them.  Each
+    step reads Q = -conj(B0/A0) and sets A' = A - Q B, B'[j] = conj(Q)
+    A[j+1] + B[j+1], cut to the n - 1 coefficients the remaining samples
+    read.  As in `invert_sequential`, |A0| < SINGULAR_A0 raises
+    ZeroDivisionError and a non-finite sample, or rows that overflow,
+    FloatingPointError.
+    """
+    A = np.array(pair.a, dtype=complex)
+    B = np.array(pair.b, dtype=complex)
+    out = np.empty(len(A), dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        for n in range(len(A), 0, -1):
+            a0 = A.item(0)
+            if abs(a0) < SINGULAR_A0:
+                raise ZeroDivisionError(f"singular recovery at step {n}")
+            Q = -(B.item(0) / a0).conjugate()
+            if not cmath.isfinite(Q):
+                raise FloatingPointError(f"sample q[{n - 1}] = {Q} is not finite: invalid pair")
+            out[n - 1] = Q
+            A, B = A[:n - 1] - Q * B[:n - 1], Q.conjugate() * A[1:n] + B[1:n]
+    return out
 
 
 def _check_sequential(pair, signal, rep, key):
-    """Max deviation of the fast samples from the O(D^2) reference under
-    `key`; above SEQUENTIAL_LIMIT samples, the skip under
-    "over_sequential_limit" instead."""
+    """Max deviation of the fast samples from the row peel (`_peel_rows`)
+    under `key`, clocked as the stage "invert_sequential"; above
+    SEQUENTIAL_LIMIT samples, the skip under "over_sequential_limit"
+    instead."""
     if signal.D > SEQUENTIAL_LIMIT:
         rep["over_sequential_limit"] = {"skipped": key, "D": signal.D,
                                         "limit": SEQUENTIAL_LIMIT}
         return
-    ref = _stage("invert_sequential",
-                 lambda: invert_sequential(pair, check=False), rep)
-    rep[key] = float(np.abs(signal.samples - ref.samples).max())
+    ref = _stage("invert_sequential", lambda: _peel_rows(pair), rep)
+    rep[key] = float(np.abs(signal.samples - ref).max())
 
 
 def run_synthesize(job, out: Path, rep):
-    spec, pair, signal = _synthesize(job, rep)
+    spec, pair, signal, F = _synthesize(job, rep)
     _write_csv(out / "pair.csv", ["j", "re_a", "im_a", "re_b", "im_b"],
                ([j, *_cx(av), *_cx(bv)] for j, (av, bv) in enumerate(zip(pair.a, pair.b))))
     write_signal_csv(out / "signal.csv", signal)
@@ -146,12 +183,13 @@ def run_synthesize(job, out: Path, rep):
     rep.update(D=spec.D, a0=complex(pair.a[0]),
                unimodularity_residual=check["unimodularity_residual"],
                truncation_tail_energy=pair.truncation_tail_energy,
-               pair_valid=check["ok"])
+               pair_valid=check["ok"], transfer_column_dev=_transfer_column_dev(pair, F))
 
 
 def run_invert(job, out: Path, rep):
-    spec, pair, signal = _synthesize(job, rep)
-    rep.update(D=spec.D, max_abs_sample=float(np.abs(signal.samples).max()))
+    spec, pair, signal, F = _synthesize(job, rep)
+    rep.update(D=spec.D, max_abs_sample=float(np.abs(signal.samples).max()),
+               transfer_column_dev=_transfer_column_dev(pair, F))
     _check_sequential(pair, signal, rep, "fast_vs_sequential_max_dev")
     write_signal_csv(out / "signal.csv", signal)
 
@@ -160,7 +198,7 @@ def run_forward(job, out: Path, rep, signal_path=None):
     if signal_path:
         signal = read_signal_csv(signal_path)
     else:
-        _spec, _pair, signal = _synthesize(job, rep)
+        _spec, _pair, signal, _F = _synthesize(job, rep)
     pair = _stage("forward_fast", lambda: forward_fast(signal), rep)
 
     def spectrum():
@@ -181,7 +219,7 @@ def run_forward(job, out: Path, rep, signal_path=None):
 
 
 def run_roundtrip(job, out: Path, rep):
-    spec, pair, signal = _synthesize(job, rep)
+    spec, pair, signal, _F = _synthesize(job, rep)
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
     _check_sequential(pair, signal, rep, "inversion_max_dev")

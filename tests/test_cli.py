@@ -6,8 +6,11 @@ import pytest
 
 from nftsynth import cli, inverse, specfact, synthesis
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
-from nftsynth.inverse import Signal
-from nftsynth.synthesis import lambda_to_z
+from nftsynth.forward import forward_fast
+from nftsynth.inverse import Signal, invert_sequential
+from nftsynth.synthesis import ScatteringPair, SpectrumSpec, lambda_to_z, synthesize_ab
+
+FOUR_SOLITONS = [(0.0, 12.5), (3.0, 25.0), (-2.0, 37.5), (0.0, 50.0)]
 
 
 def write_spec(path, lambdas=((0.0, 20.0),), delta=0.01, D=256, omega_c=10.0, **extra):
@@ -45,6 +48,7 @@ def test_synthesize_command(tmp_path):
     with open(out / "signal.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "t", "re_Q", "im_Q"]
+    assert rep["transfer_column_dev"] <= 1e-6   # the pair's truncation
     assert len(rows) == 257
     assert int(rows[1][0]) == 1
     assert float(rows[1][1]) == pytest.approx(-1.0 + 0.5 / 256, abs=1e-12)
@@ -69,6 +73,25 @@ def test_synthesize_computes_pair_residual_once(tmp_path, monkeypatch):
     assert read_report(out)["unimodularity_residual"] == calls[0]
 
 
+def test_transfer_column_dev(tmp_path):
+    """synthesize's transfer_column_dev, the distance of the fast inversion's
+    first column from the pair, is the coefficient round trip's deviation:
+    the 4-soliton pair's truncation at D=512, rounding on radiation alone."""
+    solitons = write_spec(tmp_path / "solitons.json", D=512, lambdas=FOUR_SOLITONS)
+    radiation = write_spec(tmp_path / "radiation.json", D=512, lambdas=())
+    devs = {}
+    for spec in (solitons, radiation):
+        for command in ("synthesize", "roundtrip"):
+            out = tmp_path / f"{spec.stem}-{command}"
+            assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
+            devs[spec.stem, command] = read_report(out)
+    dev = devs["solitons", "synthesize"]["transfer_column_dev"]
+    assert dev == pytest.approx(5.03e-6, rel=1e-2)
+    assert dev == pytest.approx(devs["solitons", "roundtrip"]["coefficient_roundtrip_dev"],
+                                rel=1e-3)
+    assert devs["radiation", "synthesize"]["transfer_column_dev"] <= 1e-13
+
+
 def test_synthesize_deterministic(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -78,14 +101,67 @@ def test_synthesize_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_invert_command(tmp_path):
+def test_invert_command(tmp_path, monkeypatch):
+    """invert checks the fast samples by the row peel; the scalar
+    invert_sequential is only the tests' oracle and bench's row."""
+    def refuse(pair, check=True):
+        raise AssertionError("invert_sequential called")
+
+    monkeypatch.setattr(cli, "invert_sequential", refuse)
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
     assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
     assert rep["fast_vs_sequential_max_dev"] <= 1e-10
     assert "over_sequential_limit" not in rep
+    assert "invert_sequential" in rep["wall_clock_s"]   # the check's stage clock
     assert rep["max_abs_sample"] > 0
+    assert rep["transfer_column_dev"] <= 1e-6   # the pair's truncation
+
+
+def _row_peel_dev(pair):
+    """The deviation _check_sequential records between the scalar oracle's
+    samples and the row peel, and the oracle's max |q|."""
+    oracle = invert_sequential(pair, check=False)
+    rep = {"wall_clock_s": {}}
+    cli._check_sequential(pair, oracle, rep, "dev")
+    assert "invert_sequential" in rep["wall_clock_s"]
+    return rep["dev"], np.abs(oracle.samples).max()
+
+
+@pytest.mark.parametrize("D", [1, 2, 16, 256, 1024])
+def test_row_peel_matches_scalar_oracle(D):
+    """The commands' row peel against invert_sequential on exact pairs of
+    weak random signals: within 1e-13 of max |q|."""
+    rng = np.random.default_rng(4000 + D)
+    scale = min(0.5, 1.0 / np.sqrt(D))
+    pair = forward_fast(Signal(samples=scale * (rng.standard_normal(D)
+                                                + 1j * rng.standard_normal(D))))
+    dev, peak = _row_peel_dev(pair)
+    assert dev <= 1e-13 * peak
+
+
+def test_row_peel_matches_scalar_oracle_four_solitons():
+    pair = synthesize_ab(SpectrumSpec(lambdas=[complex(*l) for l in FOUR_SOLITONS],
+                                      delta=0.01, D=512, omega_c=10.0))
+    dev, peak = _row_peel_dev(pair)
+    assert dev <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("a0, b2, message", [(1.0, np.nan, r"q\[5\].*not finite"),
+                                             (0.0, 0.0, "singular recovery at step 8")],
+                         ids=["nan-coefficient", "singular-a0"])
+def test_row_peel_refuses_invalid_pair(a0, b2, message):
+    """As invert_sequential does, the row peel raises at a non-finite sample
+    and at a vanishing a0; the check then records no deviation."""
+    a = np.zeros(8, dtype=complex)
+    a[0] = a0
+    b = np.zeros(8, dtype=complex)
+    b[2] = b2
+    rep = {"wall_clock_s": {}}
+    with pytest.raises(RuntimeError, match=message):
+        cli._check_sequential(ScatteringPair(a, b), Signal(samples=np.zeros(8)), rep, "dev")
+    assert "dev" not in rep
 
 
 @pytest.mark.parametrize("command, key", [("invert", "fast_vs_sequential_max_dev"),
