@@ -13,6 +13,7 @@ t = -1 + n*eps - eps/2.  All commands are deterministic.
 import argparse
 import cmath
 import csv
+import functools
 import json
 import sys
 import time
@@ -23,8 +24,8 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
-from .inverse import (BLOCK, CHUNK, LEAF_SIZE, SINGULAR_A0, Signal, invert_fast,
-                      invert_sequential)
+from .inverse import (BLOCK, CHUNK, LEAF_SIZE, SINGULAR_A0, Signal, _shifted,
+                      invert_fast, invert_sequential)
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
@@ -135,30 +136,52 @@ def _transfer_column_dev(pair, F):
 
 def _peel_rows(pair):
     """The samples of `pair` by `invert_sequential`'s unnormalized recursion,
-    one numpy step on the window's rows per sample.
+    one matmul on the window's rows per sample.
 
     The same O(D^2) arithmetic as the scalar reference, at numpy speed,
     and none of `invert_fast`'s leaves or tree, so it checks them.  Each
     step reads Q = -conj(B0/A0) and sets A' = A - Q B, B'[j] = conj(Q)
-    A[j+1] + B[j+1], cut to the n - 1 coefficients the remaining samples
-    read.  As in `invert_sequential`, |A0| < SINGULAR_A0 raises
-    ZeroDivisionError and a non-finite sample, or rows that overflow,
-    FloatingPointError.
+    A[j+1] + B[j+1]: the two-row step of the `inverse` module docstring,
+    one matmul of [[1, -Q]] and [[conj(Q), 1]] with the rows [A; B] at
+    shifts 0 and 1, from one buffer into the other.  The buffer holds D + 1
+    slots, the last one zero.  After k steps the window holds D - k live
+    coefficients; the matmul's views are made once per CHUNK of steps and
+    cover the window's live slots at the chunk's first step.  The slots
+    past the live end go stale, and only stale slots read them.  As in
+    `invert_sequential`, |A0| < SINGULAR_A0 raises ZeroDivisionError and
+    a non-finite sample, or rows that overflow, FloatingPointError.
     """
-    A = np.array(pair.a, dtype=complex)
-    B = np.array(pair.b, dtype=complex)
-    out = np.empty(len(A), dtype=complex)
+    D = pair.D
+    L = D + 1                                          # slots per row
+    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
+    buf[0, 0, :D] = pair.a
+    buf[0, 1, :D] = pair.b
+    flat = buf.reshape(-1)
+    shifted = _shifted(buf)                            # [buffer, s, r]
+    out = buf[:, :, None, :D]
+    c = np.ones((2, 1, 2), dtype=complex)
+    cf = c.reshape(-1)
+    qs = np.empty(D, dtype=complex)
     with np.errstate(over="raise", invalid="raise"):
-        for n in range(len(A), 0, -1):
-            a0 = A.item(0)
-            if abs(a0) < SINGULAR_A0:
-                raise ZeroDivisionError(f"singular recovery at step {n}")
-            Q = -(B.item(0) / a0).conjugate()
-            if not cmath.isfinite(Q):
-                raise FloatingPointError(f"sample q[{n - 1}] = {Q} is not finite: invalid pair")
-            out[n - 1] = Q
-            A, B = A[:n - 1] - Q * B[:n - 1], Q.conjugate() * A[1:n] + B[1:n]
-    return out
+        for k0 in range(0, D, CHUNK):
+            # reading buffer b: its live slots, the other buffer's, and the flat index
+            # of its A0 (B0 is L slots on)
+            steps = [(shifted[b, ..., :D - k0], out[1 - b, ..., :D - k0], 2 * L * b)
+                     for b in (0, 1)]
+            for k in range(k0, min(k0 + CHUNK, D)):
+                src, dst, ia = steps[k & 1]
+                a0 = flat.item(ia)
+                if abs(a0) < SINGULAR_A0:
+                    raise ZeroDivisionError(f"singular recovery at step {D - k}")
+                Q = -(flat.item(ia + L) / a0).conjugate()
+                if not cmath.isfinite(Q):
+                    raise FloatingPointError(
+                        f"sample q[{D - 1 - k}] = {Q} is not finite: invalid pair")
+                qs[D - 1 - k] = Q
+                cf[1] = -Q
+                cf[2] = Q.conjugate()
+                np.matmul(c, src, out=dst)
+    return qs
 
 
 def _check_sequential(pair, signal, rep, key):
@@ -309,6 +332,8 @@ def run_bench(job, out: Path, rep):
             row["invert_sequential_s"] = _time_median(
                 lambda: invert_sequential(pair, check=False), repeats)
             row["invert_sequential_repeats"] = repeats
+        if D <= SEQUENTIAL_LIMIT:
+            row["row_peel_s"] = _time_median(lambda: _peel_rows(pair))
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
         row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
         for key in list(row):
@@ -331,7 +356,9 @@ def run_bench(job, out: Path, rep):
                constants={"LEAF_SIZE": LEAF_SIZE, "BLOCK": BLOCK, "CHUNK": CHUNK})
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built on the first `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="nftsynth",
         description="Multi-soliton synthesis via fast inverse scattering",
@@ -346,7 +373,11 @@ def main(argv=None):
         if name == "forward":
             p.add_argument("--signal", help="signal CSV to transform "
                            "(skips synthesis)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     out = Path(args.out)
     runners = {"synthesize": run_synthesize, "invert": run_invert,

@@ -84,9 +84,10 @@ def reflection_coefficient(pair):
     M = REFLECTION_GRID_FACTOR * pair.D
     av = np.fft.fft(pair.a, M)
     bv = np.fft.fft(pair.b, M)
-    omega = grid_omega(np.arange(M), M, pair.D)
-    order = np.argsort(omega)
-    omega, av, bv = omega[order], av[order], bv[order]
+    # grid_omega falls as m rises, from 0 at m = 0 to its least at m = M/2,
+    # then wraps to its greatest at m = M/2 + 1: this order ascends
+    order = (M // 2 - np.arange(M)) % M
+    omega, av, bv = grid_omega(order, M, pair.D), av[order], bv[order]
     poles = np.abs(av) < POLE_TOL
     vals = np.full_like(av, np.nan + 0j)
     np.divide(bv, av, out=vals, where=~poles)

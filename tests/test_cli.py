@@ -149,11 +149,13 @@ def test_row_peel_matches_scalar_oracle_four_solitons():
 
 
 @pytest.mark.parametrize("a0, b2, message", [(1.0, np.nan, r"q\[5\].*not finite"),
-                                             (0.0, 0.0, "singular recovery at step 8")],
-                         ids=["nan-coefficient", "singular-a0"])
+                                             (0.0, 0.0, "singular recovery at step 8"),
+                                             (1.0, 1e200, "overflow")],
+                         ids=["nan-coefficient", "singular-a0", "overflow"])
 def test_row_peel_refuses_invalid_pair(a0, b2, message):
     """As invert_sequential does, the row peel raises at a non-finite sample
-    and at a vanishing a0; the check then records no deviation."""
+    and at a vanishing a0, and it raises where its rows overflow; the check
+    then records no deviation."""
     a = np.zeros(8, dtype=complex)
     a[0] = a0
     b = np.zeros(8, dtype=complex)
@@ -335,6 +337,10 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
     assert "invert_sequential_per_sample_us" in rep["rows"][0]
     # a median after a warm-up within the limit, one cold call above it
     assert [r["invert_sequential_repeats"] for r in rep["rows"]] == [BENCH_REPEATS, 1]
+    # the commands' check is timed where the commands run it
+    assert rep["rows"][0]["row_peel_per_sample_us"] == pytest.approx(
+        rep["rows"][0]["row_peel_s"] / 64 * 1e6)
+    assert not any(k.startswith("row_peel") for k in rep["rows"][1])
     assert referenced == [64] * (BENCH_REPEATS + 1) + [128]
 
 

@@ -5,8 +5,11 @@ from numpy.polynomial import polynomial as P
 
 from nftsynth import poly
 from nftsynth.forward import (
+    SEED_MAX,
     _fft_folded,
+    _moment_seeds,
     _values,
+    _zeros_between,
     continuous_oracle,
     find_eigenvalues,
     forward_fast,
@@ -263,6 +266,24 @@ def test_find_eigenvalues_near_axis_large_d():
     zs = find_eigenvalues(forward_fast(sampled(lambda t: np.full_like(t, BOX_001J), D)).a)
     assert len(zs) == 1
     assert abs(z_to_lambda(zs[0], 1.0 / D) - 0.01j) <= 1e-3
+
+
+def test_zeros_between_unconfirmed_count_raises():
+    """A claimed zero between |w| = 0.1 and 0.5 that A = 1 + w/2 does not have
+    (its zero is w = -2): the moment seed polishes to a root outside, and with
+    no split left the count is refused."""
+    p = np.arange(SEED_MAX + 1)
+    lo = (0.1, 0, np.zeros(SEED_MAX + 1, dtype=complex))
+    hi = (0.5, 1, (0.3 + 0j) ** p)
+    with pytest.raises(RuntimeError, match="contour count 1 .* not confirmed"):
+        _zeros_between(np.array([1.0, 0.5], dtype=complex), lo, hi, 64, depth=0)
+
+
+def test_moment_seeds_non_finite_sums_give_no_seeds():
+    with np.errstate(all="ignore"):
+        seeds = _moment_seeds(np.array([2.0, np.inf, 1.0], dtype=complex), 0.5)
+    assert seeds.dtype == complex
+    assert len(seeds) == 0
 
 
 def _synthesized(lambdas, D):
