@@ -12,7 +12,6 @@ from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import (
     find_eigenvalues,
     forward_fast,
-    forward_sequential,
     norming_constants,
     reflection_coefficient,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "filter_amplitude",
     "find_eigenvalues",
     "forward_fast",
-    "forward_sequential",
     "invert_fast",
     "invert_sequential",
     "make_ub",

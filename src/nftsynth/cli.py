@@ -114,8 +114,8 @@ def _stage(name, fn, rep):
 
 
 def _synthesize(job, rep):
-    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal, F),
-    F the samples' forward matrix that invert_fast returns."""
+    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal, C),
+    C the first column of the samples' forward matrix that invert_fast returns."""
     spec = spec_from_job(job)
     try:
         pair = _stage("synthesize", lambda: synthesize_ab(spec), rep)
@@ -124,14 +124,15 @@ def _synthesize(job, rep):
         if isinstance(refusal, ValueError):  # a usage error, exit 2
             raise ValueError(f"stage 'synthesize' refused the spec: {refusal}") from refusal
         raise
-    signal, F = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
-    return spec, pair, signal, F
+    signal, C = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
+    return spec, pair, signal, C
 
 
-def _transfer_column_dev(pair, F):
-    """max |F[:, 0, :] - [a; b]|, the pair padded by one zero coefficient:
-    how far the samples' forward matrix is from the pair they came from."""
-    return float(np.abs(F[:, 0, :] - np.pad(np.stack([pair.a, pair.b]), ((0, 0), (0, 1)))).max())
+def _transfer_column_dev(pair, C):
+    """max |C - [a; b]|, the pair padded by one zero coefficient: how far
+    the first column of the samples' forward matrix is from the pair they
+    came from."""
+    return float(np.abs(C - np.pad(np.stack([pair.a, pair.b]), ((0, 0), (0, 1)))).max())
 
 
 def _peel_rows(pair):
@@ -198,7 +199,7 @@ def _check_sequential(pair, signal, rep, key):
 
 
 def run_synthesize(job, out: Path, rep):
-    spec, pair, signal, F = _synthesize(job, rep)
+    spec, pair, signal, C = _synthesize(job, rep)
     _write_csv(out / "pair.csv", ["j", "re_a", "im_a", "re_b", "im_b"],
                ([j, *_cx(av), *_cx(bv)] for j, (av, bv) in enumerate(zip(pair.a, pair.b))))
     write_signal_csv(out / "signal.csv", signal)
@@ -206,13 +207,13 @@ def run_synthesize(job, out: Path, rep):
     rep.update(D=spec.D, a0=complex(pair.a[0]),
                unimodularity_residual=check["unimodularity_residual"],
                truncation_tail_energy=pair.truncation_tail_energy,
-               pair_valid=check["ok"], transfer_column_dev=_transfer_column_dev(pair, F))
+               pair_valid=check["ok"], transfer_column_dev=_transfer_column_dev(pair, C))
 
 
 def run_invert(job, out: Path, rep):
-    spec, pair, signal, F = _synthesize(job, rep)
+    spec, pair, signal, C = _synthesize(job, rep)
     rep.update(D=spec.D, max_abs_sample=float(np.abs(signal.samples).max()),
-               transfer_column_dev=_transfer_column_dev(pair, F))
+               transfer_column_dev=_transfer_column_dev(pair, C))
     _check_sequential(pair, signal, rep, "fast_vs_sequential_max_dev")
     write_signal_csv(out / "signal.csv", signal)
 
@@ -221,7 +222,7 @@ def run_forward(job, out: Path, rep, signal_path=None):
     if signal_path:
         signal = read_signal_csv(signal_path)
     else:
-        _spec, _pair, signal, _F = _synthesize(job, rep)
+        _spec, _pair, signal, _C = _synthesize(job, rep)
     pair = _stage("forward_fast", lambda: forward_fast(signal), rep)
 
     def spectrum():
@@ -242,7 +243,7 @@ def run_forward(job, out: Path, rep, signal_path=None):
 
 
 def run_roundtrip(job, out: Path, rep):
-    spec, pair, signal, _F = _synthesize(job, rep)
+    spec, pair, signal, _C = _synthesize(job, rep)
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
     _check_sequential(pair, signal, rep, "inversion_max_dev")
@@ -325,7 +326,7 @@ def run_bench(job, out: Path, rep):
         row["synthesize_ab_s"] = _time_median(cold_synthesis)
         pair = synthesize_ab(spec)
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
-        signal, _F = invert_fast(pair, check=False)
+        signal, _C = invert_fast(pair, check=False)
         if D <= BENCH_SEQUENTIAL_LIMIT:
             # above the commands' own limit the O(D^2) reference takes seconds: one cold call
             repeats = BENCH_REPEATS if D <= SEQUENTIAL_LIMIT else 1

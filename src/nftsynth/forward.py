@@ -8,10 +8,10 @@ tracked as a counter) is
 starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
-`forward_step` is the one reference of this step matrix, and
-`forward_sequential` applies it once per sample, O(D^2).  `forward_fast`
-is the first column of `inverse.transfer_matrix` of the samples: blocks
-of one-sample steps (the two-row step of the `inverse` module docstring,
+This is the step matrix F(Q) of the `inverse` module docstring applied
+to a column.  `forward_fast` is the first column of the samples' forward
+matrix F(q[D-1]) ... F(q[0]), `inverse._first_column`: blocks of
+one-sample steps (the two-row step of the `inverse` module docstring,
 batched over the blocks), then a balanced tree with one batched FFT
 product per level, O(D log^2 D), carrying first columns only.  The block
 steps drop 1/theta, as `invert_fast`'s leaves do, and each block divides
@@ -43,26 +43,6 @@ NEWTON_STEPS = 20            # per precision
 NEWTON_TOL = 1e-10           # relative Newton step that ends the polish
 NEWTON_FLOOR = 4 * np.finfo(np.longdouble).eps  # |A(w)| / sum |a_j w^j| that ends it too
 ROOT_SEPARATION_TOL = 1e-10  # relative; closer polished roots are one root
-
-
-def forward_step(a, b, Q):
-    """One scattering step; arrays grow by one coefficient."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    th = np.sqrt(1.0 + abs(Q) ** 2)
-    zb = np.concatenate([[0.0], b])
-    ap = np.concatenate([a, [0.0]])
-    return (ap + Q * zb) / th, (-np.conj(Q) * ap + zb) / th
-
-
-def forward_sequential(signal: Signal) -> ScatteringPair:
-    a, b = [1.0], [0.0]
-    for k, Q in enumerate(signal.samples):
-        if not np.isfinite(Q):
-            raise FloatingPointError(f"sample q[{k}] = {Q} is not finite")
-        a, b = forward_step(a, b, Q)
-    # b's top coefficient stays 0, so a's does too: D coefficients remain
-    return ScatteringPair(a[:-1], b[:-1])
 
 
 def forward_fast(signal: Signal) -> ScatteringPair:
@@ -222,15 +202,17 @@ def _moment_seeds(s, r):
     """Roots of the polynomial whose zeros have the power sums s_1..s_n.
 
     Newton's identities turn the power sums, scaled to the circle |w| = r,
-    into its coefficients.
+    into its coefficients.  Non-finite power sums give no seeds, without
+    a warning.
     """
     n = len(s) - 1
-    s = s / r ** np.arange(n + 1)
     e = np.zeros(n + 1, dtype=complex)
     e[0] = 1.0
-    for k in range(1, n + 1):
-        i = np.arange(1, k + 1)
-        e[k] = np.sum((-1.0) ** (i - 1) * e[k - i] * s[i]) / k
+    with np.errstate(all="ignore"):   # a non-finite s makes e non-finite, refused below
+        s = s / r ** np.arange(n + 1)
+        for k in range(1, n + 1):
+            i = np.arange(1, k + 1)
+            e[k] = np.sum((-1.0) ** (i - 1) * e[k - i] * s[i]) / k
     if not np.all(np.isfinite(e)):
         return np.array([], dtype=complex)
     return r * np.roots((-1.0) ** np.arange(n + 1) * e)
@@ -342,26 +324,3 @@ def norming_constants(pair, eigen_z):
         if abs(d) < MULTIPLE_ROOT_TOL:
             raise ValueError(f"multiple root at z={z}: derivative of a vanishes")
     return -bv / (2j * eps * zs) / dval
-
-
-def continuous_oracle(q, lam):
-    """Integrate the continuous scattering ODE for one spectral point.
-
-    phi' = [[-i lam, q(t)], [-conj(q(t)), i lam]] phi on [-1, 0] with
-    phi(-1) = [e^{i lam}, 0]; returns (alpha, beta) = phi(0).  Test-only
-    reference for the D -> infinity limit.
-    """
-    # imported here: only this test oracle needs it, and it slows every import of nftsynth
-    from scipy.integrate import solve_ivp
-
-    lam = complex(lam)
-
-    def rhs(t, y):
-        qt = q(t)
-        return [-1j * lam * y[0] + qt * y[1], -np.conj(qt) * y[0] + 1j * lam * y[1]]
-
-    y0 = np.array([np.exp(1j * lam), 0.0], dtype=complex)
-    sol = solve_ivp(rhs, (-1.0, 0.0), y0, method="DOP853", rtol=1e-11, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"scattering ODE integration failed: {sol.message}")
-    return complex(sol.y[0, -1]), complex(sol.y[1, -1])

@@ -13,17 +13,17 @@ in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
 
     F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]],    det F = z^{-1},
 
-which `forward.forward_step` applies to a column; `transfer_matrix`
-multiplies a block of them.  Every product of n step matrices has the
+and the forward matrix of a block of n samples is the product
+F(q[n-1]) ... F(q[0]).  Every product of n step matrices has the
 para-conjugate form
 
-    F = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
+    F = para([a; b]) = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
 so its second column is its first, [a; b], with the n+1 coefficients
-reversed and conjugated (`_para`), and both fast transforms carry first
-columns only.  So do the inverses, by one identity:
+reversed and conjugated, and both fast transforms carry first columns
+only.  So do the inverses, by one identity:
 
-    adj(_para([a; b])) = [[z^{-n} a*, z^{-n} b*], [-b, a]] = _para([z^{-n} a*; -b]).
+    adj(para([a; b])) = [[z^{-n} a*, z^{-n} b*], [-b, a]] = para([z^{-n} a*; -b]).
 
 The adjoint column [z^{-n} a*; -b], the first column of adj(F), is an
 involution of [a; b] (`_column`: a -> conj(a[::-1]), b -> -b).  The
@@ -160,24 +160,11 @@ def invert_sequential(pair, check=True) -> Signal:
     return Signal(samples=out)
 
 
-def _para(C):
-    """The full matrices [[a, -z^{-n} b*], [b, z^{-n} a*]] of first columns C = [a; b].
-
-    C has shape (..., 2, n+1); z^{-n} p* reverses and conjugates p's n+1
-    coefficients.  The result has shape (..., 2, 2, n+1).
-    """
-    F = np.empty(C.shape[:-1] + C.shape[-2:], dtype=complex)
-    F[..., 0, :] = C
-    np.conj(C[..., ::-1, ::-1], out=F[..., 1, :])    # [b; a] reversed and conjugated
-    F[..., 0, 1, :] *= -1
-    return F
-
-
 def _para_mul(P, L):
-    """_para(X) @ Y cyclically at length 2h, for stacks of columns X (h+1 coefficients) and Y.
+    """para(X) @ Y cyclically at length 2h, for stacks of columns X (h+1 coefficients) and Y.
 
     P and L are their FFTs at length 2h, shape (..., 2, 2h); L is
-    overwritten.  P gives all four entries of _para(X) (module docstring),
+    overwritten.  P gives all four entries of para(X) (module docstring),
     so the product costs one inverse FFT.  Returns shape (..., 2, 2h+1).
     The tree's products, of two columns of h steps, do not wrap, and their
     top coefficient is 0.  The window step's product, of an adjoint column
@@ -218,7 +205,8 @@ def _column(R):
 
 
 def _first_column(q):
-    """First column [a; b] of transfer_matrix(q), shape (2, n+1); n a power of two.
+    """First column [a; b] of the forward matrix F(q[n-1]) ... F(q[0]), shape (2, n+1);
+    n a power of two.
 
     Blocks of BLOCK samples run the accumulator half of the two-row step
     (module docstring) all at once: one batched matmul of [[1, -Q]] and
@@ -251,15 +239,6 @@ def _first_column(q):
         S = np.fft.fft(C, 2 * (C.shape[-1] - 1))
         C = _para_mul(S[1::2], S[0::2])
     return C[0]
-
-
-def transfer_matrix(q):
-    """F(q[n-1]) @ ... @ F(q[0]) as a (2, 2, n+1) array; n a power of two.
-
-    Built from its first column (`_first_column`) by the para-conjugate
-    symmetry of every product of step matrices.
-    """
-    return _para(_first_column(q))
 
 
 def _peel(V):
@@ -326,7 +305,8 @@ def _peel(V):
 
 
 def invert_fast(pair, check=True):
-    """O(D log^2 D) inversion; returns (Signal, transfer_matrix(samples)).
+    """O(D log^2 D) inversion; returns (Signal, C), C = [a; b] the first column
+    of the samples' forward matrix, shape (2, D+1), top coefficients 0.
 
     Node contract: the input V = [A; B], shape (2, n), holds the first
     n coefficients of the pair after peeling everything newer.  The newer
@@ -359,7 +339,7 @@ def invert_fast(pair, check=True):
         return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n))
 
     qs, C = node(np.stack([a, b]))
-    return Signal(samples=qs[::-1]), _para(C)
+    return Signal(samples=qs[::-1]), C
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

@@ -25,8 +25,11 @@ def poly_mul(p, q):
     """Product of two causal polynomials; output length len(p)+len(q)-1.
 
     Small products use direct convolution; larger ones go through a
-    power-of-two FFT, which is what keeps the divide-and-conquer
-    algorithms at their advertised complexity.
+    power-of-two FFT.  No library path calls it: both fast transforms
+    multiply with `inverse._para_mul`.  It stays, with _FFT_CUTOFF and the
+    `inverse.poly_mul` import, because the benchmark's tracer in perfbench/
+    wraps `inverse.poly_mul` and reads `_FFT_CUTOFF`; removing them takes a
+    change of that tracer, measured before and after.
     """
     p = as_coeffs(p)
     q = as_coeffs(q)

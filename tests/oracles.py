@@ -1,0 +1,84 @@
+"""Reference implementations the tests check the package against.
+
+None of these runs in the package: each is a slow or independent route
+to a quantity the fast code computes.
+
+- `forward_step` applies the one-sample forward step matrix of the
+  `nftsynth.inverse` module docstring to a column, with its 1/theta;
+  `forward_sequential` applies it once per sample, O(D^2).
+- `para` rebuilds the full para-conjugate matrix from a first column
+  [a; b]; `transfer_matrix` is the forward matrix of a block of samples,
+  `para` of the package's first column `_first_column`.
+- `continuous_oracle` integrates the continuous scattering ODE, the
+  D -> infinity limit (scipy.integrate).
+"""
+
+import numpy as np
+
+from nftsynth.inverse import Signal, _first_column
+from nftsynth.synthesis import ScatteringPair
+
+
+def forward_step(a, b, Q):
+    """One scattering step; arrays grow by one coefficient."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    th = np.sqrt(1.0 + abs(Q) ** 2)
+    zb = np.concatenate([[0.0], b])
+    ap = np.concatenate([a, [0.0]])
+    return (ap + Q * zb) / th, (-np.conj(Q) * ap + zb) / th
+
+
+def forward_sequential(signal: Signal) -> ScatteringPair:
+    a, b = [1.0], [0.0]
+    for k, Q in enumerate(signal.samples):
+        if not np.isfinite(Q):
+            raise FloatingPointError(f"sample q[{k}] = {Q} is not finite")
+        a, b = forward_step(a, b, Q)
+    # b's top coefficient stays 0, so a's does too: D coefficients remain
+    return ScatteringPair(a[:-1], b[:-1])
+
+
+def para(C):
+    """The full matrices [[a, -z^{-n} b*], [b, z^{-n} a*]] of first columns C = [a; b].
+
+    C has shape (..., 2, n+1); z^{-n} p* reverses and conjugates p's n+1
+    coefficients.  The result has shape (..., 2, 2, n+1).
+    """
+    F = np.empty(C.shape[:-1] + C.shape[-2:], dtype=complex)
+    F[..., 0, :] = C
+    np.conj(C[..., ::-1, ::-1], out=F[..., 1, :])    # [b; a] reversed and conjugated
+    F[..., 0, 1, :] *= -1
+    return F
+
+
+def transfer_matrix(q):
+    """F(q[n-1]) @ ... @ F(q[0]) as a (2, 2, n+1) array; n a power of two.
+
+    Built from its first column (`_first_column`) by the para-conjugate
+    symmetry of every product of step matrices.
+    """
+    return para(_first_column(q))
+
+
+def continuous_oracle(q, lam):
+    """Integrate the continuous scattering ODE for one spectral point.
+
+    phi' = [[-i lam, q(t)], [-conj(q(t)), i lam]] phi on [-1, 0] with
+    phi(-1) = [e^{i lam}, 0]; returns (alpha, beta) = phi(0).  Reference
+    for the D -> infinity limit.
+    """
+    # imported here: only the tests that integrate the ODE pay for scipy
+    from scipy.integrate import solve_ivp
+
+    lam = complex(lam)
+
+    def rhs(t, y):
+        qt = q(t)
+        return [-1j * lam * y[0] + qt * y[1], -np.conj(qt) * y[0] + 1j * lam * y[1]]
+
+    y0 = np.array([np.exp(1j * lam), 0.0], dtype=complex)
+    sol = solve_ivp(rhs, (-1.0, 0.0), y0, method="DOP853", rtol=1e-11, atol=1e-12)
+    if not sol.success:
+        raise RuntimeError(f"scattering ODE integration failed: {sol.message}")
+    return complex(sol.y[0, -1]), complex(sol.y[1, -1])

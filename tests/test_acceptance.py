@@ -22,10 +22,8 @@ import numpy as np
 from nftsynth import inverse
 from nftsynth.asymptotics import asymptotic_reflection, predict, sine_integral
 from nftsynth.forward import (
-    continuous_oracle,
     find_eigenvalues,
     forward_fast,
-    forward_sequential,
     norming_constants,
     reflection_coefficient,
 )
@@ -44,6 +42,8 @@ from nftsynth.synthesis import (
     synthesize_ab,
     z_to_lambda,
 )
+
+from oracles import continuous_oracle, forward_sequential
 
 ONE_SOLITON = (20j,)
 FOUR_SOLITON = (12.5j, 25.0j, 37.5j, 50.0j)

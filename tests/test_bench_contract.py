@@ -10,6 +10,7 @@ harness's own operation and check.
 import ast
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ import nftsynth
 from nftsynth import asymptotics, cli, specfact, synthesis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(nftsynth.__file__).resolve().parent
 
 
 def _constant(filename, name):
@@ -68,6 +70,38 @@ def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["inversion_max_dev"] <= 1e-10
 
 
+def _statements(path):
+    """(name, code) for each top-level statement of a file: the name a def
+    or class defines (else None), and its source without docstrings
+    (comments are not in the tree)."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)):
+            node.body = node.body[1:] or [ast.Pass()]
+    return [(getattr(node, "name", None), ast.unparse(node)) for node in tree.body]
+
+
+def test_library_names_have_callers():
+    """Every top-level def and class in src/nftsynth is referenced from code
+    in src/ or perfbench/ outside its own definition: a name only the tests
+    use belongs in tests/oracles.py.  Docstrings and __init__'s re-exports
+    do not count; a string naming the attribute (as perfbench's patch
+    lists do) counts."""
+    library = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    code = {p: _statements(p) for p in library + sorted(PERFBENCH.glob("*.py"))}
+    unused = []
+    for path in library:
+        for name, _ in code[path]:
+            if name and not any(re.search(rf"\b{name}\b", text)
+                                for other, stmts in code.items()
+                                for defined, text in stmts if (other, defined) != (path, name)):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
 def test_package_all_resolves():
     """Every exported name exists on the package, and none is listed twice."""
     assert [name for name in nftsynth.__all__ if not hasattr(nftsynth, name)] == []
@@ -83,8 +117,8 @@ def test_make_ub_has_one_cached_function():
 
 def test_cli_import_leaves_ode_solver_out():
     """Importing the package and the CLI, as the benchmark's set-up does, must
-    load no scipy module at all: only the continuous_oracle test reference
-    (scipy.integrate) and the tests use scipy."""
+    load no scipy module at all: only the tests use scipy, among them
+    continuous_oracle in tests/oracles.py (scipy.integrate)."""
     src = str(Path(nftsynth.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import nftsynth, nftsynth.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
@@ -97,7 +131,7 @@ def test_workloads_run_through_harness_calls(tmp_path, monkeypatch):
     """Each workload's small warm-up spec goes through perfbench/ops.py as
     a benchmark run takes it (run_library or run_cli, then check) and
     verifies.  This pins the call shapes the harness uses: invert_fast's
-    (Signal, F) return and its check= keyword, predict(spec).norming_predictions
+    (Signal, C) return and its check= keyword, predict(spec).norming_predictions
     and energy_identity_residual(signal, a0)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     ops = importlib.import_module("ops")

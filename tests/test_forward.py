@@ -3,18 +3,17 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from nftsynth import poly
+from nftsynth import forward, poly
 from nftsynth.forward import (
+    NEAR_MAX,
     SEED_MAX,
+    _circle,
     _fft_folded,
     _moment_seeds,
     _values,
     _zeros_between,
-    continuous_oracle,
     find_eigenvalues,
     forward_fast,
-    forward_sequential,
-    forward_step,
     norming_constants,
     reflection_coefficient,
 )
@@ -29,6 +28,8 @@ from nftsynth.synthesis import (
     synthesize_ab,
     z_to_lambda,
 )
+
+from oracles import continuous_oracle, forward_sequential, forward_step
 
 FOUR_SOLITON = [12.5j, 25.0j, 37.5j, 50.0j]
 
@@ -279,9 +280,63 @@ def test_zeros_between_unconfirmed_count_raises():
         _zeros_between(np.array([1.0, 0.5], dtype=complex), lo, hi, 64, depth=0)
 
 
+def _recorded(monkeypatch, name):
+    """Calls of forward.<name> from here on, as (args, result) pairs."""
+    calls = []
+    fn = getattr(forward, name)
+
+    def call(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(forward, name, call)
+    return calls
+
+
+def test_circle_zero_on_grid_point_gives_none(monkeypatch):
+    """A = 1 + w/r vanishes at the grid point w_{M/2} = -r (r = 0.5, M = 64):
+    the rounding bound of s_0 passes COUNT_TOL in double precision and
+    FOG_MAX in extended precision, and _circle returns None before any
+    Newton step."""
+    newton = _recorded(monkeypatch, "_newton")
+    ffts = _recorded(monkeypatch, "_fft_folded")
+    assert _circle(np.array([1.0, 2.0], dtype=complex), 0.5, 64) is None
+    assert newton == []
+    (x, _M), _A = ffts[-1]
+    assert x.dtype == np.clongdouble
+
+
+def test_circle_zero_on_circle_between_grid_points_gives_none(monkeypatch):
+    """A = 1 - w/w_k, w_k = r e^{-i pi/M}, has its zero on |w| = r midway
+    between two grid points (r = 0.5, M = 64): Newton from the grid peaks
+    lands on w_k, and a zero on the circle gives None."""
+    r, M = 0.5, 64
+    wk = r * np.exp(-1j * np.pi / M)
+    newton = _recorded(monkeypatch, "_newton")
+    assert _circle(np.array([1.0, -1.0 / wk]), r, M) is None
+    [(_, (w, done))] = newton
+    assert np.any(done & (np.abs(w - wk) <= 1e-10 * r))
+
+
+def test_circle_grid_grows_past_many_near_zeros(monkeypatch):
+    """A = 1 - (w/rho)^100, rho = r (1 + 1e-3), has 100 zeros just outside
+    |w| = r, more than NEAR_MAX within NEAR_GRID / M of it.  The grid grows
+    fourfold until none is near (M = 256 to 65536), and no zero is counted
+    inside."""
+    assert NEAR_MAX < 100
+    r = 0.5
+    a = np.zeros(101, dtype=complex)
+    a[0], a[100] = 1.0, -(r * (1 + 1e-3)) ** -100.0
+    ffts = _recorded(monkeypatch, "_fft_folded")
+    count, _s = _circle(a, r, 256)
+    assert count == 0
+    assert sorted({M for (_, M), _ in ffts}) == [256, 1024, 4096, 16384, 65536]
+
+
 def test_moment_seeds_non_finite_sums_give_no_seeds():
-    with np.errstate(all="ignore"):
-        seeds = _moment_seeds(np.array([2.0, np.inf, 1.0], dtype=complex), 0.5)
+    """An inf power sum gives no seeds and no RuntimeWarning (an error under
+    pyproject.toml's filterwarnings)."""
+    seeds = _moment_seeds(np.array([2.0, np.inf, 1.0], dtype=complex), 0.5)
     assert seeds.dtype == complex
     assert len(seeds) == 0
 

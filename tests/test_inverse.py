@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nftsynth import inverse
-from nftsynth.forward import forward_fast, forward_sequential, forward_step
+from nftsynth.forward import forward_fast
 from nftsynth.inverse import (
     BLOCK,
     CHUNK,
@@ -17,16 +17,16 @@ from nftsynth.inverse import (
     _adjoint,
     _column,
     _first_column,
-    _para,
     _para_mul,
     _peel,
     energy_identity_residual,
     invert_fast,
     invert_sequential,
-    transfer_matrix,
 )
 from nftsynth.poly import poly_mul
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, synthesize_ab
+
+from oracles import forward_sequential, forward_step, para, transfer_matrix
 
 
 def random_signal(rng, D, scale=None):
@@ -50,9 +50,9 @@ def test_one_sample_roundtrip():
         Q = complex(rng.standard_normal(), rng.standard_normal())
         pair = forward_sequential(Signal(samples=[Q]))
         assert invert_sequential(pair).samples[0] == pytest.approx(Q, abs=1e-13)
-        fast, F = invert_fast(pair)
+        fast, C = invert_fast(pair)
         assert fast.samples[0] == pytest.approx(Q, abs=1e-13)
-        np.testing.assert_allclose(F, transfer_matrix([Q]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(para(C), transfer_matrix([Q]), rtol=0, atol=1e-15)
 
 
 def test_single_coefficient_pair():
@@ -61,11 +61,11 @@ def test_single_coefficient_pair():
     for a0, b0, Q in ((1.0, 0.0, 0.0), (s, -s, 1.0), (s, 1j * s, 1j)):
         pair = (np.array([a0]), np.array([b0]))
         seq = invert_sequential(pair)
-        fast, F = invert_fast(pair)
+        fast, C = invert_fast(pair)
         assert seq.D == fast.D == 1
         assert seq.samples[0] == pytest.approx(Q, abs=1e-15)
         assert fast.samples[0] == pytest.approx(Q, abs=1e-15)
-        assert F.shape == (2, 2, 2)
+        assert para(C).shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("invert", [invert_sequential, lambda p: invert_fast(p)[0]])
@@ -168,7 +168,7 @@ def spiky_signals(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(spiky_signals())
 def test_fast_inverse_properties(case):
-    """invert_fast == invert_sequential, F == transfer_matrix(samples), det F = z^{-D}.
+    """invert_fast == invert_sequential, F = para(C) == transfer_matrix(samples), det F = z^{-D}.
 
     Layer peeling is ill-conditioned for some strong signals: a spike of
     modulus ~3 behind a few hundred background samples can leave the
@@ -182,7 +182,8 @@ def test_fast_inverse_properties(case):
     seq = invert_sequential(pair)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inverse, "LEAF_SIZE", leaf_size)
-        fast, F = invert_fast(pair)
+        fast, C = invert_fast(pair)
+    F = para(C)
     np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14)
     column = transfer_matrix(sig.samples)[:, 0, :D]
     np.testing.assert_allclose(column[0], pair.a, rtol=0, atol=1e-12)
@@ -197,15 +198,15 @@ def test_fast_inverse_properties(case):
 
 @pytest.mark.parametrize("D", [256, 1024, 2048])
 def test_weak_signal_matrix_matches_transfer_matrix(D):
-    """invert_fast's F == transfer_matrix of its samples on weak signals,
+    """para of invert_fast's column == transfer_matrix of its samples on weak signals,
     |q| ~ 1e-8..1e-2.  Both leaves step unnormalized and divide once by
     prod(theta); a 1/theta in every block step rounds |Q|^2 away step
     after step, and transfer_matrix then drifts by up to ~1e-13 at D = 2048."""
     for s in (1e-8, 1e-7, 1e-6, 1e-4, 1e-2):
         rng = np.random.default_rng([D, round(-np.log10(s))])
         q = s * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
-        sig, F = invert_fast(forward_fast(Signal(samples=q)))
-        np.testing.assert_allclose(F, transfer_matrix(sig.samples), rtol=0, atol=1e-14)
+        sig, C = invert_fast(forward_fast(Signal(samples=q)))
+        np.testing.assert_allclose(para(C), transfer_matrix(sig.samples), rtol=0, atol=1e-14)
 
 
 def test_transfer_matrix_matches_direct_product():
@@ -304,7 +305,8 @@ def test_peel_high_energy(monkeypatch):
     expected = transfer_matrix(qs[::-1])[:, 0]
     np.testing.assert_allclose(column, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
     monkeypatch.setattr(inverse, "LEAF_SIZE", 64)
-    fast, F = invert_fast(pair)
+    fast, C = invert_fast(pair)
+    F = para(C)
     assert np.abs(fast.samples - seq).max() <= 1e-12 * np.abs(seq).max()
     np.testing.assert_allclose(F, transfer_matrix(fast.samples), rtol=0, atol=1e-14 * np.abs(F).max())
 
@@ -353,13 +355,13 @@ def random_stack(rng, shape):
 @pytest.mark.parametrize("h", [1 << k for k in range(9)])
 def test_para_spectra_from_one_fft(h):
     """At length 2h, z^{-h} p* transforms to (-1)^j conj(P_j): one FFT of a
-    stack of columns C gives the spectra of all four entries of _para(C)."""
+    stack of columns C gives the spectra of all four entries of para(C)."""
     C = random_stack(np.random.default_rng(h), (3, 2, h + 1))
     S = np.fft.fft(C, 2 * h)
     A, B = S[:, 0], S[:, 1]
     sign = (-1.0) ** np.arange(2 * h)
     built = np.stack([np.stack([A, -sign * B.conj()], 1), np.stack([B, sign * A.conj()], 1)], 1)
-    expected = np.fft.fft(_para(C), 2 * h)
+    expected = np.fft.fft(para(C), 2 * h)
     np.testing.assert_allclose(built, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
@@ -378,7 +380,7 @@ def zero_top_columns(rng, shape, h):
 
 @pytest.mark.parametrize("h", [1, 2, 3, 8, 64, 256])
 def test_para_mul_matches_convolve(h):
-    """_para_mul == _para(X) @ Y, multiplied out with np.convolve.
+    """_para_mul == para(X) @ Y, multiplied out with np.convolve.
 
     X and Y have zero top coefficients, as every column of h steps does,
     so the product has degree below 2h and needs nothing past the
@@ -387,7 +389,7 @@ def test_para_mul_matches_convolve(h):
     for lead in ((), (3,), (2, 3)):
         X = zero_top_columns(rng, lead, h)
         Y = zero_top_columns(rng, lead, h)
-        ref = mat_convolve(_para(X), Y[..., None, :])[..., 0, :]
+        ref = mat_convolve(para(X), Y[..., None, :])[..., 0, :]
         out = _para_mul(np.fft.fft(X, 2 * h), np.fft.fft(Y, 2 * h))
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -400,9 +402,10 @@ def test_columns_have_zero_tops(monkeypatch):
     pairs of test_peel_returns_samples_and_column (R1[n] is reset after
     every step); every _first_column block column and tree product of
     random signals with |q| up to 3 (the buffer slot past the blocks is
-    never written); and the first column of invert_fast's F at
-    D = 1..4096, with default and 16-sample leaves.  (F's second column
-    has conj of a constant coefficient on top, which is not zero.)"""
+    never written); and invert_fast's column C, the first column of
+    F = para(C), at D = 1..4096, with default and 16-sample leaves.  (F's
+    second column has conj of a constant coefficient on top, which is not
+    zero.)"""
     for n in range(1, 513):
         for spikes in range(4):
             _, a, b = _spiky_pair(n, spikes)
@@ -434,24 +437,24 @@ def test_columns_have_zero_tops(monkeypatch):
         pair = forward_fast(random_signal(np.random.default_rng(D), D))
         for leaf in (LEAF_SIZE, 16):
             monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
-            _, F = invert_fast(pair)
-            assert np.all(F[:, 0, D] == 0.0), (D, leaf)
+            _, C = invert_fast(pair)
+            assert np.all(para(C)[:, 0, D] == 0.0), (D, leaf)
 
 
 @pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
 def test_older_window_middle_product(h):
     """invert_fast's window step, _para_mul(_adjoint(P), FFT(V)), gives
-    coefficients h..2h-1 of adj(_para(C)) @ V exactly.
+    coefficients h..2h-1 of adj(para(C)) @ V exactly.
 
     The linear product has length 3h; at length 2h its coefficients
     2h..3h-1 wrap onto 0..h-1 and nothing lands on h..2h-1.
     adj([[p, q], [r, s]]) = [[s, -q], [-r, p]], and _adjoint(P) is the
-    spectrum of the adjoint column _column(C), whose form is adj(_para(C)).
+    spectrum of the adjoint column _column(C), whose form is adj(para(C)).
     """
     rng = np.random.default_rng(h)
     C = random_stack(rng, (2, h + 1))
     V = random_stack(rng, (2, 2 * h))
-    F = _para(C)
+    F = para(C)
     adj = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
     ref = mat_convolve(adj, V[:, None, :])[:, 0, h:2 * h]
     Pa = _adjoint(np.fft.fft(C, 2 * h))
@@ -480,7 +483,8 @@ def test_energy_identity():
 
 
 def test_transfer_matrix_det_is_z_to_the_minus_D(monkeypatch):
-    """det F = z^{-D} for invert_fast's forward matrix F, checked on coefficients.
+    """det F = z^{-D} for the forward matrix F = para(C) of invert_fast's column C,
+    checked on coefficients.
 
     Evaluating the determinant pointwise off the circle is hopeless at
     large D (the two products cancel to ~machine_eps * |z|^{2D}), so the
@@ -490,7 +494,8 @@ def test_transfer_matrix_det_is_z_to_the_minus_D(monkeypatch):
     rng = np.random.default_rng(3)
     monkeypatch.setattr(inverse, "LEAF_SIZE", 32)
     for D in (16, 256):
-        _, F = invert_fast(forward_sequential(random_signal(rng, D)))
+        _, C = invert_fast(forward_sequential(random_signal(rng, D)))
+        F = para(C)
         assert F.shape == (2, 2, D + 1)
         det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
         expected = np.zeros(2 * D + 1, dtype=complex)
@@ -499,7 +504,8 @@ def test_transfer_matrix_det_is_z_to_the_minus_D(monkeypatch):
 
 
 def test_invert_fast_matrix_is_forward_product(monkeypatch):
-    """invert_fast's F is the forward product of the samples it recovers.
+    """para(C), C the column invert_fast returns, is the forward product of
+    the samples it recovers.
 
     Each column is built with forward_step, the O(D) per step reference,
     from the recovered samples in time order; F also equals the tree
@@ -509,7 +515,8 @@ def test_invert_fast_matrix_is_forward_product(monkeypatch):
     rng = np.random.default_rng(17)
     D = 256
     monkeypatch.setattr(inverse, "LEAF_SIZE", 32)
-    sig, F = invert_fast(forward_sequential(random_signal(rng, D)))
+    sig, C = invert_fast(forward_sequential(random_signal(rng, D)))
+    F = para(C)
     for col, (top, bottom) in enumerate((([1.0], [0.0]), ([0.0], [1.0]))):
         for Q in sig.samples:
             top, bottom = forward_step(top, bottom, Q)
