@@ -11,7 +11,6 @@ t = -1 + n*eps - eps/2.  All commands are deterministic.
 """
 
 import argparse
-import cmath
 import csv
 import functools
 import json
@@ -24,14 +23,12 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
-from .inverse import (BLOCK, CHUNK, LEAF_SIZE, SINGULAR_A0, Signal, _shifted,
-                      invert_fast, invert_sequential)
+from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast, invert_sequential
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
 SCHEMA_VERSION = 1
-SEQUENTIAL_LIMIT = 4096        # skip the commands' O(D^2) row-peel check above this
-BENCH_SEQUENTIAL_LIMIT = 8192  # bench's scalar reference gets slow beyond this
+SEQUENTIAL_LIMIT = 4096        # skip the O(D^2) invert_sequential check and bench row above this
 BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
 
@@ -135,67 +132,16 @@ def _transfer_column_dev(pair, C):
     return float(np.abs(C - np.pad(np.stack([pair.a, pair.b]), ((0, 0), (0, 1)))).max())
 
 
-def _peel_rows(pair):
-    """The samples of `pair` by `invert_sequential`'s unnormalized recursion,
-    one matmul on the window's rows per sample.
-
-    The same O(D^2) arithmetic as the scalar reference, at numpy speed,
-    and none of `invert_fast`'s leaves or tree, so it checks them.  Each
-    step reads Q = -conj(B0/A0) and sets A' = A - Q B, B'[j] = conj(Q)
-    A[j+1] + B[j+1]: the two-row step of the `inverse` module docstring,
-    one matmul of [[1, -Q]] and [[conj(Q), 1]] with the rows [A; B] at
-    shifts 0 and 1, from one buffer into the other.  The buffer holds D + 1
-    slots, the last one zero.  After k steps the window holds D - k live
-    coefficients; the matmul's views are made once per CHUNK of steps and
-    cover the window's live slots at the chunk's first step.  The slots
-    past the live end go stale, and only stale slots read them.  As in
-    `invert_sequential`, |A0| < SINGULAR_A0 raises ZeroDivisionError and
-    a non-finite sample, or rows that overflow, FloatingPointError.
-    """
-    D = pair.D
-    L = D + 1                                          # slots per row
-    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
-    buf[0, 0, :D] = pair.a
-    buf[0, 1, :D] = pair.b
-    flat = buf.reshape(-1)
-    shifted = _shifted(buf)                            # [buffer, s, r]
-    out = buf[:, :, None, :D]
-    c = np.ones((2, 1, 2), dtype=complex)
-    cf = c.reshape(-1)
-    qs = np.empty(D, dtype=complex)
-    with np.errstate(over="raise", invalid="raise"):
-        for k0 in range(0, D, CHUNK):
-            # reading buffer b: its live slots, the other buffer's, and the flat index
-            # of its A0 (B0 is L slots on)
-            steps = [(shifted[b, ..., :D - k0], out[1 - b, ..., :D - k0], 2 * L * b)
-                     for b in (0, 1)]
-            for k in range(k0, min(k0 + CHUNK, D)):
-                src, dst, ia = steps[k & 1]
-                a0 = flat.item(ia)
-                if abs(a0) < SINGULAR_A0:
-                    raise ZeroDivisionError(f"singular recovery at step {D - k}")
-                Q = -(flat.item(ia + L) / a0).conjugate()
-                if not cmath.isfinite(Q):
-                    raise FloatingPointError(
-                        f"sample q[{D - 1 - k}] = {Q} is not finite: invalid pair")
-                qs[D - 1 - k] = Q
-                cf[1] = -Q
-                cf[2] = Q.conjugate()
-                np.matmul(c, src, out=dst)
-    return qs
-
-
 def _check_sequential(pair, signal, rep, key):
-    """Max deviation of the fast samples from the row peel (`_peel_rows`)
-    under `key`, clocked as the stage "invert_sequential"; above
-    SEQUENTIAL_LIMIT samples, the skip under "over_sequential_limit"
-    instead."""
+    """Max deviation of the fast samples from `invert_sequential`'s under
+    `key`, clocked as the stage "invert_sequential"; above SEQUENTIAL_LIMIT
+    samples, the skip under "over_sequential_limit" instead."""
     if signal.D > SEQUENTIAL_LIMIT:
         rep["over_sequential_limit"] = {"skipped": key, "D": signal.D,
                                         "limit": SEQUENTIAL_LIMIT}
         return
-    ref = _stage("invert_sequential", lambda: _peel_rows(pair), rep)
-    rep[key] = float(np.abs(signal.samples - ref).max())
+    ref = _stage("invert_sequential", lambda: invert_sequential(pair, check=False), rep)
+    rep[key] = float(np.abs(signal.samples - ref.samples).max())
 
 
 def run_synthesize(job, out: Path, rep):
@@ -292,13 +238,11 @@ def run_asymptotics(job, out: Path, rep):
             complex(c) for c in predict(spec).norming_predictions]
 
 
-def _time_median(fn, repeats=BENCH_REPEATS):
-    """Median wall time of `repeats` calls, after one warm-up call; a
-    single call is timed cold."""
-    if repeats > 1:
-        fn()  # warm-up
+def _time_median(fn):
+    """Median wall time of BENCH_REPEATS calls, after one warm-up call."""
+    fn()  # warm-up
     times = []
-    for _ in range(repeats):
+    for _ in range(BENCH_REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -327,14 +271,9 @@ def run_bench(job, out: Path, rep):
         pair = synthesize_ab(spec)
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
         signal, _C = invert_fast(pair, check=False)
-        if D <= BENCH_SEQUENTIAL_LIMIT:
-            # above the commands' own limit the O(D^2) reference takes seconds: one cold call
-            repeats = BENCH_REPEATS if D <= SEQUENTIAL_LIMIT else 1
-            row["invert_sequential_s"] = _time_median(
-                lambda: invert_sequential(pair, check=False), repeats)
-            row["invert_sequential_repeats"] = repeats
         if D <= SEQUENTIAL_LIMIT:
-            row["row_peel_s"] = _time_median(lambda: _peel_rows(pair))
+            row["invert_sequential_s"] = _time_median(
+                lambda: invert_sequential(pair, check=False))
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
         row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
         for key in list(row):

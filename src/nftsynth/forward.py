@@ -75,12 +75,13 @@ def reflection_coefficient(pair):
 
 
 def _fft_folded(x, M):
-    """M-point DFT of x of any length: x is folded modulo M first.
+    """M-point DFT of x of any length: x longer than M is folded modulo M first.
 
     In x's precision: numpy's FFT transforms clongdouble in long double.
     """
-    x = np.pad(x, (0, -len(x) % M))
-    return np.fft.fft(x.reshape(-1, M).sum(axis=0))
+    if len(x) > M:
+        x = np.pad(x, (0, -len(x) % M)).reshape(-1, M).sum(axis=0)
+    return np.fft.fft(x, M)
 
 
 def _values(a, w):

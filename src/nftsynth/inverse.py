@@ -1,12 +1,14 @@
 """Layer peeling: recover the D samples from a scattering pair.
 
-Two implementations of the same map.  `invert_sequential` peels one
-sample at a time, O(D^2); it is the normative reference.  `invert_fast`
-splits the pair in half, peels the newer half, transfers the older half
-through that half's inverse matrix, and recurses -- O(D log^2 D).  Both
-read each sample as Q = -conj(B0/A0), a ratio of the current window's
-constant coefficients, which no common scale of the window changes, so
-both peel without the step matrix's 1/theta.
+Two implementations of the same map.  `invert_fast` splits the pair in
+half, peels the newer half, transfers the older half through that
+half's inverse matrix, and recurses -- O(D log^2 D).  `invert_sequential`
+peels the whole pair one sample at a time, one matmul per sample,
+O(D^2); it shares none of invert_fast's leaves or tree, so the commands
+check invert_fast against it.  Both read each sample as
+Q = -conj(B0/A0), a ratio of the current window's constant
+coefficients, which no common scale of the window changes, so both peel
+without the step matrix's 1/theta.
 
 One step matrix serves both transforms: the one-sample forward matrix,
 in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
@@ -119,45 +121,6 @@ def _pair_arrays(pair, check):
         if not rep["ok"]:
             raise ValueError(f"pair fails validation: {rep}")
     return pair.a, pair.b
-
-
-def invert_sequential(pair, check=True) -> Signal:
-    """O(D^2) normative reference: the recursion written out plainly.
-
-    Scalar arithmetic on purpose -- this is the obviously-correct
-    baseline the fast version is checked against, and its cost per
-    sample is proportional to the remaining window at every size
-    (no vectorization floor hiding the quadratic growth).
-
-    Each step reads Q = -conj(B0/A0) and takes the window [A; B] through
-    the step unnormalized, A' = A - Q B and B'[j] = conj(Q) A[j+1] + B[j+1]:
-    theta times the normalized step of the module docstring.  Q is a ratio
-    of the two rows' constant coefficients, so a common scale of the rows
-    changes no sample.  The scale stays bounded.  A0' = A0 + |B0|^2/conj(A0)
-    = theta^2 A0, so |A0| only grows, and after k steps the rows are
-    theta_1...theta_k times the normalized window, whose coefficients are at
-    most 1 for a valid pair.  By the energy identity the product over all D
-    steps is 1/|a0| <= 1/SINGULAR_A0, so nothing overflows.  A is left one
-    coefficient longer than B; the next step's zip stops at B's end.  A
-    non-finite sample (a NaN or inf in the pair) raises FloatingPointError.
-    """
-    a, b = _pair_arrays(pair, check)
-    D = len(a)
-    A = a.tolist()
-    B = b.tolist()
-    out = np.empty(D, dtype=complex)
-    for n in range(D, 0, -1):
-        a0 = A[0]
-        if abs(a0) < SINGULAR_A0:
-            raise ZeroDivisionError(f"singular recovery at step {n}")
-        Q = -(B[0] / a0).conjugate()
-        if not cmath.isfinite(Q):
-            raise FloatingPointError(f"sample q[{n - 1}] = {Q} is not finite: invalid pair")
-        out[n - 1] = Q
-        qc = Q.conjugate()
-        A, B = ([ai - Q * bi for ai, bi in zip(A, B)],
-                [qc * ai + bi for ai, bi in zip(A[1:], B[1:])])
-    return Signal(samples=out)
 
 
 def _para_mul(P, L):
@@ -302,6 +265,64 @@ def _peel(V):
     C = _column(buf[n & 1, :, :n + 1])
     C /= scale
     return qs, C
+
+
+def invert_sequential(pair, check=True) -> Signal:
+    """O(D^2) layer peeling of the whole pair, one matmul per sample.
+
+    Each step reads Q = -conj(B0/A0) and takes the window [A; B] through
+    the two-row step of the module docstring, A' = A - Q B and
+    B'[j] = conj(Q) A[j+1] + B[j+1]: theta times the normalized inverse
+    step.  Q is a ratio of the two rows' constant coefficients, so a
+    common scale of the rows changes no sample.  The scale stays bounded.
+    A0' = A0 + |B0|^2/conj(A0) = theta^2 A0, so |A0| only grows, and after
+    k steps the rows are theta_1...theta_k times the normalized window,
+    whose coefficients are at most 1 for a valid pair.  By the energy
+    identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so
+    nothing overflows.
+
+    The step is one matmul of [[1, -Q]] and [[conj(Q), 1]] with the rows
+    [A; B] at shifts 0 and 1, from one buffer into the other: `_peel`'s
+    step without its accumulator, and none of invert_fast's leaves or
+    tree.  The buffer holds D + 1 slots, the last one zero.  After k
+    steps the window holds D - k live coefficients; the matmul's views are
+    made once per CHUNK of steps and cover the window's live slots at the
+    chunk's first step.  The slots past the live end go stale, and only
+    stale slots read them.  |A0| < SINGULAR_A0 raises ZeroDivisionError,
+    and a non-finite sample, or rows that overflow, FloatingPointError.
+    """
+    a, b = _pair_arrays(pair, check)
+    D = len(a)
+    L = D + 1                                          # slots per row
+    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
+    buf[0, 0, :D] = a
+    buf[0, 1, :D] = b
+    flat = buf.reshape(-1)
+    shifted = _shifted(buf)                            # [buffer, s, r]
+    out = buf[:, :, None, :D]
+    c = np.ones((2, 1, 2), dtype=complex)
+    cf = c.reshape(-1)
+    qs = np.empty(D, dtype=complex)
+    with np.errstate(over="raise", invalid="raise"):
+        for k0 in range(0, D, CHUNK):
+            # reading buffer b: its live slots, the other buffer's, and the flat index
+            # of its A0 (B0 is L slots on)
+            steps = [(shifted[b, ..., :D - k0], out[1 - b, ..., :D - k0], 2 * L * b)
+                     for b in (0, 1)]
+            for k in range(k0, min(k0 + CHUNK, D)):
+                src, dst, ia = steps[k & 1]
+                a0 = flat.item(ia)
+                if abs(a0) < SINGULAR_A0:
+                    raise ZeroDivisionError(f"singular recovery at step {D - k}")
+                Q = -(flat.item(ia + L) / a0).conjugate()
+                if not cmath.isfinite(Q):
+                    raise FloatingPointError(
+                        f"sample q[{D - 1 - k}] = {Q} is not finite: invalid pair")
+                qs[D - 1 - k] = Q
+                cf[1] = -Q
+                cf[2] = Q.conjugate()
+                np.matmul(c, src, out=dst)
+    return Signal(samples=qs)
 
 
 def invert_fast(pair, check=True):

@@ -3,6 +3,8 @@
 None of these runs in the package: each is a slow or independent route
 to a quantity the fast code computes.
 
+- `invert_scalar` is layer peeling in scalar arithmetic, one sample at a
+  time, O(D^2): the reference both inversions are checked against.
 - `forward_step` applies the one-sample forward step matrix of the
   `nftsynth.inverse` module docstring to a column, with its 1/theta;
   `forward_sequential` applies it once per sample, O(D^2).
@@ -13,10 +15,52 @@ to a quantity the fast code computes.
   D -> infinity limit (scipy.integrate).
 """
 
+import cmath
+
 import numpy as np
 
-from nftsynth.inverse import Signal, _first_column
+from nftsynth.inverse import SINGULAR_A0, Signal, _first_column, _pair_arrays
 from nftsynth.synthesis import ScatteringPair
+
+
+def invert_scalar(pair, check=True) -> Signal:
+    """O(D^2) normative reference: the recursion written out plainly.
+
+    Scalar arithmetic on purpose -- this is the obviously-correct
+    baseline the fast version is checked against, and its cost per
+    sample is proportional to the remaining window at every size
+    (no vectorization floor hiding the quadratic growth).
+
+    Each step reads Q = -conj(B0/A0) and takes the window [A; B] through
+    the step unnormalized, A' = A - Q B and B'[j] = conj(Q) A[j+1] + B[j+1]:
+    theta times the normalized step of the `nftsynth.inverse` module
+    docstring.  Q is a ratio
+    of the two rows' constant coefficients, so a common scale of the rows
+    changes no sample.  The scale stays bounded.  A0' = A0 + |B0|^2/conj(A0)
+    = theta^2 A0, so |A0| only grows, and after k steps the rows are
+    theta_1...theta_k times the normalized window, whose coefficients are at
+    most 1 for a valid pair.  By the energy identity the product over all D
+    steps is 1/|a0| <= 1/SINGULAR_A0, so nothing overflows.  A is left one
+    coefficient longer than B; the next step's zip stops at B's end.  A
+    non-finite sample (a NaN or inf in the pair) raises FloatingPointError.
+    """
+    a, b = _pair_arrays(pair, check)
+    D = len(a)
+    A = a.tolist()
+    B = b.tolist()
+    out = np.empty(D, dtype=complex)
+    for n in range(D, 0, -1):
+        a0 = A[0]
+        if abs(a0) < SINGULAR_A0:
+            raise ZeroDivisionError(f"singular recovery at step {n}")
+        Q = -(B[0] / a0).conjugate()
+        if not cmath.isfinite(Q):
+            raise FloatingPointError(f"sample q[{n - 1}] = {Q} is not finite: invalid pair")
+        out[n - 1] = Q
+        qc = Q.conjugate()
+        A, B = ([ai - Q * bi for ai, bi in zip(A, B)],
+                [qc * ai + bi for ai, bi in zip(A[1:], B[1:])])
+    return Signal(samples=out)
 
 
 def forward_step(a, b, Q):

@@ -32,7 +32,6 @@ from nftsynth.inverse import (
     Signal,
     energy_identity_residual,
     invert_fast,
-    invert_sequential,
 )
 from nftsynth.poly import poly_eval
 from nftsynth.synthesis import (
@@ -43,7 +42,7 @@ from nftsynth.synthesis import (
     z_to_lambda,
 )
 
-from oracles import continuous_oracle, forward_sequential
+from oracles import continuous_oracle, forward_sequential, invert_scalar
 
 ONE_SOLITON = (20j,)
 FOUR_SOLITON = (12.5j, 25.0j, 37.5j, 50.0j)
@@ -71,7 +70,7 @@ def random_signal(rng, D):
 
 
 def test_criterion_1_fast_matches_reference(monkeypatch):
-    """invert_fast vs invert_sequential: <= 1e-8 relative on 200 random pairs
+    """invert_fast vs the scalar reference invert_scalar: <= 1e-8 relative on 200 random pairs
     (25 per size, D in {2,...,256}) and on both worked-example spectra at D=512,
     each at the default leaf size (D <= 512 is then a single leaf) and at
     a leaf size of 32, which runs the recursion."""
@@ -84,7 +83,7 @@ def test_criterion_1_fast_matches_reference(monkeypatch):
         worst[leaf] = 0.0
         monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
         for pair in pairs:
-            ref = invert_sequential(pair, check=False)
+            ref = invert_scalar(pair, check=False)
             fast, _ = invert_fast(pair, check=False)
             rel = np.abs(fast.samples - ref.samples).max() / np.abs(ref.samples).max()
             worst[leaf] = max(worst[leaf], rel)
@@ -170,14 +169,15 @@ def _median_time(fn, repeats=3):
 
 def test_criterion_6_complexity_signature():
     """Per-sample wall time from D=2^9 to D=2^14: the fast inverter grows
-    <= 3x (log^2 signature), the sequential reference >= 8x (quadratic)."""
+    <= 3x (log^2 signature), the scalar reference invert_scalar >= 8x
+    (quadratic)."""
     small, big = 512, 16384
     pairs = {D: pipeline(ONE_SOLITON, 0.01, D)[1] for D in (small, big)}
     fast = {D: _median_time(lambda D=D: invert_fast(pairs[D], check=False))
             for D in (small, big)}
-    seq_small = _median_time(lambda: invert_sequential(pairs[small], check=False))
+    seq_small = _median_time(lambda: invert_scalar(pairs[small], check=False))
     t0 = time.perf_counter()  # one quadratic run at 2^14 is ~30 s; time it once
-    invert_sequential(pairs[big], check=False)
+    invert_scalar(pairs[big], check=False)
     seq_big = time.perf_counter() - t0
     fast_ratio = (fast[big] / big) / (fast[small] / small)
     seq_ratio = (seq_big / big) / (seq_small / small)

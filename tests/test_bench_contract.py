@@ -46,9 +46,8 @@ def test_benchmark_patched_names_resolve():
 def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
     """The CLI workload reads its results from calls to these names on
     nftsynth.cli; a roundtrip that bypasses one of them breaks the workload.
-    invert_sequential is the exception: the workload reads no result of it,
-    and its fast-vs-reference check reads the report's inversion_max_dev,
-    which roundtrip computes by its row peel without calling that name."""
+    invert_sequential runs once, as the check behind the report's
+    inversion_max_dev, which the workload's check reads."""
     calls = {}
 
     def counted(name, fn):
@@ -65,8 +64,8 @@ def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
                                 "omega_c": 10.0}))
     out = tmp_path / "o"
     assert cli.main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
-    assert [name for name in names if name not in calls and name != "invert_sequential"] == []
-    assert calls.get("invert_sequential", 0) == 0
+    assert [name for name in names if name not in calls] == []
+    assert calls["invert_sequential"] == 1
     assert json.loads((out / "report.json").read_text())["inversion_max_dev"] <= 1e-10
 
 

@@ -10,6 +10,8 @@ from nftsynth.forward import forward_fast
 from nftsynth.inverse import Signal, invert_sequential
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, lambda_to_z, synthesize_ab
 
+from oracles import invert_scalar
+
 FOUR_SOLITONS = [(0.0, 12.5), (3.0, 25.0), (-2.0, 37.5), (0.0, 50.0)]
 
 
@@ -102,15 +104,26 @@ def test_synthesize_deterministic(tmp_path):
 
 
 def test_invert_command(tmp_path, monkeypatch):
-    """invert checks the fast samples by the row peel; the scalar
-    invert_sequential is only the tests' oracle and bench's row."""
-    def refuse(pair, check=True):
-        raise AssertionError("invert_sequential called")
+    """invert checks the fast samples by one invert_sequential call on the
+    pair it synthesized, with check=False as for invert_fast."""
+    synthesized, checked = [], []
 
-    monkeypatch.setattr(cli, "invert_sequential", refuse)
+    def recording_synthesis(spec):
+        synthesized.append(synthesize_ab(spec))
+        return synthesized[-1]
+
+    def recording_reference(pair, check=True):
+        checked.append((pair, check))
+        return invert_sequential(pair, check)
+
+    monkeypatch.setattr(cli, "synthesize_ab", recording_synthesis)
+    monkeypatch.setattr(cli, "invert_sequential", recording_reference)
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
     assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
+    assert len(synthesized) == len(checked) == 1
+    pair, check = checked[0]
+    assert pair is synthesized[0] and check is False
     rep = read_report(out)
     assert rep["fast_vs_sequential_max_dev"] <= 1e-10
     assert "over_sequential_limit" not in rep
@@ -121,8 +134,8 @@ def test_invert_command(tmp_path, monkeypatch):
 
 def _row_peel_dev(pair):
     """The deviation _check_sequential records between the scalar oracle's
-    samples and the row peel, and the oracle's max |q|."""
-    oracle = invert_sequential(pair, check=False)
+    samples and the row peel invert_sequential, and the oracle's max |q|."""
+    oracle = invert_scalar(pair, check=False)
     rep = {"wall_clock_s": {}}
     cli._check_sequential(pair, oracle, rep, "dev")
     assert "invert_sequential" in rep["wall_clock_s"]
@@ -131,8 +144,9 @@ def _row_peel_dev(pair):
 
 @pytest.mark.parametrize("D", [1, 2, 16, 256, 1024])
 def test_row_peel_matches_scalar_oracle(D):
-    """The commands' row peel against invert_sequential on exact pairs of
-    weak random signals: within 1e-13 of max |q|."""
+    """The commands' row peel, invert_sequential, against the scalar oracle
+    invert_scalar on exact pairs of weak random signals: within 1e-13 of
+    max |q|."""
     rng = np.random.default_rng(4000 + D)
     scale = min(0.5, 1.0 / np.sqrt(D))
     pair = forward_fast(Signal(samples=scale * (rng.standard_normal(D)
@@ -148,22 +162,21 @@ def test_row_peel_matches_scalar_oracle_four_solitons():
     assert dev <= 1e-13 * peak
 
 
-@pytest.mark.parametrize("a0, b2, message", [(1.0, np.nan, r"q\[5\].*not finite"),
-                                             (0.0, 0.0, "singular recovery at step 8"),
-                                             (1.0, 1e200, "overflow")],
+@pytest.mark.parametrize("a0, b2, error, message",
+                         [(1.0, np.nan, FloatingPointError, r"q\[5\].*not finite"),
+                          (0.0, 0.0, ZeroDivisionError, "singular recovery at step 8"),
+                          (1.0, 1e200, FloatingPointError, "overflow")],
                          ids=["nan-coefficient", "singular-a0", "overflow"])
-def test_row_peel_refuses_invalid_pair(a0, b2, message):
-    """As invert_sequential does, the row peel raises at a non-finite sample
-    and at a vanishing a0, and it raises where its rows overflow; the check
-    then records no deviation."""
+def test_row_peel_refuses_invalid_pair(a0, b2, error, message):
+    """As the scalar oracle does, the row peel invert_sequential raises at a
+    non-finite sample and at a vanishing a0, and it raises where its rows
+    overflow."""
     a = np.zeros(8, dtype=complex)
     a[0] = a0
     b = np.zeros(8, dtype=complex)
     b[2] = b2
-    rep = {"wall_clock_s": {}}
-    with pytest.raises(RuntimeError, match=message):
-        cli._check_sequential(ScatteringPair(a, b), Signal(samples=np.zeros(8)), rep, "dev")
-    assert "dev" not in rep
+    with pytest.raises(error, match=message):
+        invert_sequential(ScatteringPair(a, b), check=False)
 
 
 @pytest.mark.parametrize("command, key", [("invert", "fast_vs_sequential_max_dev"),
@@ -304,9 +317,8 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
         return factor(power, degree)
 
     monkeypatch.setattr(specfact, "spectral_factor", counting_factor)
-    # 64 is within the commands' reference limit, 128 only within the bench's
+    # 64 is within the O(D^2) row's limit, 128 is not
     monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 64)
-    monkeypatch.setattr(cli, "BENCH_SEQUENTIAL_LIMIT", 128)
     referenced = []  # D of every invert_sequential call
     reference = cli.invert_sequential
 
@@ -327,28 +339,24 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
             assert row[f"{stage}_s"] > 0
             assert row[f"{stage}_per_sample_us"] == pytest.approx(row[f"{stage}_s"] / row["D"] * 1e6)
         assert row["invert_fast_per_sample_us"] > 0
-        assert "invert_sequential_s" in row
         assert "forward_fast_s" in row
         assert row["find_eigenvalues_s"] > 0
         assert row["find_eigenvalues_per_sample_us"] > 0
     assert "slope" in rep["fast_per_sample_fit"]
     assert rep["constants"] == {"LEAF_SIZE": inverse.LEAF_SIZE, "BLOCK": inverse.BLOCK,
                                 "CHUNK": inverse.CHUNK}
-    assert "invert_sequential_per_sample_us" in rep["rows"][0]
-    # a median after a warm-up within the limit, one cold call above it
-    assert [r["invert_sequential_repeats"] for r in rep["rows"]] == [BENCH_REPEATS, 1]
-    # the commands' check is timed where the commands run it
-    assert rep["rows"][0]["row_peel_per_sample_us"] == pytest.approx(
-        rep["rows"][0]["row_peel_s"] / 64 * 1e6)
-    assert not any(k.startswith("row_peel") for k in rep["rows"][1])
-    assert referenced == [64] * (BENCH_REPEATS + 1) + [128]
+    # a median after a warm-up within the limit, as for every stage; no row above it
+    assert rep["rows"][0]["invert_sequential_per_sample_us"] == pytest.approx(
+        rep["rows"][0]["invert_sequential_s"] / 64 * 1e6)
+    assert not any(k.startswith("invert_sequential") for k in rep["rows"][1])
+    assert referenced == [64] * (BENCH_REPEATS + 1)
 
 
 def test_bench_single_size_has_no_fit(tmp_path, capsys, monkeypatch):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bench_D": [64]}))
     out = tmp_path / "out"
-    monkeypatch.setattr(cli, "BENCH_SEQUENTIAL_LIMIT", 32)   # no reference row above it
+    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 32)   # no O(D^2) row above it
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
     assert [r["D"] for r in rep["rows"]] == [64]

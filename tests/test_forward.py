@@ -178,17 +178,21 @@ def test_radiation_reflection_profile():
 def test_fft_folded_keeps_long_double():
     """The extended-precision contour pass needs the folded DFT in long double:
     a clongdouble input comes back clongdouble and within 100 eps (of the long
-    double) of a direct long-double DFT, relative to the sum of moduli."""
+    double) of a direct long-double DFT, relative to the sum of moduli.  An
+    input longer than M is folded; one no longer than M is transformed
+    directly, zero-padded to M."""
     rng = np.random.default_rng(31)
     M = 64
-    x = (rng.normal(size=150) + 1j * rng.normal(size=150)).astype(np.clongdouble)
-    out = _fft_folded(x, M)
-    assert out.dtype == np.clongdouble
     pi = np.arccos(np.longdouble(-1.0))  # np.pi would be a double
-    jk = np.outer(np.arange(M), np.arange(len(x))) % M
-    direct = np.exp(-2j * pi * jk.astype(np.longdouble) / M) @ x
     eps = np.finfo(np.longdouble).eps
-    assert np.max(np.abs(out - direct)) <= 100 * eps * np.sum(np.abs(x))
+    for n in (150, M, 40):
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)).astype(np.clongdouble)
+        out = _fft_folded(x, M)
+        assert out.dtype == np.clongdouble
+        assert out.shape == (M,)
+        jk = np.outer(np.arange(M), np.arange(n)) % M
+        direct = np.exp(-2j * pi * jk.astype(np.longdouble) / M) @ x
+        assert np.max(np.abs(out - direct)) <= 100 * eps * np.sum(np.abs(x))
 
 
 @pytest.mark.parametrize("dtype", [complex, np.clongdouble])

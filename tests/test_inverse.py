@@ -26,7 +26,7 @@ from nftsynth.inverse import (
 from nftsynth.poly import poly_mul
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, synthesize_ab
 
-from oracles import forward_sequential, forward_step, para, transfer_matrix
+from oracles import forward_sequential, forward_step, invert_scalar, para, transfer_matrix
 
 
 def random_signal(rng, D, scale=None):
@@ -78,6 +78,23 @@ def test_trivial_pair_gives_zero_signal(invert):
     assert sig.eps == pytest.approx(1.0 / D)
 
 
+def test_sequential_empty_and_one_sample_pairs():
+    """invert_sequential returns a Signal of D samples at D = 0 and D = 1,
+    as the scalar reference does: none for the empty pair, and for one
+    coefficient the sample read from it, bit for bit."""
+    rng = np.random.default_rng(13)
+    empty = np.zeros(0, dtype=complex)
+    pairs = [(empty, empty)]
+    pairs += [forward_sequential(Signal(samples=[complex(*rng.standard_normal(2))]))
+              for _ in range(5)]
+    for pair in pairs:
+        got = invert_sequential(pair)
+        assert isinstance(got, Signal)
+        assert got.samples.dtype == complex
+        np.testing.assert_array_equal(got.samples, invert_scalar(pair).samples)
+    assert invert_sequential((empty, empty)).D == 0
+
+
 def test_two_sample_roundtrip():
     sig = Signal(samples=np.array([0.3, -0.2j]))
     pair = forward_sequential(sig)
@@ -118,7 +135,8 @@ def _mp_peel(a, b):
 
 
 def test_sequential_matches_high_precision_peel():
-    """The reference itself, not only against the fast path: within 1e-13 of
+    """Both O(D^2) peels, the scalar reference and invert_sequential, not
+    only against the fast path: within 1e-13 of
     max|q| of a 30-digit peel, on a synthesized two-eigenvalue pair and on
     the pair of a weak random signal with three spikes of modulus up to 3,
     placed in the newer half, where peeling recovers the signal."""
@@ -129,8 +147,9 @@ def test_sequential_matches_high_precision_peel():
     spiky = forward_fast(Signal(samples=q))
     for pair in (two, spiky):
         exact = _mp_peel(pair.a, pair.b)
-        got = invert_sequential(pair, check=False).samples
-        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+        for invert in (invert_scalar, invert_sequential):
+            got = invert(pair, check=False).samples
+            assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
     np.testing.assert_allclose(exact, q, rtol=0, atol=1e-13 * 3.0)
 
 
@@ -140,7 +159,7 @@ def test_fast_matches_sequential_and_roundtrips(D):
     for _ in range(3):
         sig = random_signal(rng, D)
         pair = forward_sequential(sig)
-        seq = invert_sequential(pair)
+        seq = invert_scalar(pair)
         fast, _ = invert_fast(pair)
         assert np.allclose(fast.samples, seq.samples, atol=1e-12)
         assert np.allclose(seq.samples, sig.samples, atol=1e-10)
@@ -168,7 +187,7 @@ def spiky_signals(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(spiky_signals())
 def test_fast_inverse_properties(case):
-    """invert_fast == invert_sequential, F = para(C) == transfer_matrix(samples), det F = z^{-D}.
+    """invert_fast == invert_scalar, F = para(C) == transfer_matrix(samples), det F = z^{-D}.
 
     Layer peeling is ill-conditioned for some strong signals: a spike of
     modulus ~3 behind a few hundred background samples can leave the
@@ -179,7 +198,7 @@ def test_fast_inverse_properties(case):
     sig, leaf_size = case
     D = sig.D
     pair = forward_sequential(sig)
-    seq = invert_sequential(pair)
+    seq = invert_scalar(pair)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(inverse, "LEAF_SIZE", leaf_size)
         fast, C = invert_fast(pair)
@@ -273,7 +292,7 @@ def test_peel_returns_samples_and_column(n):
         got[:, :n + 1] = column
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
         assert column[1, n] == 0
-        seq = invert_sequential((a, b), check=False).samples
+        seq = invert_scalar((a, b), check=False).samples
         if spikes == 0 or np.abs(seq - q).max() <= 1e-11:
             np.testing.assert_allclose(qs[::-1], q, rtol=0, atol=1e-10)
 
@@ -292,13 +311,13 @@ def _high_energy_pair():
 def test_peel_high_energy(monkeypatch):
     """The unnormalized leaf divides its column once by prod(theta) ~ 1e8.
 
-    The samples against invert_sequential, relative to their largest,
+    The samples against invert_scalar, relative to their largest,
     within the amplified rounding both peels share; the column against
     transfer_matrix of them at 1e-14 relative.  Also through the tree,
     with 64-sample leaves."""
     pair, q = _high_energy_pair()
     assert np.prod(np.hypot(1.0, np.abs(q))) >= 1e8
-    seq = invert_sequential(pair).samples
+    seq = invert_scalar(pair).samples
     np.testing.assert_allclose(seq, q, rtol=0, atol=1e-5)
     qs, column = _peel(np.stack([pair.a, pair.b]))
     assert np.abs(qs[::-1] - seq).max() <= 1e-12 * np.abs(seq).max()
@@ -573,7 +592,7 @@ def test_invalid_pair_rejected_when_checking():
 
 
 def test_cost_scaling_smoke():
-    """Per-sample cost: sequential grows ~linearly with D, fast stays flat-ish.
+    """Per-sample cost: the scalar reference grows ~linearly with D, fast stays flat-ish.
 
     Wide margins -- the definitive measurement lives in the acceptance
     tests; this only guards against the complexity regressing outright.
@@ -583,7 +602,7 @@ def test_cost_scaling_smoke():
     for D in (64, 1024):
         pair = forward_sequential(random_signal(rng, D))
         args = np.asarray(pair.a), np.asarray(pair.b)
-        for name, fn in (("seq", invert_sequential), ("fast", invert_fast)):
+        for name, fn in (("seq", invert_scalar), ("fast", invert_fast)):
             fn(args)                                    # warmup
             reps = []
             for _ in range(3):
