@@ -4,11 +4,11 @@ Two implementations of the same map.  `invert_fast` splits the pair in
 half, peels the newer half, transfers the older half through that
 half's inverse matrix, and recurses -- O(D log^2 D).  `invert_sequential`
 peels the whole pair one sample at a time, one matmul per sample,
-O(D^2); it shares none of invert_fast's leaves or tree, so the commands
-check invert_fast against it.  Both read each sample as
-Q = -conj(B0/A0), a ratio of the current window's constant
-coefficients, which no common scale of the window changes, so both peel
-without the step matrix's 1/theta.
+O(D^2): the loop of invert_fast's leaves, `_peel_rows`, without their
+tree, so the commands check invert_fast's tree against it.  Both read
+each sample as Q = -conj(B0/A0), a ratio of the current window's
+constant coefficients, which no common scale of the window changes, so
+both peel without the step matrix's 1/theta.
 
 One step matrix serves both transforms: the one-sample forward matrix,
 in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
@@ -50,15 +50,16 @@ the coefficient of z^{-j} (z shifts by one slot).  On a window [A; B] of
 the pair it is theta times the inverse step: the peel.  Started from
 [z^{-n}; 0] (R0[n] = 1), n steps taken newest first leave prod(theta) *
 adj(F) [1; 0], prod(theta) times the adjoint column, which `_column` maps
-back to [a; b].  So `_peel` puts this accumulator left of its window in
-one buffer and peels and accumulates with one matmul per sample, and
+back to [a; b].  `_peel_rows`, the one sequential loop, steps a window
+and an accumulator left of it, one matmul per sample: `_peel` peels and
+accumulates at once, `invert_sequential` leaves the accumulator empty.
 `_first_column` runs the accumulator half on all blocks of BLOCK samples
 at once, then multiplies the blocks in a balanced tree, one batched
 `_para_mul` per level; `forward_fast` reads (a, b) from it.  The columns'
 top coefficients are exactly 0: a[n] = conj(R0[0]) is a slot no nonzero
-product reaches, and b[n] = -R1[n], which `_peel` resets after every step
-and `_first_column` reads from the buffer slot past its block columns,
-which no step writes.
+product reaches, and b[n] = -R1[n], which `_peel_rows` resets after every
+step and `_first_column` reads from the buffer slot past its block
+columns, which no step writes.
 
 The step's 1/theta is a scale common to both rows, and both leaves drop
 it, as `invert_sequential` does: `_peel` and every block of
@@ -75,7 +76,6 @@ identically and cancels in every recovery ratio, so it is tracked as an
 integer count of half powers, never materialized in coefficients.
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +85,7 @@ from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 256         # below this, peel sequentially inside the recursion (measured sweep)
 BLOCK = 32              # _first_column steps blocks of this many samples at once (measured sweep)
-CHUNK = 64              # _peel slides its matmul every this many steps (measured sweep)
+CHUNK = 64              # _peel_rows slides its matmul every this many steps (measured sweep)
 SINGULAR_A0 = 1e-14
 
 
@@ -204,61 +204,78 @@ def _first_column(q):
     return C[0]
 
 
-def _peel(V):
-    """Peel a window V = [A; B], shape (2, n), one sample at a time.
+def _peel_rows(buf, n):
+    """Take n two-row steps (module docstring) on buf, a contiguous double
+    buffer of shape (2, 2, L) laid out as [accumulator, lo + 1 slots |
+    window, n slots | one zero slot], lo = L - n - 2; returns the n
+    samples, newest first.
 
-    Returns the n samples (newest first) and the first column of the
-    window's forward matrix.  The buffer is [accumulator, n+1 slots |
-    window, n slots | one zero slot], and one two-row step (module
-    docstring), one matmul of [[1, -Q]] and [[conj(Q), 1]] with the shifts
-    0 and 1, peels the window and accumulates the peeled steps' adjoint
-    column at once.  The step is unnormalized, so the column is
-    divided once by prod(theta) at the end.  In a two-row buffer, row r
-    shifted by s is buf[r, s:s + w].  R1[n] reads the window's constant
+    Step k reads Q = -conj(B0/A0), B0 and A0 the window's constant
+    coefficients at slot lo + 1, from buffer k & 1 and writes buffer
+    1 - (k & 1): one matmul of [[1, -Q]] and [[conj(Q), 1]] with the
+    shifts 0 and 1, unnormalized.  In a two-row buffer, row r shifted by
+    s is buf[r, s:s + w].  R1[lo] reads the window's constant
     coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
     step leaves their rounding residue there, so it is reset to 0.
 
-    After k steps the accumulator is live from slot n - k and the window
+    After k steps the accumulator is live from slot lo - k and the window
     holds n - k live coefficients.  The matmul's views are made once per
-    CHUNK of steps and cover slots n - k1 (k1 the step that ends the
-    chunk) to the window's live end at the chunk's first step.  Every
+    CHUNK of steps and cover slots max(lo - k1, 0) (k1 the step that ends
+    the chunk) to the window's live end at the chunk's first step.  Every
     coefficient it writes goes through the same arithmetic as over the
-    whole buffer; the zeros below n - k stay zero.  The window
+    whole buffer; the zeros below lo - k stay zero.  The window
     coefficients it leaves stale are never read: the k-th sample reads
     coefficient 0, which depends only on coefficients 0..k of the window.
 
-    A window far from any valid pair can grow the rows past the largest
-    double; that raises FloatingPointError rather than return inf or NaN.
+    |A0| < SINGULAR_A0 raises ZeroDivisionError, and rows that overflow
+    raise FloatingPointError rather than hold inf or NaN.  A NaN in the
+    window gives NaN samples; the callers refuse them.
     """
-    n = V.shape[-1]
-    L = 2 * n + 2                                      # slots per row
-    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
-    buf[0, 0, n] = 1.0
-    buf[0, :, n + 1:L - 1] = V
+    L = buf.shape[-1]
+    lo = L - n - 2
     flat = buf.reshape(-1)
     shifted = _shifted(buf)                            # [buffer, s, r]
     out = buf[:, :, None, :L - 1]
     c = np.ones((2, 1, 2), dtype=complex)
     cf = c.reshape(-1)
-    # reading buffer b: flat indices of its A0 and B0, and of R1[n] in the buffer it writes
-    at = [(2 * L * b + n + 1, 2 * L * b + L + n + 1, 2 * L * (1 - b) + L + n) for b in (0, 1)]
+    # reading buffer b: flat indices of its A0 and B0, and of R1[lo] in the buffer it writes
+    at = [(2 * L * b + lo + 1, 2 * L * b + L + lo + 1, 2 * L * (1 - b) + L + lo) for b in (0, 1)]
     qs = np.empty(n, dtype=complex)
     with np.errstate(over="raise", invalid="raise"):
         for k0 in range(0, n, CHUNK):
             k1 = min(k0 + CHUNK, n)
-            span = slice(n - k1, L - 1 - k0)
+            span = slice(max(lo - k1, 0), L - 1 - k0)
             steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
             for k in range(k0, k1):
                 src, dst, ia, ib, ir = steps[k & 1]
                 a0 = flat.item(ia)
                 if abs(a0) < SINGULAR_A0:
-                    raise ZeroDivisionError("constant coefficient of a vanished: invalid pair")
+                    raise ZeroDivisionError(f"singular recovery at step {n - k}")
                 Q = -(flat.item(ib) / a0).conjugate()
                 qs[k] = Q
                 cf[1] = -Q
                 cf[2] = Q.conjugate()
                 np.matmul(c, src, out=dst)
                 flat[ir] = 0.0
+    return qs
+
+
+def _peel(V):
+    """Peel a window V = [A; B], shape (2, n): its n samples (newest first)
+    and the first column of its forward matrix.
+
+    `_peel_rows` runs on [accumulator, n + 1 slots | window | one zero
+    slot], so each matmul also accumulates the peeled steps' adjoint
+    column, unnormalized and divided once by prod(theta) at the end.  A
+    window far from any valid pair can grow the rows or that product past
+    the largest double; that raises FloatingPointError.
+    """
+    n = V.shape[-1]
+    buf = np.zeros((2, 2, 2 * n + 2), dtype=complex)   # two buffers, swapped each step
+    buf[0, 0, n] = 1.0
+    buf[0, :, n + 1:-1] = V
+    qs = _peel_rows(buf, n)
+    with np.errstate(over="raise", invalid="raise"):
         scale = np.prod(np.hypot(1.0, np.abs(qs)))
     if not np.isfinite(scale):
         raise FloatingPointError(f"leaf scale prod(theta) = {scale}: invalid pair")
@@ -281,48 +298,24 @@ def invert_sequential(pair, check=True) -> Signal:
     identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so
     nothing overflows.
 
-    The step is one matmul of [[1, -Q]] and [[conj(Q), 1]] with the rows
-    [A; B] at shifts 0 and 1, from one buffer into the other: `_peel`'s
-    step without its accumulator, and none of invert_fast's leaves or
-    tree.  The buffer holds D + 1 slots, the last one zero.  After k
-    steps the window holds D - k live coefficients; the matmul's views are
-    made once per CHUNK of steps and cover the window's live slots at the
-    chunk's first step.  The slots past the live end go stale, and only
-    stale slots read them.  |A0| < SINGULAR_A0 raises ZeroDivisionError,
-    and a non-finite sample, or rows that overflow, FloatingPointError.
+    The steps are the leaves' loop, `_peel_rows`, on a buffer with an
+    empty accumulator: [A; B] at slots 0..D-1 and a zero slot.  |A0| <
+    SINGULAR_A0 raises ZeroDivisionError, and rows that overflow, or a
+    non-finite sample (the first one, named after the peel),
+    FloatingPointError.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
-    L = D + 1                                          # slots per row
-    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
+    buf = np.zeros((2, 2, D + 1), dtype=complex)       # two buffers, swapped each step
     buf[0, 0, :D] = a
     buf[0, 1, :D] = b
-    flat = buf.reshape(-1)
-    shifted = _shifted(buf)                            # [buffer, s, r]
-    out = buf[:, :, None, :D]
-    c = np.ones((2, 1, 2), dtype=complex)
-    cf = c.reshape(-1)
-    qs = np.empty(D, dtype=complex)
-    with np.errstate(over="raise", invalid="raise"):
-        for k0 in range(0, D, CHUNK):
-            # reading buffer b: its live slots, the other buffer's, and the flat index
-            # of its A0 (B0 is L slots on)
-            steps = [(shifted[b, ..., :D - k0], out[1 - b, ..., :D - k0], 2 * L * b)
-                     for b in (0, 1)]
-            for k in range(k0, min(k0 + CHUNK, D)):
-                src, dst, ia = steps[k & 1]
-                a0 = flat.item(ia)
-                if abs(a0) < SINGULAR_A0:
-                    raise ZeroDivisionError(f"singular recovery at step {D - k}")
-                Q = -(flat.item(ia + L) / a0).conjugate()
-                if not cmath.isfinite(Q):
-                    raise FloatingPointError(
-                        f"sample q[{D - 1 - k}] = {Q} is not finite: invalid pair")
-                qs[D - 1 - k] = Q
-                cf[1] = -Q
-                cf[2] = Q.conjugate()
-                np.matmul(c, src, out=dst)
-    return Signal(samples=qs)
+    # lo = -1: the residue reset writes 0 into the zero slot D, which no step writes
+    qs = _peel_rows(buf, D)
+    bad = np.flatnonzero(~np.isfinite(qs))
+    if bad.size:
+        k = bad[0]
+        raise FloatingPointError(f"sample q[{D - 1 - k}] = {qs.item(k)} is not finite: invalid pair")
+    return Signal(samples=qs[::-1])
 
 
 def invert_fast(pair, check=True):

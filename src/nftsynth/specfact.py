@@ -165,14 +165,17 @@ def pair_residual(u, b):
     (real ones for a real pair).  Lag -k is the conjugate of lag k, so
     one Hermitian transform of the lags 0..L-1 samples the real function
     on the 16L-point grid, at a fraction of the cost of transforming u
-    and b there.
+    and b there.  A pair whose squares overflow, or that holds inf or NaN,
+    gives inf, which every residual limit refuses.
     """
     L = max(len(u), len(b))
-    if np.isrealobj(u) and np.isrealobj(b):
-        power = sum(np.abs(np.fft.rfft(p, 2 * L)) ** 2 for p in (u, b))
-        lags = np.fft.irfft(power, 2 * L)[:L]
-    else:
-        power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
-        lags = np.fft.ifft(power)[:L]
-    lags[0] -= 1.0
-    return float(np.max(np.abs(np.fft.hfft(lags, 16 * L))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isrealobj(u) and np.isrealobj(b):
+            power = sum(np.abs(np.fft.rfft(p, 2 * L)) ** 2 for p in (u, b))
+            lags = np.fft.irfft(power, 2 * L)[:L]
+        else:
+            power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
+            lags = np.fft.ifft(power)[:L]
+        lags[0] -= 1.0
+        residual = float(np.max(np.abs(np.fft.hfft(lags, 16 * L))))
+    return residual if np.isfinite(residual) else np.inf

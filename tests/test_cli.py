@@ -7,7 +7,7 @@ import pytest
 from nftsynth import cli, inverse, specfact, synthesis
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.forward import forward_fast
-from nftsynth.inverse import Signal, invert_sequential
+from nftsynth.inverse import Signal, invert_fast, invert_sequential
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, lambda_to_z, synthesize_ab
 
 from oracles import invert_scalar
@@ -142,16 +142,20 @@ def _row_peel_dev(pair):
     return rep["dev"], np.abs(oracle.samples).max()
 
 
-@pytest.mark.parametrize("D", [1, 2, 16, 256, 1024])
+@pytest.mark.parametrize("D", [1, 2, 16, 256, 1024, inverse.CHUNK - 1, inverse.CHUNK + 1,
+                               2 * inverse.CHUNK + 1])
 def test_row_peel_matches_scalar_oracle(D):
     """The commands' row peel, invert_sequential, against the scalar oracle
     invert_scalar on exact pairs of weak random signals: within 1e-13 of
-    max |q|."""
+    max |q|.  The signal is padded at its old end with zeros to a power of
+    two for forward_fast, which leaves the first D coefficients of the
+    pair those of the signal, so D may end a CHUNK part-way."""
     rng = np.random.default_rng(4000 + D)
     scale = min(0.5, 1.0 / np.sqrt(D))
-    pair = forward_fast(Signal(samples=scale * (rng.standard_normal(D)
-                                                + 1j * rng.standard_normal(D))))
-    dev, peak = _row_peel_dev(pair)
+    q = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
+    pad = np.zeros((1 << (D - 1).bit_length()) - D)
+    full = forward_fast(Signal(samples=np.concatenate([pad, q])))
+    dev, peak = _row_peel_dev(ScatteringPair(full.a[:D], full.b[:D]))
     assert dev <= 1e-13 * peak
 
 
@@ -162,21 +166,58 @@ def test_row_peel_matches_scalar_oracle_four_solitons():
     assert dev <= 1e-13 * peak
 
 
-@pytest.mark.parametrize("a0, b2, error, message",
-                         [(1.0, np.nan, FloatingPointError, r"q\[5\].*not finite"),
-                          (0.0, 0.0, ZeroDivisionError, "singular recovery at step 8"),
-                          (1.0, 1e200, FloatingPointError, "overflow")],
-                         ids=["nan-coefficient", "singular-a0", "overflow"])
-def test_row_peel_refuses_invalid_pair(a0, b2, error, message):
+@pytest.mark.parametrize("a0, j, bj, error, message",
+                         [(1.0, 2, np.nan, FloatingPointError, r"q\[5\].*not finite"),
+                          (1.0, 0, np.nan, FloatingPointError, r"q\[7\].*not finite"),
+                          (1.0, 7, np.nan, FloatingPointError, r"q\[0\].*not finite"),
+                          (0.0, 2, 0.0, ZeroDivisionError, "singular recovery at step 8"),
+                          (1.0, 2, 1e200, FloatingPointError, "overflow")],
+                         ids=["nan-coefficient", "nan-first-step", "nan-last-step",
+                              "singular-a0", "overflow"])
+def test_row_peel_refuses_invalid_pair(a0, j, bj, error, message):
     """As the scalar oracle does, the row peel invert_sequential raises at a
     non-finite sample and at a vanishing a0, and it raises where its rows
-    overflow."""
+    overflow.  A NaN at b[j] is first read at step j, so it names the
+    sample q[7 - j]: b[0] the newest, b[7] the oldest.  With check=True
+    both inversions refuse every such pair by validation first."""
     a = np.zeros(8, dtype=complex)
     a[0] = a0
     b = np.zeros(8, dtype=complex)
-    b[2] = b2
+    b[j] = bj
+    pair = ScatteringPair(a, b)
     with pytest.raises(error, match=message):
-        invert_sequential(ScatteringPair(a, b), check=False)
+        invert_sequential(pair, check=False)
+    with pytest.raises(ValueError, match="pair fails validation"):
+        invert_sequential(pair)
+    with pytest.raises(ValueError, match="pair fails validation"):
+        invert_fast(pair)
+
+
+@pytest.mark.parametrize("D", [256, 512])
+def test_sequential_check_sees_a_tree_fault(tmp_path, monkeypatch, D):
+    """invert_sequential runs invert_fast's leaf loop, not its tree, so the
+    commands' check sees a fault in the tree.  With a _para_mul that drops
+    the para form's sign flip, `invert` on the 4-soliton spec reads a
+    deviation of ~5e-4 of max |q| at D=512, above perfbench's
+    INVERSION_REL_TOL of 1e-8.  At D=256 invert_fast is a single leaf,
+    which shares the check's loop: the deviation reads 0 there (asserted
+    to 1e-15)."""
+    para_mul = inverse._para_mul
+
+    def without_sign_flip(P, L):
+        L[..., 1, 1::2] *= -1                          # undoes _para_mul's d[..., 1::2] *= -1
+        return para_mul(P, L)
+
+    monkeypatch.setattr(inverse, "_para_mul", without_sign_flip)
+    spec = write_spec(tmp_path / "spec.json", lambdas=FOUR_SOLITONS, D=D)
+    out = tmp_path / "out"
+    assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
+    rep = read_report(out)
+    rel = rep["fast_vs_sequential_max_dev"] / rep["max_abs_sample"]
+    if D > inverse.LEAF_SIZE:
+        assert rel > 1e-8
+    else:
+        assert rel <= 1e-15
 
 
 @pytest.mark.parametrize("command, key", [("invert", "fast_vs_sequential_max_dev"),

@@ -188,6 +188,20 @@ def test_pair_residual_matches_grid_oracle_on_factor_pair():
     assert abs(pair_residual(*rotated) - grid_residual(*rotated)) <= 1e-15
 
 
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_pair_residual_of_non_finite_squares_is_inf(bad, kind):
+    """A coefficient whose square overflows, or an inf or NaN, gives a
+    residual of inf without a RuntimeWarning (an error under the test
+    settings), so a limit `residual > PAIR_RESIDUAL_LIMIT` refuses it
+    rather than pass a NaN."""
+    u = np.array([1.0, 0.0, 0.0])
+    b = np.array([0.0, 0.0, bad])
+    if kind == "complex":
+        b = b.astype(complex)
+    assert pair_residual(u, b) == np.inf
+
+
 def test_make_ub_caches_the_last_filter():
     make_ub.cache_clear()
     fp = make_ub(FilterSpec(512, 0.01, 10))
