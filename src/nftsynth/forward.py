@@ -16,12 +16,13 @@ batched over the blocks), then a balanced tree with one batched FFT
 product per level, O(D log^2 D), carrying first columns only.  The block
 steps drop 1/theta, as `invert_fast`'s leaves do, and each block divides
 its column once by prod(theta); where the rows or that product overflow,
-`forward_fast` raises FloatingPointError.
+`forward_fast` raises FloatingPointError.  It refuses a non-finite sample
+on entry, named as the inversions name theirs (`inverse._finite`).
 """
 
 import numpy as np
 
-from .inverse import Signal, _first_column
+from .inverse import Signal, _finite, _first_column
 from .poly import grid_omega, poly_eval, power_sums
 from .synthesis import ROOT_INNER, ROOT_OUTER, ScatteringPair, z_to_lambda
 
@@ -51,7 +52,7 @@ def forward_fast(signal: Signal) -> ScatteringPair:
     if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
     # initial state is [1; 0]: (a, b) is the first column
-    a, b = _first_column(q)
+    a, b = _first_column(_finite(q))
     return ScatteringPair(a[:D], b[:D])
 
 

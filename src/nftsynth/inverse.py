@@ -67,9 +67,27 @@ it, as `invert_sequential` does: `_peel` and every block of
 a block of F, once by prod(theta).  One division rounds once, where a
 1/theta in every step would round |Q|^2 away step after step.  For a pair
 that passes the a0 check prod(theta) is at most 1/|a0| <= 1/SINGULAR_A0
-(`invert_sequential`), so `_peel`'s rows stay far from overflow.  Over a
-block of an arbitrary signal it has no bound; an overflow raises
-FloatingPointError in either leaf rather than return inf, NaN or zeros.
+(below), so `_peel`'s rows stay far from overflow.  Over a block of an
+arbitrary signal it has no bound; an overflow raises FloatingPointError
+in either leaf rather than return inf, NaN or zeros.
+
+Both inversions guard their edges, not their steps.  `_pair_arrays`, the
+one entry of both, refuses |a0| < SINGULAR_A0 with ZeroDivisionError.
+One check is enough: a step maps A0 to A0 - Q B0 = A0 + |B0|^2/conj(A0)
+= theta^2 A0, so |A0| never falls, and after k steps the rows are
+theta_1...theta_k times the normalized window, whose coefficients are at
+most 1 for a valid pair; by the energy identity the product over all D
+steps is 1/|a0|.  (A window of the tree is that A0 up to rounding; only
+a pair far from valid, with check=False, can round it to 0, and then
+`_peel_rows`' division raises ZeroDivisionError.)  On exit `_finite` refuses the
+first non-finite sample the peel read, q[i] by its index in the whole
+signal, with FloatingPointError.  A NaN in the pair gets there quietly:
+NaN arithmetic raises no flag in `_peel_rows`, and `invert_fast` ignores
+the invalid flag of its leaves' division and its tree's products.  The
+tree's FFTs spread a NaN over the window they transform, so for a NaN
+past the first leaf `invert_fast` can name a newer sample than
+`invert_sequential`.  `forward_fast` refuses a non-finite sample with
+the same check, on entry.
 
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
@@ -111,16 +129,30 @@ class Signal:
 
 
 def _pair_arrays(pair, check):
-    """(a, b) of a ScatteringPair or an (a, b) tuple, refused with check if
-    validate_pair fails.  An empty pair has no a0 to check; invert_fast
-    refuses its length."""
+    """(a, b) of a ScatteringPair or an (a, b) tuple.  Refused with
+    ValueError if check and validate_pair fails, then with
+    ZeroDivisionError if |a0| < SINGULAR_A0 (module docstring).  An empty
+    pair has no a0 to check; invert_fast refuses its length."""
     if not isinstance(pair, ScatteringPair):
         pair = ScatteringPair(*pair)
     if check and pair.D:
         rep = validate_pair(pair)
         if not rep["ok"]:
             raise ValueError(f"pair fails validation: {rep}")
+    if pair.D and abs(pair.a[0]) < SINGULAR_A0:
+        raise ZeroDivisionError(f"singular recovery: |a0| = {abs(pair.a[0]):.3g} < {SINGULAR_A0:g}")
     return pair.a, pair.b
+
+
+def _finite(q, peeled=False):
+    """The samples q, oldest first, or FloatingPointError naming the first
+    non-finite one the transform reads: the oldest for the forward
+    transform, the newest if peeled."""
+    bad = np.flatnonzero(~np.isfinite(q))
+    if bad.size:
+        i = bad[-1] if peeled else bad[0]
+        raise FloatingPointError(f"sample q[{i}] = {q.item(i)} is not finite")
+    return q
 
 
 def _para_mul(P, L):
@@ -227,9 +259,11 @@ def _peel_rows(buf, n):
     coefficients it leaves stale are never read: the k-th sample reads
     coefficient 0, which depends only on coefficients 0..k of the window.
 
-    |A0| < SINGULAR_A0 raises ZeroDivisionError, and rows that overflow
-    raise FloatingPointError rather than hold inf or NaN.  A NaN in the
-    window gives NaN samples; the callers refuse them.
+    The loop holds only the step: it reads r = B0/A0 = -conj(Q), writes
+    conj(r) = -Q and -r = conj(Q) into the matrix, and negates the
+    conjugated samples once at the end.  Its callers check a0 on entry and
+    the samples on exit (module docstring); rows that overflow raise
+    FloatingPointError here rather than hold inf or NaN.
     """
     L = buf.shape[-1]
     lo = L - n - 2
@@ -248,16 +282,13 @@ def _peel_rows(buf, n):
             steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
             for k in range(k0, k1):
                 src, dst, ia, ib, ir = steps[k & 1]
-                a0 = flat.item(ia)
-                if abs(a0) < SINGULAR_A0:
-                    raise ZeroDivisionError(f"singular recovery at step {n - k}")
-                Q = -(flat.item(ib) / a0).conjugate()
-                qs[k] = Q
-                cf[1] = -Q
-                cf[2] = Q.conjugate()
+                r = flat.item(ib) / flat.item(ia)       # B0/A0 = -conj(Q)
+                qs[k] = r
+                cf[1] = r.conjugate()
+                cf[2] = -r
                 np.matmul(c, src, out=dst)
                 flat[ir] = 0.0
-    return qs
+    return -qs.conj()
 
 
 def _peel(V):
@@ -268,19 +299,17 @@ def _peel(V):
     slot], so each matmul also accumulates the peeled steps' adjoint
     column, unnormalized and divided once by prod(theta) at the end.  A
     window far from any valid pair can grow the rows or that product past
-    the largest double; that raises FloatingPointError.
+    the largest double; that raises FloatingPointError.  A NaN sample
+    leaves a NaN column, which `invert_fast` refuses on exit.
     """
     n = V.shape[-1]
     buf = np.zeros((2, 2, 2 * n + 2), dtype=complex)   # two buffers, swapped each step
     buf[0, 0, n] = 1.0
     buf[0, :, n + 1:-1] = V
     qs = _peel_rows(buf, n)
-    with np.errstate(over="raise", invalid="raise"):
-        scale = np.prod(np.hypot(1.0, np.abs(qs)))
-    if not np.isfinite(scale):
-        raise FloatingPointError(f"leaf scale prod(theta) = {scale}: invalid pair")
     C = _column(buf[n & 1, :, :n + 1])
-    C /= scale
+    with np.errstate(over="raise"):
+        C /= np.prod(np.hypot(1.0, np.abs(qs)))
     return qs, C
 
 
@@ -291,18 +320,14 @@ def invert_sequential(pair, check=True) -> Signal:
     the two-row step of the module docstring, A' = A - Q B and
     B'[j] = conj(Q) A[j+1] + B[j+1]: theta times the normalized inverse
     step.  Q is a ratio of the two rows' constant coefficients, so a
-    common scale of the rows changes no sample.  The scale stays bounded.
-    A0' = A0 + |B0|^2/conj(A0) = theta^2 A0, so |A0| only grows, and after
-    k steps the rows are theta_1...theta_k times the normalized window,
-    whose coefficients are at most 1 for a valid pair.  By the energy
-    identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so
-    nothing overflows.
+    common scale of the rows changes no sample, and that scale stays below
+    1/|a0| (module docstring).
 
     The steps are the leaves' loop, `_peel_rows`, on a buffer with an
-    empty accumulator: [A; B] at slots 0..D-1 and a zero slot.  |A0| <
-    SINGULAR_A0 raises ZeroDivisionError, and rows that overflow, or a
-    non-finite sample (the first one, named after the peel),
-    FloatingPointError.
+    empty accumulator: [A; B] at slots 0..D-1 and a zero slot.  Its edges
+    are invert_fast's: |a0| < SINGULAR_A0 raises ZeroDivisionError on
+    entry, a non-finite sample FloatingPointError on exit, and rows that
+    overflow FloatingPointError where they do.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -310,12 +335,7 @@ def invert_sequential(pair, check=True) -> Signal:
     buf[0, 0, :D] = a
     buf[0, 1, :D] = b
     # lo = -1: the residue reset writes 0 into the zero slot D, which no step writes
-    qs = _peel_rows(buf, D)
-    bad = np.flatnonzero(~np.isfinite(qs))
-    if bad.size:
-        k = bad[0]
-        raise FloatingPointError(f"sample q[{D - 1 - k}] = {qs.item(k)} is not finite: invalid pair")
-    return Signal(samples=qs[::-1])
+    return Signal(samples=_finite(_peel_rows(buf, D)[::-1], peeled=True))
 
 
 def invert_fast(pair, check=True):
@@ -352,8 +372,9 @@ def invert_fast(pair, check=True):
         qs_lo, C_lo = node(_para_mul(_adjoint(P), np.fft.fft(V))[:, h:n])
         return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n))
 
-    qs, C = node(np.stack([a, b]))
-    return Signal(samples=qs[::-1]), C
+    with np.errstate(invalid="ignore"):                 # a NaN reaches _finite
+        qs, C = node(np.stack([a, b]))
+    return Signal(samples=_finite(qs[::-1], peeled=True)), C
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

@@ -170,7 +170,7 @@ def test_row_peel_matches_scalar_oracle_four_solitons():
                          [(1.0, 2, np.nan, FloatingPointError, r"q\[5\].*not finite"),
                           (1.0, 0, np.nan, FloatingPointError, r"q\[7\].*not finite"),
                           (1.0, 7, np.nan, FloatingPointError, r"q\[0\].*not finite"),
-                          (0.0, 2, 0.0, ZeroDivisionError, "singular recovery at step 8"),
+                          (0.0, 2, 0.0, ZeroDivisionError, r"singular recovery: \|a0\| = 0 <"),
                           (1.0, 2, 1e200, FloatingPointError, "overflow")],
                          ids=["nan-coefficient", "nan-first-step", "nan-last-step",
                               "singular-a0", "overflow"])

@@ -117,12 +117,13 @@ def test_fast_overflow_raises():
 
 def test_non_finite_sample_raises():
     """A NaN sample raises FloatingPointError from both forward transforms,
-    never a pair of NaNs; the reference names the sample."""
+    never a pair of NaNs; both name the sample, forward_fast on entry."""
     q = np.full(8, 0.1 + 0j)
     q[3] = np.nan
-    with pytest.raises(FloatingPointError, match=r"sample q\[3\] = \(nan\+0j\) is not finite"):
+    message = r"sample q\[3\] = \(nan\+0j\) is not finite"
+    with pytest.raises(FloatingPointError, match=message):
         forward_sequential(Signal(samples=q))
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match=message):
         forward_fast(Signal(samples=q))
 
 

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import mpmath
@@ -331,14 +332,15 @@ def test_peel_high_energy(monkeypatch):
 
 
 def test_peel_refuses_singular_and_overflowing_windows(monkeypatch):
-    """A vanishing a0 raises ZeroDivisionError; a window whose unnormalized
-    rows or prod(theta) overflow raises FloatingPointError, never returning
-    inf or NaN."""
+    """A vanishing a0 raises ZeroDivisionError from both inversions, which
+    check it on entry (the leaf no longer does); a window whose
+    unnormalized rows or prod(theta) overflow raises FloatingPointError,
+    never returning inf or NaN."""
     pair, _ = _high_energy_pair()
     a = pair.a.copy()
     a[0] = 0.5 * SINGULAR_A0
     with pytest.raises(ZeroDivisionError):
-        _peel(np.stack([a, pair.b]))
+        invert_sequential((a, pair.b), check=False)
     monkeypatch.setattr(inverse, "LEAF_SIZE", 64)
     with pytest.raises(ZeroDivisionError):
         invert_fast((a, pair.b), check=False)
@@ -557,16 +559,62 @@ def test_singular_pair_raises():
 def test_non_finite_pair_raises():
     """A NaN in the pair raises FloatingPointError from both inversions,
     never a signal of NaNs.  With a = 1 and b[2] = NaN, the first two
-    steps read finite samples and the third reads NaN; the fast leaf sees
-    it in its scale prod(theta)."""
+    steps read finite samples and the third reads NaN; both inversions
+    name it by one check on exit."""
     a = np.zeros(8, dtype=complex)
     a[0] = 1.0
     b = np.zeros(8, dtype=complex)
     b[2] = np.nan
-    with pytest.raises(FloatingPointError, match=r"sample q\[5\] = \(nan\+nanj\) is not finite"):
+    message = r"sample q\[5\] = \(nan\+nanj\) is not finite"
+    with pytest.raises(FloatingPointError, match=message):
         invert_sequential((a, b), check=False)
-    with pytest.raises(FloatingPointError, match=r"leaf scale prod\(theta\) = nan"):
+    with pytest.raises(FloatingPointError, match=message):
         invert_fast((a, b), check=False)
+
+
+def _error_text(invert, pair):
+    with pytest.raises((ZeroDivisionError, FloatingPointError)) as err:
+        invert(pair, check=False)
+    return err.type, str(err.value)
+
+
+@pytest.mark.parametrize("leaf", [LEAF_SIZE, 64, 4])
+def test_fast_and_sequential_name_the_same_failure(monkeypatch, leaf):
+    """Both inversions check a0 on entry and the samples on exit, so they
+    raise the same text: on a D=512 pair with a0 = 0 (a guard inside each
+    leaf would count a leaf-local step, 256 against 512), and for a NaN
+    at b[j] within the first leaf (step j names q[511 - j]).  A NaN past
+    the first leaf is spread over its window by the tree's FFTs, so the
+    tree may name a newer sample there."""
+    monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
+    a = np.zeros(512, dtype=complex)
+    b = np.zeros(512, dtype=complex)
+    b[3] = 0.5
+    error = _error_text(invert_sequential, (a, b))
+    assert error == (ZeroDivisionError, "singular recovery: |a0| = 0 < 1e-14")
+    assert _error_text(invert_fast, (a, b)) == error
+    a[0] = 1.0
+    for j in sorted({0, 2, leaf - 1}):
+        b = np.zeros(512, dtype=complex)
+        b[j] = np.nan
+        error = _error_text(invert_sequential, (a, b))
+        assert error == (FloatingPointError, f"sample q[{511 - j}] = (nan+nanj) is not finite")
+        assert _error_text(invert_fast, (a, b)) == error
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 64), st.floats(SINGULAR_A0, 10.0), st.floats(0.0, 2 * np.pi),
+       st.data())
+def test_a0_check_on_entry_is_enough(D, r0, phase, data):
+    """The invariant behind checking a0 once: a step maps A0 to theta^2 A0,
+    so |A0| never falls.  On pairs with |a0| >= SINGULAR_A0 and arbitrary
+    a[1:] and b, the scalar oracle, which still guards every step, never
+    raises ZeroDivisionError."""
+    coef = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+    a = np.array([r0 * np.exp(1j * phase)] + data.draw(st.lists(coef, min_size=D - 1, max_size=D - 1)))
+    b = np.array(data.draw(st.lists(coef, min_size=D, max_size=D)), dtype=complex)
+    assume(abs(a[0]) >= SINGULAR_A0)
+    assert invert_scalar((a, b), check=False).D == D
 
 
 def test_fast_rejects_non_power_of_two():
@@ -589,6 +637,34 @@ def test_invalid_pair_rejected_when_checking():
                 invert(bad)
             got = invert(bad, check=False)             # opt-out still computes
             assert got.D == D
+
+
+def _c_calls(fn, *args):
+    """C-function calls made by fn(*args), counted by sys.setprofile."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "c_call"
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.mark.parametrize("D", [256, 1024])
+def test_peel_c_calls_per_sample(D):
+    """The C-call ledger of both inversions on the 4-soliton spec: the peel
+    loop reads A0 and B0 and conjugates their ratio, three C calls per
+    sample (a ufunc call is not one), so a whole call stays at most 3.25
+    per sample (a per-step a0 guard adds two, 5.05-5.18).  A count, not a
+    time: it does not move from run to run."""
+    pair = synthesize_ab(SpectrumSpec(lambdas=[12.5j, 25j, 37.5j, 50j], delta=0.01, D=D, omega_c=10.0))
+    for invert in (invert_sequential, invert_fast):
+        assert _c_calls(invert, pair, False) / D <= 3.25
 
 
 def test_cost_scaling_smoke():
