@@ -17,7 +17,8 @@ product per level, O(D log^2 D), carrying first columns only.  The block
 steps drop 1/theta, as `invert_fast`'s leaves do, and each block divides
 its column once by prod(theta); where the rows or that product overflow,
 `forward_fast` raises FloatingPointError.  It refuses a non-finite sample
-on entry, named as the inversions name theirs (`inverse._finite`).
+on entry, "sample q[i] = v is not finite", with the check the inversions
+run on their pair's coefficients (`inverse._finite`).
 """
 
 import numpy as np
@@ -52,7 +53,7 @@ def forward_fast(signal: Signal) -> ScatteringPair:
     if D < 1 or D & (D - 1):
         raise ValueError(f"D={D} is not a power of two")
     # initial state is [1; 0]: (a, b) is the first column
-    a, b = _first_column(_finite(q))
+    a, b = _first_column(_finite(q, "sample q"))
     return ScatteringPair(a[:D], b[:D])
 
 

@@ -71,23 +71,23 @@ that passes the a0 check prod(theta) is at most 1/|a0| <= 1/SINGULAR_A0
 arbitrary signal it has no bound; an overflow raises FloatingPointError
 in either leaf rather than return inf, NaN or zeros.
 
-Both inversions guard their edges, not their steps.  `_pair_arrays`, the
-one entry of both, refuses |a0| < SINGULAR_A0 with ZeroDivisionError.
-One check is enough: a step maps A0 to A0 - Q B0 = A0 + |B0|^2/conj(A0)
-= theta^2 A0, so |A0| never falls, and after k steps the rows are
-theta_1...theta_k times the normalized window, whose coefficients are at
-most 1 for a valid pair; by the energy identity the product over all D
-steps is 1/|a0|.  (A window of the tree is that A0 up to rounding; only
-a pair far from valid, with check=False, can round it to 0, and then
-`_peel_rows`' division raises ZeroDivisionError.)  On exit `_finite` refuses the
-first non-finite sample the peel read, q[i] by its index in the whole
-signal, with FloatingPointError.  A NaN in the pair gets there quietly:
-NaN arithmetic raises no flag in `_peel_rows`, and `invert_fast` ignores
-the invalid flag of its leaves' division and its tree's products.  The
-tree's FFTs spread a NaN over the window they transform, so for a NaN
-past the first leaf `invert_fast` can name a newer sample than
-`invert_sequential`.  `forward_fast` refuses a non-finite sample with
-the same check, on entry.
+Both inversions check their input on entry and their samples on exit.
+`_pair_arrays`, the one entry of both, refuses a non-finite coefficient
+with FloatingPointError naming it (`_finite`), then |a0| < SINGULAR_A0
+with ZeroDivisionError.  One a0 check is enough: a step maps A0 to
+A0 - Q B0 = A0 + |B0|^2/conj(A0) = theta^2 A0, so |A0| never falls, and
+after k steps the rows are theta_1...theta_k times the normalized window,
+whose coefficients are at most 1 for a valid pair; by the energy
+identity the product over all D steps is 1/|a0|.  (A window of the tree
+is that A0 up to rounding; only a pair far from valid, with check=False,
+can round it to 0, and `_peel` says so.)  From a finite pair, numpy's
+arithmetic raises where it overflows or makes a NaN: `_peel_rows` and
+invert_fast's whole tree run under errstate(over="raise",
+invalid="raise").  The peel's ratio B0/A0 is Python's complex division,
+which raises no flag and can give NaN for finite operands near the
+largest double; NaN arithmetic raises none either.  So on exit `_finite`
+refuses the first non-finite sample, q[i], with FloatingPointError.
+`forward_fast` refuses a non-finite sample with the same check, on entry.
 
 Each step also carries a scalar z^{-1/2}; it multiplies a and b
 identically and cancels in every recovery ratio, so it is tracked as an
@@ -129,30 +129,32 @@ class Signal:
 
 
 def _pair_arrays(pair, check):
-    """(a, b) of a ScatteringPair or an (a, b) tuple.  Refused with
-    ValueError if check and validate_pair fails, then with
-    ZeroDivisionError if |a0| < SINGULAR_A0 (module docstring).  An empty
-    pair has no a0 to check; invert_fast refuses its length."""
+    """(a, b) of a ScatteringPair or an (a, b) tuple, checked on entry
+    (module docstring): ValueError if check and validate_pair fails, then
+    FloatingPointError naming the first non-finite coefficient, then
+    ZeroDivisionError if |a0| < SINGULAR_A0.  An empty pair has no a0 to
+    check; invert_fast refuses its length."""
     if not isinstance(pair, ScatteringPair):
         pair = ScatteringPair(*pair)
     if check and pair.D:
         rep = validate_pair(pair)
         if not rep["ok"]:
             raise ValueError(f"pair fails validation: {rep}")
-    if pair.D and abs(pair.a[0]) < SINGULAR_A0:
-        raise ZeroDivisionError(f"singular recovery: |a0| = {abs(pair.a[0]):.3g} < {SINGULAR_A0:g}")
-    return pair.a, pair.b
+    a, b = _finite(pair.a, "coefficient a"), _finite(pair.b, "coefficient b")
+    if pair.D and abs(a[0]) < SINGULAR_A0:
+        raise ZeroDivisionError(f"singular recovery: |a0| = {abs(a[0]):.3g} < {SINGULAR_A0:g}")
+    return a, b
 
 
-def _finite(q, peeled=False):
-    """The samples q, oldest first, or FloatingPointError naming the first
-    non-finite one the transform reads: the oldest for the forward
-    transform, the newest if peeled."""
-    bad = np.flatnonzero(~np.isfinite(q))
+def _finite(x, name):
+    """x, or FloatingPointError naming its first non-finite entry,
+    "name[i] = v is not finite": the check of the pair's coefficients on
+    entry and of the samples on exit of both inversions, and of
+    forward_fast's samples on entry."""
+    bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        i = bad[-1] if peeled else bad[0]
-        raise FloatingPointError(f"sample q[{i}] = {q.item(i)} is not finite")
-    return q
+        raise FloatingPointError(f"{name}[{bad[0]}] = {x.item(bad[0])} is not finite")
+    return x
 
 
 def _para_mul(P, L):
@@ -261,9 +263,9 @@ def _peel_rows(buf, n):
 
     The loop holds only the step: it reads r = B0/A0 = -conj(Q), writes
     conj(r) = -Q and -r = conj(Q) into the matrix, and negates the
-    conjugated samples once at the end.  Its callers check a0 on entry and
-    the samples on exit (module docstring); rows that overflow raise
-    FloatingPointError here rather than hold inf or NaN.
+    conjugated samples once at the end.  Its callers check the pair on
+    entry and the samples on exit (module docstring); rows that overflow
+    raise FloatingPointError here rather than hold inf or NaN.
     """
     L = buf.shape[-1]
     lo = L - n - 2
@@ -299,14 +301,19 @@ def _peel(V):
     slot], so each matmul also accumulates the peeled steps' adjoint
     column, unnormalized and divided once by prod(theta) at the end.  A
     window far from any valid pair can grow the rows or that product past
-    the largest double; that raises FloatingPointError.  A NaN sample
-    leaves a NaN column, which `invert_fast` refuses on exit.
+    the largest double; that raises FloatingPointError.  If the tree
+    rounded the window's A0 to 0, which only a pair far from valid can
+    do, the ratio's ZeroDivisionError names that cause.
     """
     n = V.shape[-1]
     buf = np.zeros((2, 2, 2 * n + 2), dtype=complex)   # two buffers, swapped each step
     buf[0, 0, n] = 1.0
     buf[0, :, n + 1:-1] = V
-    qs = _peel_rows(buf, n)
+    try:
+        qs = _peel_rows(buf, n)
+    except ZeroDivisionError:
+        raise ZeroDivisionError("singular recovery: a window's A0 rounded to 0, "
+                                "which only a pair far from valid can do (check=True refuses it)") from None
     C = _column(buf[n & 1, :, :n + 1])
     with np.errstate(over="raise"):
         C /= np.prod(np.hypot(1.0, np.abs(qs)))
@@ -325,9 +332,10 @@ def invert_sequential(pair, check=True) -> Signal:
 
     The steps are the leaves' loop, `_peel_rows`, on a buffer with an
     empty accumulator: [A; B] at slots 0..D-1 and a zero slot.  Its edges
-    are invert_fast's: |a0| < SINGULAR_A0 raises ZeroDivisionError on
-    entry, a non-finite sample FloatingPointError on exit, and rows that
-    overflow FloatingPointError where they do.
+    are invert_fast's: a non-finite coefficient raises FloatingPointError
+    and |a0| < SINGULAR_A0 ZeroDivisionError on entry, a non-finite sample
+    FloatingPointError on exit, and rows that overflow FloatingPointError
+    where they do.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)
@@ -335,7 +343,7 @@ def invert_sequential(pair, check=True) -> Signal:
     buf[0, 0, :D] = a
     buf[0, 1, :D] = b
     # lo = -1: the residue reset writes 0 into the zero slot D, which no step writes
-    return Signal(samples=_finite(_peel_rows(buf, D)[::-1], peeled=True))
+    return Signal(samples=_finite(_peel_rows(buf, D)[::-1], "sample q"))
 
 
 def invert_fast(pair, check=True):
@@ -372,9 +380,9 @@ def invert_fast(pair, check=True):
         qs_lo, C_lo = node(_para_mul(_adjoint(P), np.fft.fft(V))[:, h:n])
         return np.concatenate([qs_hi, qs_lo]), _para_mul(P, np.fft.fft(C_lo, n))
 
-    with np.errstate(invalid="ignore"):                 # a NaN reaches _finite
+    with np.errstate(over="raise", invalid="raise"):
         qs, C = node(np.stack([a, b]))
-    return Signal(samples=_finite(qs[::-1], peeled=True)), C
+    return Signal(samples=_finite(qs[::-1], "sample q")), C
 
 
 def energy_identity_residual(signal: Signal, a0) -> float:

@@ -42,7 +42,8 @@ def invert_scalar(pair, check=True) -> Signal:
     most 1 for a valid pair.  By the energy identity the product over all D
     steps is 1/|a0| <= 1/SINGULAR_A0, so nothing overflows.  A is left one
     coefficient longer than B; the next step's zip stops at B's end.  A
-    non-finite sample (a NaN or inf in the pair) raises FloatingPointError.
+    NaN or inf in the pair is refused on entry, as by both inversions
+    (`_pair_arrays`); a sample that is not finite raises FloatingPointError.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)

@@ -166,20 +166,26 @@ def test_row_peel_matches_scalar_oracle_four_solitons():
     assert dev <= 1e-13 * peak
 
 
+FAR = 1e308 * (1 + 1j)   # B0/A0 = FAR/FAR is NaN in Python's complex division
+
+
 @pytest.mark.parametrize("a0, j, bj, error, message",
-                         [(1.0, 2, np.nan, FloatingPointError, r"q\[5\].*not finite"),
-                          (1.0, 0, np.nan, FloatingPointError, r"q\[7\].*not finite"),
-                          (1.0, 7, np.nan, FloatingPointError, r"q\[0\].*not finite"),
+                         [(1.0, 2, np.nan, FloatingPointError, r"coefficient b\[2\] = \(nan\+0j\) is not finite"),
+                          (FAR, 0, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+nanj\) is not finite"),
+                          (FAR, 7, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+0j\) is not finite"),
                           (0.0, 2, 0.0, ZeroDivisionError, r"singular recovery: \|a0\| = 0 <"),
                           (1.0, 2, 1e200, FloatingPointError, "overflow")],
                          ids=["nan-coefficient", "nan-first-step", "nan-last-step",
                               "singular-a0", "overflow"])
 def test_row_peel_refuses_invalid_pair(a0, j, bj, error, message):
-    """As the scalar oracle does, the row peel invert_sequential raises at a
-    non-finite sample and at a vanishing a0, and it raises where its rows
-    overflow.  A NaN at b[j] is first read at step j, so it names the
-    sample q[7 - j]: b[0] the newest, b[7] the oldest.  With check=True
-    both inversions refuse every such pair by validation first."""
+    """As the scalar oracle does, the row peel invert_sequential refuses a
+    non-finite coefficient and a vanishing a0 on entry, raises where its
+    rows overflow, and refuses a NaN sample on exit.  A finite pair makes
+    one where the step's ratio B0/A0 = FAR/FAR is NaN, a division that
+    raises no flag: with a0 = b[0] = FAR at the first step, whose NaN
+    spreads to every older sample, and with a0 = b[7] = FAR at the last,
+    after seven steps that only shift b.  With check=True both inversions
+    refuse every such pair by validation first."""
     a = np.zeros(8, dtype=complex)
     a[0] = a0
     b = np.zeros(8, dtype=complex)

@@ -4,7 +4,7 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nftsynth import inverse
@@ -558,14 +558,13 @@ def test_singular_pair_raises():
 
 def test_non_finite_pair_raises():
     """A NaN in the pair raises FloatingPointError from both inversions,
-    never a signal of NaNs.  With a = 1 and b[2] = NaN, the first two
-    steps read finite samples and the third reads NaN; both inversions
-    name it by one check on exit."""
+    never a signal of NaNs.  With a = 1 and b[2] = NaN, both inversions
+    name the coefficient by one check on entry, before any step."""
     a = np.zeros(8, dtype=complex)
     a[0] = 1.0
     b = np.zeros(8, dtype=complex)
     b[2] = np.nan
-    message = r"sample q\[5\] = \(nan\+nanj\) is not finite"
+    message = r"coefficient b\[2\] = \(nan\+0j\) is not finite"
     with pytest.raises(FloatingPointError, match=message):
         invert_sequential((a, b), check=False)
     with pytest.raises(FloatingPointError, match=message):
@@ -580,12 +579,12 @@ def _error_text(invert, pair):
 
 @pytest.mark.parametrize("leaf", [LEAF_SIZE, 64, 4])
 def test_fast_and_sequential_name_the_same_failure(monkeypatch, leaf):
-    """Both inversions check a0 on entry and the samples on exit, so they
-    raise the same text: on a D=512 pair with a0 = 0 (a guard inside each
-    leaf would count a leaf-local step, 256 against 512), and for a NaN
-    at b[j] within the first leaf (step j names q[511 - j]).  A NaN past
-    the first leaf is spread over its window by the tree's FFTs, so the
-    tree may name a newer sample there."""
+    """Both inversions check the pair on entry, so they raise the same
+    text: on a D=512 pair with a0 = 0 (a guard inside each leaf would
+    count a leaf-local step, 256 against 512), and for a NaN or inf at
+    a[j] or b[j], named as that coefficient wherever it lies, also past
+    the first leaf, where the tree's FFTs would spread a NaN over the
+    window they transform.  With check=True validation refuses first."""
     monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
     a = np.zeros(512, dtype=complex)
     b = np.zeros(512, dtype=complex)
@@ -593,13 +592,19 @@ def test_fast_and_sequential_name_the_same_failure(monkeypatch, leaf):
     error = _error_text(invert_sequential, (a, b))
     assert error == (ZeroDivisionError, "singular recovery: |a0| = 0 < 1e-14")
     assert _error_text(invert_fast, (a, b)) == error
-    a[0] = 1.0
-    for j in sorted({0, 2, leaf - 1}):
-        b = np.zeros(512, dtype=complex)
-        b[j] = np.nan
-        error = _error_text(invert_sequential, (a, b))
-        assert error == (FloatingPointError, f"sample q[{511 - j}] = (nan+nanj) is not finite")
-        assert _error_text(invert_fast, (a, b)) == error
+    for value in (np.nan, np.inf):
+        for row in ("a", "b"):
+            for j in sorted({0, 1, 2, 255, 300, 511, leaf - 1}):
+                a = np.zeros(512, dtype=complex)
+                a[0] = 1.0
+                b = np.zeros(512, dtype=complex)
+                (a if row == "a" else b)[j] = value
+                error = _error_text(invert_sequential, (a, b))
+                assert error == (FloatingPointError, f"coefficient {row}[{j}] = {complex(value)} is not finite")
+                assert _error_text(invert_fast, (a, b)) == error
+    for invert in (invert_sequential, invert_fast):
+        with pytest.raises(ValueError, match="pair fails validation"):
+            invert((a, b))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -615,6 +620,65 @@ def test_a0_check_on_entry_is_enough(D, r0, phase, data):
     b = np.array(data.draw(st.lists(coef, min_size=D, max_size=D)), dtype=complex)
     assume(abs(a[0]) >= SINGULAR_A0)
     assert invert_scalar((a, b), check=False).D == D
+
+
+def _log_uniform(lo):
+    """Complex numbers of modulus 10**e, e over lo...308.2, with random phases."""
+    return st.builds(lambda e, phase: 10.0 ** e * complex(np.exp(1j * phase)),
+                     st.floats(lo, 308.2), st.floats(0.0, 2 * np.pi))
+
+
+FAR_COEFFICIENT = st.one_of(st.just(0j), _log_uniform(-20.0))
+
+
+@st.composite
+def far_from_valid_pairs(draw):
+    """Finite pairs of D <= 64 coefficients far from any valid pair: moduli
+    log-uniform over 1e-20...1.6e308 with random phases, or 0, and
+    |a0| >= SINGULAR_A0."""
+    D = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
+    a0 = draw(_log_uniform(np.log10(SINGULAR_A0)))
+    a = np.array([a0] + draw(st.lists(FAR_COEFFICIENT, min_size=D - 1, max_size=D - 1)), dtype=complex)
+    b = np.array(draw(st.lists(FAR_COEFFICIENT, min_size=D, max_size=D)), dtype=complex)
+    return a, b
+
+
+@pytest.mark.parametrize("leaf", [4, 64])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pair=far_from_valid_pairs())
+@example(pair=(np.array([1e308 * (1 + 1j)]), np.array([1e308 * (1 + 1j)])))
+def test_far_pair_peels_to_finite_samples_or_raises(leaf, pair):
+    """On a finite pair, however far from valid, each inversion returns
+    finite samples or raises FloatingPointError or ZeroDivisionError,
+    nothing else.  The example's ratio B0/A0 is NaN with no flag raised
+    (Python's complex division overflows in its denominator), so only
+    the check of the samples on exit refuses it."""
+    assume(abs(pair[0][0]) >= SINGULAR_A0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inverse, "LEAF_SIZE", leaf)
+        for invert in (invert_sequential, lambda p, check: invert_fast(p, check=check)[0]):
+            try:
+                q = invert(pair, check=False).samples
+            except (FloatingPointError, ZeroDivisionError):
+                continue
+            assert np.isfinite(q).all()
+
+
+def test_tree_window_a0_rounded_to_zero_raises(monkeypatch):
+    """On a pair far from valid the tree can round an older window's A0 to
+    0: with a = 1 + 1e300 z^-4, b = 0 and leaves of 4, the root's FFTs
+    lose a0 = 1 against 1e300.  invert_fast names that cause rather than
+    let Python's bare complex division by zero escape; invert_sequential,
+    which has no tree, peels the pair to zeros; check=True refuses it."""
+    monkeypatch.setattr(inverse, "LEAF_SIZE", 4)
+    a = np.zeros(8, dtype=complex)
+    a[0], a[4] = 1.0, 1e300
+    b = np.zeros(8, dtype=complex)
+    assert np.all(invert_sequential((a, b), check=False).samples == 0)
+    with pytest.raises(ZeroDivisionError, match="a window's A0 rounded to 0.*check=True refuses it"):
+        invert_fast((a, b), check=False)
+    with pytest.raises(ValueError, match="pair fails validation"):
+        invert_fast((a, b))
 
 
 def test_fast_rejects_non_power_of_two():
@@ -665,6 +729,25 @@ def test_peel_c_calls_per_sample(D):
     pair = synthesize_ab(SpectrumSpec(lambdas=[12.5j, 25j, 37.5j, 50j], delta=0.01, D=D, omega_c=10.0))
     for invert in (invert_sequential, invert_fast):
         assert _c_calls(invert, pair, False) / D <= 3.25
+
+
+@pytest.mark.parametrize("D", [256, 512, 1024, 2048, 4096, 8192, 16384])
+def test_fft_ledger(monkeypatch, D):
+    """The FFT ledger of the two fast transforms on the bench's one-soliton
+    spec (20i): invert_fast runs five transforms at each of its
+    D/LEAF_SIZE - 1 nodes (C_hi, V and C_lo forward, two products back),
+    forward_fast one forward and one inverse transform per tree level
+    above its blocks of BLOCK samples.  A count, not a time."""
+    pair = synthesize_ab(SpectrumSpec(lambdas=[20j], delta=0.01, D=D, omega_c=10.0))
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _t=transform, **kw: calls.append(1) or _t(*args, **kw))
+    signal, _ = invert_fast(pair, check=False)
+    inverse_calls = len(calls)
+    forward_fast(signal)
+    assert inverse_calls == 5 * (D // LEAF_SIZE - 1)
+    assert len(calls) - inverse_calls == 2 * int(np.log2(D // BLOCK))
 
 
 def test_cost_scaling_smoke():
