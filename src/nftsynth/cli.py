@@ -126,10 +126,9 @@ def _synthesize(job, rep):
 
 
 def _transfer_column_dev(pair, C):
-    """max |C - [a; b]|, the pair padded by one zero coefficient: how far
-    the first column of the samples' forward matrix is from the pair they
-    came from."""
-    return float(np.abs(C - np.pad(np.stack([pair.a, pair.b]), ((0, 0), (0, 1)))).max())
+    """max |C - [a; b]|: how far the first column of the samples' forward
+    matrix is from the pair they came from."""
+    return float(np.abs(C - np.stack([pair.a, pair.b])).max())
 
 
 def _check_sequential(pair, signal, rep, key):

@@ -1,7 +1,7 @@
 """Forward discrete scattering: samples -> (a, b), reflection, eigenvalues.
 
-The one-sample update (normalized by 1/sqrt(1+|Q|^2), the z^{1/2} scalar
-tracked as a counter) is
+The one-sample update (normalized by 1/sqrt(1+|Q|^2); the step's scalar
+z^{1/2} multiplies a and b alike, cancels in every ratio and is dropped) is
 
     a <- (a + Q z^{-1} b)/theta,    b <- (-conj(Q) a + z^{-1} b)/theta
 
@@ -54,7 +54,7 @@ def forward_fast(signal: Signal) -> ScatteringPair:
         raise ValueError(f"D={D} is not a power of two")
     # initial state is [1; 0]: (a, b) is the first column
     a, b = _first_column(_finite(q, "sample q"))
-    return ScatteringPair(a[:D], b[:D])
+    return ScatteringPair(a, b)
 
 
 def reflection_coefficient(pair):

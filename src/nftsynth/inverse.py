@@ -21,14 +21,13 @@ para-conjugate form
 
     F = para([a; b]) = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
-so its second column is its first, [a; b], with the n+1 coefficients
-reversed and conjugated, and both fast transforms carry first columns
-only.  So do the inverses, by one identity:
+so its second column is its first, [a; b] (n coefficients each),
+reversed and conjugated into z^{-1}..z^{-n}, and both fast transforms
+carry first columns only.  So do the inverses, by one identity:
 
     adj(para([a; b])) = [[z^{-n} a*, z^{-n} b*], [-b, a]] = para([z^{-n} a*; -b]).
 
-The adjoint column [z^{-n} a*; -b], the first column of adj(F), is an
-involution of [a; b] (`_column`: a -> conj(a[::-1]), b -> -b).  The
+The adjoint column [z^{-n} a*; -b] is the first column of adj(F).  The
 one-step inverse (1/theta) * [[1, -Q], [z*conj(Q), z]] is z * adj(F(Q)),
 so z^n * adj(F) undoes a block of n samples.
 
@@ -49,17 +48,14 @@ is theta * z * adj(F(Q)) applied to the column [R0; R1], slot j holding
 the coefficient of z^{-j} (z shifts by one slot).  On a window [A; B] of
 the pair it is theta times the inverse step: the peel.  Started from
 [z^{-n}; 0] (R0[n] = 1), n steps taken newest first leave prod(theta) *
-adj(F) [1; 0], prod(theta) times the adjoint column, which `_column` maps
-back to [a; b].  `_peel_rows`, the one sequential loop, steps a window
-and an accumulator left of it, one matmul per sample: `_peel` peels and
-accumulates at once, `invert_sequential` leaves the accumulator empty.
-`_first_column` runs the accumulator half on all blocks of BLOCK samples
-at once, then multiplies the blocks in a balanced tree, one batched
-`_para_mul` per level; `forward_fast` reads (a, b) from it.  The columns'
-top coefficients are exactly 0: a[n] = conj(R0[0]) is a slot no nonzero
-product reaches, and b[n] = -R1[n], which `_peel_rows` resets after every
-step and `_first_column` reads from the buffer slot past its block
-columns, which no step writes.
+adj(F) [1; 0], prod(theta) times the adjoint column, from which `_column`
+reads [a; b]: a[k] = conj(R0[n-k]) and b[k] = -R1[k], k < n.
+`_peel_rows`, the one sequential loop, steps a window and an accumulator
+left of it, one matmul per sample: `_peel` peels and accumulates at
+once, `invert_sequential` leaves the accumulator empty.  `_first_column`
+runs the accumulator half on all blocks of BLOCK samples at once, then
+multiplies the blocks in a balanced tree, one batched `_para_mul` per
+level; `forward_fast` reads (a, b) from it.
 
 The step's 1/theta is a scale common to both rows, and both leaves drop
 it, as `invert_sequential` does: `_peel` and every block of
@@ -89,9 +85,8 @@ largest double; NaN arithmetic raises none either.  So on exit `_finite`
 refuses the first non-finite sample, q[i], with FloatingPointError.
 `forward_fast` refuses a non-finite sample with the same check, on entry.
 
-Each step also carries a scalar z^{-1/2}; it multiplies a and b
-identically and cancels in every recovery ratio, so it is tracked as an
-integer count of half powers, never materialized in coefficients.
+Each step also carries a scalar z^{-1/2}; it is dropped, since it
+multiplies a and b alike and cancels in every ratio.
 """
 
 from dataclasses import dataclass
@@ -158,25 +153,23 @@ def _finite(x, name):
 
 
 def _para_mul(P, L):
-    """para(X) @ Y cyclically at length 2h, for stacks of columns X (h+1 coefficients) and Y.
+    """para(X) @ Y cyclically at length 2h, for stacks of columns X (h coefficients) and Y.
 
     P and L are their FFTs at length 2h, shape (..., 2, 2h); L is
     overwritten.  P gives all four entries of para(X) (module docstring),
-    so the product costs one inverse FFT.  Returns shape (..., 2, 2h+1).
-    The tree's products, of two columns of h steps, do not wrap, and their
-    top coefficient is 0.  The window step's product, of an adjoint column
-    and 2h coefficients, wraps onto 0..h-1; only h..2h-1 are read.
+    so the product costs one inverse FFT.  Returns shape (..., 2, 2h).
+    The tree's products, of two columns of h steps, have degree below 2h
+    and do not wrap.  The window step's product, of an adjoint column and
+    2h coefficients, wraps onto 0..h-1; only h..2h-1 are read.
     """
     A, B = P[..., 0, :], P[..., 1, :]
     c, d = L[..., 0, :], L[..., 1, :]
     d[..., 1::2] *= -1
-    out = np.zeros(P.shape[:-1] + (P.shape[-1] + 1,), dtype=complex)
-    out[..., :-1] = np.fft.ifft(np.stack([A * c - B.conj() * d, B * c + A.conj() * d], axis=-2))
-    return out
+    return np.fft.ifft(np.stack([A * c - B.conj() * d, B * c + A.conj() * d], axis=-2))
 
 
 def _adjoint(P):
-    """Spectra of _column(C) from P, the FFT of C at length 2h (module docstring)."""
+    """Spectra of the adjoint column [z^{-h} a*; -b] from P, the FFT of [a; b] at length 2h."""
     Pa = np.stack([np.conj(P[0]), -P[1]])
     Pa[0, 1::2] *= -1
     return Pa
@@ -193,16 +186,16 @@ def _shifted(buf):
 
 
 def _column(R):
-    """[conj(R0[n::-1]); -R1] for R of shape (..., 2, n+1): the adjoint-column
-    involution (module docstring), from accumulator rows to [a; b]."""
-    C = np.empty_like(R)
-    np.conj(R[..., 0, ::-1], out=C[..., 0, :])
-    np.negative(R[..., 1, :], out=C[..., 1, :])
+    """[a; b] = [conj(R0[n:0:-1]); -R1[:n]], shape (..., 2, n), from accumulator
+    rows R of shape (..., 2, n+1) that hold the adjoint column (module docstring)."""
+    C = np.empty(R.shape[:-1] + (R.shape[-1] - 1,), dtype=complex)
+    np.conj(R[..., 0, :0:-1], out=C[..., 0, :])
+    np.negative(R[..., 1, :-1], out=C[..., 1, :])
     return C
 
 
 def _first_column(q):
-    """First column [a; b] of the forward matrix F(q[n-1]) ... F(q[0]), shape (2, n+1);
+    """First column [a; b] of the forward matrix F(q[n-1]) ... F(q[0]), shape (2, n);
     n a power of two.
 
     Blocks of BLOCK samples run the accumulator half of the two-row step
@@ -233,7 +226,7 @@ def _first_column(q):
         C = _column(buf[block & 1, ..., :block + 1])
         C /= np.prod(np.hypot(1.0, np.abs(q)).reshape(-1, block), axis=1)[:, None, None]
     while len(C) > 1:
-        S = np.fft.fft(C, 2 * (C.shape[-1] - 1))
+        S = np.fft.fft(C, 2 * C.shape[-1])
         C = _para_mul(S[1::2], S[0::2])
     return C[0]
 
@@ -348,7 +341,7 @@ def invert_sequential(pair, check=True) -> Signal:
 
 def invert_fast(pair, check=True):
     """O(D log^2 D) inversion; returns (Signal, C), C = [a; b] the first column
-    of the samples' forward matrix, shape (2, D+1), top coefficients 0.
+    of the samples' forward matrix, shape (2, D).
 
     Node contract: the input V = [A; B], shape (2, n), holds the first
     n coefficients of the pair after peeling everything newer.  The newer

@@ -39,7 +39,6 @@ class FilterSpec:
 class FactorPair:
     u: np.ndarray
     b: np.ndarray
-    residual: float
 
 
 def design_lowpass(D, omega_c=10.0):
@@ -74,7 +73,9 @@ def spectral_factor(half, degree):
     M = 2 (len(half) - 1), as np.abs(np.fft.rfft(x, M))**2 gives it.
     Cepstral construction (exp of the causal projection of log S) plus
     corrections m <- m * (1 + P+[S/|m|^2 - 1]) that pull the truncated
-    coefficients back toward the grid values.  make_ub establishes S >= 0,
+    coefficients back toward the grid values, until the misfit
+    max|S/|m|^2 - 1| is at the rounding of a length-M transform, log2(M)
+    ulps, where a correction could only round.  make_ub establishes S >= 0,
     not zero to rounding (LOG_FLOOR stands in for its zeros), and
     M >= OVERSAMPLE * degree, without which the cepstrum aliases.
     """
@@ -84,6 +85,8 @@ def spectral_factor(half, degree):
     for _ in range(NEWTON_PASSES):
         m = np.fft.rfft(c, M)
         E = half / np.abs(m) ** 2 - 1.0
+        if np.abs(E).max() <= np.log2(M) * np.finfo(float).eps:
+            break
         c = np.fft.irfft(m * (1.0 + _causal_project(E, M)), M)[:degree]
     return c.copy()
 
@@ -153,7 +156,7 @@ def make_ub(spec: FilterSpec) -> FactorPair:
         )
     u.flags.writeable = False
     b.flags.writeable = False
-    return FactorPair(u=u, b=b, residual=residual)
+    return FactorPair(u=u, b=b)
 
 
 def pair_residual(u, b):

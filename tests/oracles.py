@@ -9,8 +9,9 @@ to a quantity the fast code computes.
   `nftsynth.inverse` module docstring to a column, with its 1/theta;
   `forward_sequential` applies it once per sample, O(D^2).
 - `para` rebuilds the full para-conjugate matrix from a first column
-  [a; b]; `transfer_matrix` is the forward matrix of a block of samples,
-  `para` of the package's first column `_first_column`.
+  [a; b], and `adjoint_column` the first column of its adjoint;
+  `transfer_matrix` is the forward matrix of a block of samples, `para`
+  of the package's first column `_first_column`.
 - `continuous_oracle` integrates the continuous scattering ODE, the
   D -> infinity limit (scipy.integrate).
 """
@@ -87,14 +88,22 @@ def forward_sequential(signal: Signal) -> ScatteringPair:
 def para(C):
     """The full matrices [[a, -z^{-n} b*], [b, z^{-n} a*]] of first columns C = [a; b].
 
-    C has shape (..., 2, n+1); z^{-n} p* reverses and conjugates p's n+1
-    coefficients.  The result has shape (..., 2, 2, n+1).
+    C has shape (..., 2, n); z^{-n} p* has p's n coefficients reversed and
+    conjugated at z^{-1}..z^{-n}, so the result has shape (..., 2, 2, n+1),
+    the first column padded with a zero at z^{-n}.
     """
+    C = np.concatenate([C, np.zeros(C.shape[:-1] + (1,))], axis=-1)
     F = np.empty(C.shape[:-1] + C.shape[-2:], dtype=complex)
     F[..., 0, :] = C
     np.conj(C[..., ::-1, ::-1], out=F[..., 1, :])    # [b; a] reversed and conjugated
     F[..., 0, 1, :] *= -1
     return F
+
+
+def adjoint_column(C):
+    """[z^{-n} a*; -b], the first column of adj(para(C)), shape (..., 2, n+1)."""
+    F = para(C)
+    return np.stack([F[..., 1, 1, :], -F[..., 1, 0, :]], axis=-2)
 
 
 def transfer_matrix(q):

@@ -16,8 +16,6 @@ from nftsynth.inverse import (
     SINGULAR_A0,
     Signal,
     _adjoint,
-    _column,
-    _first_column,
     _para_mul,
     _peel,
     energy_identity_residual,
@@ -27,7 +25,14 @@ from nftsynth.inverse import (
 from nftsynth.poly import poly_mul
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, synthesize_ab
 
-from oracles import forward_sequential, forward_step, invert_scalar, para, transfer_matrix
+from oracles import (
+    adjoint_column,
+    forward_sequential,
+    forward_step,
+    invert_scalar,
+    para,
+    transfer_matrix,
+)
 
 
 def random_signal(rng, D, scale=None):
@@ -274,15 +279,13 @@ def test_peel_returns_samples_and_column(n):
     n need not be a power of two: zero samples before the signal leave
     the first column [1; 0] of their steps as it is, so forward_fast and
     transfer_matrix of the signal padded at its old end with zeros give
-    the pair and the column (zero past coefficient n).  A background of
+    the pair and the column (zero from coefficient n on).  A background of
     energy ~1 (as in spiky_signals) carries 0-3 spikes of modulus up to 3.
-    The column is
-    checked on every draw against the samples _peel returns, and b's top
-    coefficient is exactly 0 (the accumulator's gamma_0 is reset every
-    step).  Layer peeling is ill-conditioned for some spiky signals (see
-    test_fast_inverse_properties), so the samples are checked against the
-    signal where the sequential reference recovers it to 1e-11, and on
-    every draw without spikes.
+    The column, n coefficients, is checked on every draw against the
+    samples _peel returns.  Layer peeling is ill-conditioned for some
+    spiky signals (see test_fast_inverse_properties), so the samples are
+    checked against the signal where the sequential reference recovers it
+    to 1e-11, and on every draw without spikes.
     """
     pad = np.zeros((1 << (n - 1).bit_length()) - n)
     for spikes in range(4):
@@ -290,9 +293,8 @@ def test_peel_returns_samples_and_column(n):
         qs, column = _peel(np.stack([a, b]))
         expected = transfer_matrix(np.concatenate([pad, qs[::-1]]))[:, 0]
         got = np.zeros_like(expected)
-        got[:, :n + 1] = column
+        got[:, :n] = column
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
-        assert column[1, n] == 0
         seq = invert_scalar((a, b), check=False).samples
         if spikes == 0 or np.abs(seq - q).max() <= 1e-11:
             np.testing.assert_allclose(qs[::-1], q, rtol=0, atol=1e-10)
@@ -322,7 +324,7 @@ def test_peel_high_energy(monkeypatch):
     np.testing.assert_allclose(seq, q, rtol=0, atol=1e-5)
     qs, column = _peel(np.stack([pair.a, pair.b]))
     assert np.abs(qs[::-1] - seq).max() <= 1e-12 * np.abs(seq).max()
-    expected = transfer_matrix(qs[::-1])[:, 0]
+    expected = transfer_matrix(qs[::-1])[:, 0, :-1]
     np.testing.assert_allclose(column, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
     monkeypatch.setattr(inverse, "LEAF_SIZE", 64)
     fast, C = invert_fast(pair)
@@ -377,7 +379,7 @@ def random_stack(rng, shape):
 def test_para_spectra_from_one_fft(h):
     """At length 2h, z^{-h} p* transforms to (-1)^j conj(P_j): one FFT of a
     stack of columns C gives the spectra of all four entries of para(C)."""
-    C = random_stack(np.random.default_rng(h), (3, 2, h + 1))
+    C = random_stack(np.random.default_rng(h), (3, 2, h))
     S = np.fft.fft(C, 2 * h)
     A, B = S[:, 0], S[:, 1]
     sign = (-1.0) ** np.arange(2 * h)
@@ -386,80 +388,21 @@ def test_para_spectra_from_one_fft(h):
     np.testing.assert_allclose(built, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
 
 
-def zero_top_columns(rng, shape, h):
-    """A stack of first columns [a; b] of shape shape + (2, h+1) with zero top
-    coefficients, _para_mul's contract: _first_column of random samples,
-    |q| up to 3, for h a power of two, else random columns with the top
-    set to 0."""
-    if h & (h - 1):
-        C = random_stack(rng, shape + (2, h + 1))
-        C[..., h] = 0.0
-        return C
-    q = 3.0 * rng.uniform(size=(*shape, h)) * np.exp(2j * np.pi * rng.uniform(size=(*shape, h)))
-    return np.array([_first_column(x) for x in q.reshape(-1, h)]).reshape(shape + (2, h + 1))
-
-
 @pytest.mark.parametrize("h", [1, 2, 3, 8, 64, 256])
 def test_para_mul_matches_convolve(h):
     """_para_mul == para(X) @ Y, multiplied out with np.convolve.
 
-    X and Y have zero top coefficients, as every column of h steps does,
-    so the product has degree below 2h and needs nothing past the
-    length-2h transform.  h = 3 is not a power of two."""
+    X and Y are random columns of h coefficients, as every column of h
+    steps is, so the product has degree below 2h and needs nothing past
+    the length-2h transform.  h = 3 is not a power of two."""
     rng = np.random.default_rng(h)
     for lead in ((), (3,), (2, 3)):
-        X = zero_top_columns(rng, lead, h)
-        Y = zero_top_columns(rng, lead, h)
+        X = random_stack(rng, lead + (2, h))
+        Y = random_stack(rng, lead + (2, h))
         ref = mat_convolve(para(X), Y[..., None, :])[..., 0, :]
         out = _para_mul(np.fft.fft(X, 2 * h), np.fft.fft(Y, 2 * h))
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_columns_have_zero_tops(monkeypatch):
-    """a and b have a top coefficient of exactly 0 wherever a column is formed.
-
-    _para_mul relies on it.  Every _peel column, n = 1..512, of the spiky
-    pairs of test_peel_returns_samples_and_column (R1[n] is reset after
-    every step); every _first_column block column and tree product of
-    random signals with |q| up to 3 (the buffer slot past the blocks is
-    never written); and invert_fast's column C, the first column of
-    F = para(C), at D = 1..4096, with default and 16-sample leaves.  (F's
-    second column has conj of a constant coefficient on top, which is not
-    zero.)"""
-    for n in range(1, 513):
-        for spikes in range(4):
-            _, a, b = _spiky_pair(n, spikes)
-            _, column = _peel(np.stack([a, b]))
-            assert np.all(column[:, n] == 0.0), (n, spikes)
-
-    formed = []
-
-    def recorded(f):
-        def wrapper(*args):
-            formed.append(f(*args))
-            return formed[-1]
-        return wrapper
-
-    monkeypatch.setattr(inverse, "_column", recorded(inverse._column))
-    monkeypatch.setattr(inverse, "_para_mul", recorded(inverse._para_mul))
-    rng = np.random.default_rng(43)
-    for D in (1, 2, 4, BLOCK, 2 * BLOCK, 8 * BLOCK, 4096):
-        q = 3.0 * rng.uniform(size=D) * np.exp(2j * np.pi * rng.uniform(size=D))
-        formed.clear()
-        inverse._first_column(q)
-        assert len(formed) == 1 + max(0, (D // BLOCK).bit_length() - 1)
-        for C in formed:
-            assert np.all(C[..., -1] == 0.0), (D, C.shape)
-    monkeypatch.undo()
-
-    for k in range(13):
-        D = 1 << k
-        pair = forward_fast(random_signal(np.random.default_rng(D), D))
-        for leaf in (LEAF_SIZE, 16):
-            monkeypatch.setattr(inverse, "LEAF_SIZE", leaf)
-            _, C = invert_fast(pair)
-            assert np.all(para(C)[:, 0, D] == 0.0), (D, leaf)
 
 
 @pytest.mark.parametrize("h", [1, 2, 8, 64, 256])
@@ -470,16 +413,16 @@ def test_older_window_middle_product(h):
     The linear product has length 3h; at length 2h its coefficients
     2h..3h-1 wrap onto 0..h-1 and nothing lands on h..2h-1.
     adj([[p, q], [r, s]]) = [[s, -q], [-r, p]], and _adjoint(P) is the
-    spectrum of the adjoint column _column(C), whose form is adj(para(C)).
+    spectrum of the adjoint column, whose form is adj(para(C)).
     """
     rng = np.random.default_rng(h)
-    C = random_stack(rng, (2, h + 1))
+    C = random_stack(rng, (2, h))
     V = random_stack(rng, (2, 2 * h))
     F = para(C)
     adj = np.array([[F[1, 1], -F[0, 1]], [-F[1, 0], F[0, 0]]])
     ref = mat_convolve(adj, V[:, None, :])[:, 0, h:2 * h]
     Pa = _adjoint(np.fft.fft(C, 2 * h))
-    expected = np.fft.fft(_column(C), 2 * h)
+    expected = np.fft.fft(adjoint_column(C), 2 * h)
     assert np.abs(Pa - expected).max() <= 1e-13 * np.abs(expected).max()
     out = _para_mul(Pa, np.fft.fft(V))[:, h:2 * h]
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -103,7 +103,7 @@ def test_factor_u_residual_bound():
 
 def test_make_ub_residual_and_passband_level():
     fp = make_ub(FilterSpec(512, 0.01, 10.0))
-    assert fp.residual <= 1e-7
+    assert pair_residual(fp.u, fp.b) <= 1e-7
     # |b|^2/delta^2 at omega=0 approaches |Psi(0)|^2 ~ 1.1146
     b0 = np.abs(np.sum(fp.b)) ** 2 / 0.01**2  # z=1 evaluation
     assert b0 == pytest.approx(1.1146, rel=2e-3)
@@ -134,6 +134,39 @@ def test_make_ub_rejects_saturating_contrast():
     # 1 - delta^2 |psi|^2 negative somewhere; must be refused loudly
     with pytest.raises(ValueError, match="omega"):
         make_ub(FilterSpec(512, 0.999, 10.0))
+
+
+def test_make_ub_keeps_needed_newton_passes():
+    """Near saturation (delta * max|psi| ~ 0.966) u's misfit after the
+    cepstral start is ~1e-6, so spectral_factor must run its passes: the
+    pair is accepted with a residual at rounding (6.2e-16).  Without u's
+    passes its residual is 1.2e-7 and make_ub refuses it."""
+    fp = make_ub(FilterSpec(64, 0.8785803663648826, 10.0))
+    assert pair_residual(fp.u, fp.b) <= 1e-14
+
+
+@pytest.mark.parametrize("D", [1 << k for k in range(6, 15)])
+def test_factor_fft_ledger(monkeypatch, D):
+    """The FFT ledger of the factorization on the bench's filter (delta 0.01,
+    omega_c 10): a cold make_ub takes 21 transforms at every D.  Each
+    spectral_factor runs its cepstral start (irfft, rfft, irfft); b's misfit
+    is of order 1 in the stopband, so it runs both Newton passes (rfft, then
+    irfft, rfft, irfft to correct), while u's first misfit is at rounding and
+    stops it after one rfft.  Add one rfft each for |psi|^2 and 1 - |b|^2,
+    and pair_residual's two rfft, one irfft and one hfft.  synthesize_ab on
+    the cached filter then takes one FFT and one inverse.  A count, not a
+    time."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft", "hfft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *args, _t=transform, _n=name, **kw:
+                            calls.append(_n) or _t(*args, **kw))
+    make_ub.cache_clear()
+    make_ub(FilterSpec(D, 0.01, 10.0))
+    assert {n: calls.count(n) for n in set(calls)} == {"rfft": 11, "irfft": 9, "hfft": 1}
+    calls.clear()
+    synthesize_ab(SpectrumSpec(lambdas=[20j], delta=0.01, D=D, omega_c=10.0))
+    assert sorted(calls) == ["fft", "ifft"]
 
 
 def test_minimum_phase_spot_and_full():
@@ -245,7 +278,7 @@ def test_warm_cache_gives_cold_results():
 @pytest.mark.parametrize("delta", [0.1, 0.03, 0.01])
 def test_make_ub_residual_across_contrast(delta):
     fp = make_ub(FilterSpec(512, delta, 10.0))
-    assert fp.residual <= 1e-7
+    assert pair_residual(fp.u, fp.b) <= 1e-7
 
 
 def _lowpass_power(spec):
@@ -325,8 +358,7 @@ def test_make_ub_properties(spec):
         return
     assert not saturated and not swamped
     assert np.isrealobj(fp.u) and np.isrealobj(fp.b)
-    assert fp.residual <= PAIR_RESIDUAL_LIMIT
-    assert pair_residual(fp.u, fp.b) == fp.residual
+    assert pair_residual(fp.u, fp.b) <= PAIR_RESIDUAL_LIMIT
     u_ref, b_ref, residual_ref = complex_ub(spec)
     assert residual_ref <= 2 * PAIR_RESIDUAL_LIMIT
     du = np.abs(fp.u - u_ref).max() / np.abs(u_ref).max()
