@@ -188,7 +188,7 @@ def _shifted(buf):
 def _column(R):
     """[a; b] = [conj(R0[n:0:-1]); -R1[:n]], shape (..., 2, n), from accumulator
     rows R of shape (..., 2, n+1) that hold the adjoint column (module docstring)."""
-    C = np.empty(R.shape[:-1] + (R.shape[-1] - 1,), dtype=complex)
+    C = np.empty_like(R[..., :-1])
     np.conj(R[..., 0, :0:-1], out=C[..., 0, :])
     np.negative(R[..., 1, :-1], out=C[..., 1, :])
     return C
