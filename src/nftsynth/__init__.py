@@ -15,7 +15,7 @@ from .forward import (
     norming_constants,
     reflection_coefficient,
 )
-from .inverse import Signal, invert_fast, invert_sequential
+from .inverse import Signal, invert_fast
 from .specfact import FilterSpec, make_ub
 from .synthesis import ScatteringPair, SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
@@ -31,7 +31,6 @@ __all__ = [
     "find_eigenvalues",
     "forward_fast",
     "invert_fast",
-    "invert_sequential",
     "make_ub",
     "norming_constants",
     "predict",

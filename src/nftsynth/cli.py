@@ -23,12 +23,12 @@ import numpy as np
 
 from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
-from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast, invert_sequential
+from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast
+from .inverse import invert_sequential  # noqa: F401  (perfbench patches cli.invert_sequential)
 from .specfact import FilterSpec, make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
 
 SCHEMA_VERSION = 1
-SEQUENTIAL_LIMIT = 4096        # skip the O(D^2) invert_sequential check and bench row above this
 BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
 
@@ -131,16 +131,16 @@ def _transfer_column_dev(pair, C):
     return float(np.abs(C - np.stack([pair.a, pair.b])).max())
 
 
-def _check_sequential(pair, signal, rep, key):
-    """Max deviation of the fast samples from `invert_sequential`'s under
-    `key`, clocked as the stage "invert_sequential"; above SEQUENTIAL_LIMIT
-    samples, the skip under "over_sequential_limit" instead."""
-    if signal.D > SEQUENTIAL_LIMIT:
-        rep["over_sequential_limit"] = {"skipped": key, "D": signal.D,
-                                        "limit": SEQUENTIAL_LIMIT}
-        return
-    ref = _stage("invert_sequential", lambda: invert_sequential(pair, check=False), rep)
-    rep[key] = float(np.abs(signal.samples - ref.samples).max())
+def _reinvert(signal, rep):
+    """forward_fast(signal) as the stage "forward_fast", and how far
+    invert_fast's samples of it, clocked as the stage "reinversion", are
+    from the signal's: max |q' - q| under "inversion_max_dev", beside
+    max |q| under "max_abs_sample".  Returns the forward pair."""
+    pair2 = _stage("forward_fast", lambda: forward_fast(signal), rep)
+    back, _C = _stage("reinversion", lambda: invert_fast(pair2, check=False), rep)
+    rep.update(max_abs_sample=float(np.abs(signal.samples).max()),
+               inversion_max_dev=float(np.abs(back.samples - signal.samples).max()))
+    return pair2
 
 
 def run_synthesize(job, out: Path, rep):
@@ -157,9 +157,8 @@ def run_synthesize(job, out: Path, rep):
 
 def run_invert(job, out: Path, rep):
     spec, pair, signal, C = _synthesize(job, rep)
-    rep.update(D=spec.D, max_abs_sample=float(np.abs(signal.samples).max()),
-               transfer_column_dev=_transfer_column_dev(pair, C))
-    _check_sequential(pair, signal, rep, "fast_vs_sequential_max_dev")
+    rep.update(D=spec.D, transfer_column_dev=_transfer_column_dev(pair, C))
+    _reinvert(signal, rep)
     write_signal_csv(out / "signal.csv", signal)
 
 
@@ -191,9 +190,7 @@ def run_roundtrip(job, out: Path, rep):
     spec, pair, signal, _C = _synthesize(job, rep)
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
-    _check_sequential(pair, signal, rep, "inversion_max_dev")
-
-    pair2 = _stage("forward_fast", lambda: forward_fast(signal), rep)
+    pair2 = _reinvert(signal, rep)
     rep["coefficient_roundtrip_dev"] = float(max(
         np.abs(pair2.a - pair.a).max(), np.abs(pair2.b - pair.b).max()))
 
@@ -270,9 +267,6 @@ def run_bench(job, out: Path, rep):
         pair = synthesize_ab(spec)
         row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
         signal, _C = invert_fast(pair, check=False)
-        if D <= SEQUENTIAL_LIMIT:
-            row["invert_sequential_s"] = _time_median(
-                lambda: invert_sequential(pair, check=False))
         row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
         row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
         for key in list(row):

@@ -5,7 +5,7 @@ half, peels the newer half, transfers the older half through that
 half's inverse matrix, and recurses -- O(D log^2 D).  `invert_sequential`
 peels the whole pair one sample at a time, one matmul per sample,
 O(D^2): the loop of invert_fast's leaves, `_peel_rows`, without their
-tree, so the commands check invert_fast's tree against it.  Both read
+tree, the tests' oracle for that tree; no command runs it.  Both read
 each sample as Q = -conj(B0/A0), a ratio of the current window's
 constant coefficients, which no common scale of the window changes, so
 both peel without the step matrix's 1/theta.

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import nftsynth
 from nftsynth import asymptotics, cli, specfact, synthesis
 
@@ -43,30 +45,52 @@ def test_benchmark_patched_names_resolve():
     assert missing == []
 
 
-def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
-    """The CLI workload reads its results from calls to these names on
-    nftsynth.cli; a roundtrip that bypasses one of them breaks the workload.
-    invert_sequential runs once, as the check behind the report's
-    inversion_max_dev, which the workload's check reads."""
-    calls = {}
+def _counting(monkeypatch, names):
+    """Calls nftsynth.cli makes to each of `names`, counted from now on."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return call
 
-    names = _constant("ops.py", "CLI_CAPTURED")
     for name in names:
         monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    return calls
+
+
+def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
+    """The CLI workload reads its results from calls to these names on
+    nftsynth.cli; a roundtrip that bypasses one of them breaks the workload.
+    invert_fast runs twice, the second time as the re-inversion behind the
+    report's inversion_max_dev, which the workload's check reads;
+    invert_sequential, still on the list, runs no more."""
+    names = _constant("ops.py", "CLI_CAPTURED")
+    calls = _counting(monkeypatch, names)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lambdas": [[0.0, 20.0]], "delta": 0.01, "D": 256,
                                 "omega_c": 10.0}))
     out = tmp_path / "o"
     assert cli.main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
-    assert [name for name in names if name not in calls] == []
-    assert calls["invert_sequential"] == 1
+    assert [name for name in names if not calls[name] and name != "invert_sequential"] == []
+    assert calls["invert_sequential"] == 0
+    assert calls["invert_fast"] == 2
     assert json.loads((out / "report.json").read_text())["inversion_max_dev"] <= 1e-10
+
+
+@pytest.mark.parametrize("D", [256, 8192])
+@pytest.mark.parametrize("command", ["invert", "roundtrip"])
+def test_command_transform_calls(tmp_path, monkeypatch, command, D):
+    """A cost ledger of the verifying commands: each makes exactly one
+    forward_fast, two invert_fast (the samples and their re-inversion) and
+    no invert_sequential call at every D, so both stay O(D log^2 D)."""
+    calls = _counting(monkeypatch, ("forward_fast", "invert_fast", "invert_sequential"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"lambdas": [[0.0, 20.0]], "delta": 0.01, "D": D,
+                                "omega_c": 10.0}))
+    assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"forward_fast": 1, "invert_fast": 2, "invert_sequential": 0}
 
 
 def _statements(path):

@@ -7,10 +7,8 @@ import pytest
 from nftsynth import cli, inverse, specfact, synthesis
 from nftsynth.cli import BENCH_REPEATS, main, read_signal_csv, write_signal_csv
 from nftsynth.forward import forward_fast
-from nftsynth.inverse import Signal, invert_fast, invert_sequential
-from nftsynth.synthesis import ScatteringPair, SpectrumSpec, lambda_to_z, synthesize_ab
-
-from oracles import invert_scalar
+from nftsynth.inverse import Signal, invert_fast
+from nftsynth.synthesis import lambda_to_z
 
 FOUR_SOLITONS = [(0.0, 12.5), (3.0, 25.0), (-2.0, 37.5), (0.0, 50.0)]
 
@@ -104,141 +102,85 @@ def test_synthesize_deterministic(tmp_path):
 
 
 def test_invert_command(tmp_path, monkeypatch):
-    """invert checks the fast samples by one invert_sequential call on the
-    pair it synthesized, with check=False as for invert_fast."""
-    synthesized, checked = [], []
+    """invert checks the samples it writes by re-inversion: one
+    forward_fast call on them, whose pair a second invert_fast call peels
+    with check=False, as the first peels the synthesized pair."""
+    forwarded, inverted = [], []
 
-    def recording_synthesis(spec):
-        synthesized.append(synthesize_ab(spec))
-        return synthesized[-1]
+    def recording_forward(signal):
+        forwarded.append((signal, forward_fast(signal)))
+        return forwarded[-1][1]
 
-    def recording_reference(pair, check=True):
-        checked.append((pair, check))
-        return invert_sequential(pair, check)
+    def recording_inversion(pair, check=True):
+        inverted.append((pair, check))
+        return invert_fast(pair, check)
 
-    monkeypatch.setattr(cli, "synthesize_ab", recording_synthesis)
-    monkeypatch.setattr(cli, "invert_sequential", recording_reference)
+    monkeypatch.setattr(cli, "forward_fast", recording_forward)
+    monkeypatch.setattr(cli, "invert_fast", recording_inversion)
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
     assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
-    assert len(synthesized) == len(checked) == 1
-    pair, check = checked[0]
-    assert pair is synthesized[0] and check is False
+    assert len(forwarded) == 1 and len(inverted) == 2
+    (signal, pair2), (reinverted, check) = forwarded[0], inverted[1]
+    assert reinverted is pair2 and check is False and inverted[0][1] is False
+    np.testing.assert_array_equal(read_signal_csv(out / "signal.csv").samples, signal.samples)
     rep = read_report(out)
-    assert rep["fast_vs_sequential_max_dev"] <= 1e-10
-    assert "over_sequential_limit" not in rep
-    assert "invert_sequential" in rep["wall_clock_s"]   # the check's stage clock
-    assert rep["max_abs_sample"] > 0
+    assert rep["max_abs_sample"] == np.abs(signal.samples).max()
+    assert rep["inversion_max_dev"] <= 1e-12 * rep["max_abs_sample"]
+    assert {"forward_fast", "reinversion"} <= set(rep["wall_clock_s"])   # the check's clocks
     assert rep["transfer_column_dev"] <= 1e-6   # the pair's truncation
 
 
-def _row_peel_dev(pair):
-    """The deviation _check_sequential records between the scalar oracle's
-    samples and the row peel invert_sequential, and the oracle's max |q|."""
-    oracle = invert_scalar(pair, check=False)
-    rep = {"wall_clock_s": {}}
-    cli._check_sequential(pair, oracle, rep, "dev")
-    assert "invert_sequential" in rep["wall_clock_s"]
-    return rep["dev"], np.abs(oracle.samples).max()
+def _reinversion_rel(tmp_path, D):
+    """inversion_max_dev / max_abs_sample of `invert` on the 4-soliton spec."""
+    spec = write_spec(tmp_path / "spec.json", lambdas=FOUR_SOLITONS, D=D)
+    out = tmp_path / "out"
+    assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
+    rep = read_report(out)
+    return rep["inversion_max_dev"] / rep["max_abs_sample"]
 
 
-@pytest.mark.parametrize("D", [1, 2, 16, 256, 1024, inverse.CHUNK - 1, inverse.CHUNK + 1,
-                               2 * inverse.CHUNK + 1])
-def test_row_peel_matches_scalar_oracle(D):
-    """The commands' row peel, invert_sequential, against the scalar oracle
-    invert_scalar on exact pairs of weak random signals: within 1e-13 of
-    max |q|.  The signal is padded at its old end with zeros to a power of
-    two for forward_fast, which leaves the first D coefficients of the
-    pair those of the signal, so D may end a CHUNK part-way."""
-    rng = np.random.default_rng(4000 + D)
-    scale = min(0.5, 1.0 / np.sqrt(D))
-    q = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
-    pad = np.zeros((1 << (D - 1).bit_length()) - D)
-    full = forward_fast(Signal(samples=np.concatenate([pad, q])))
-    dev, peak = _row_peel_dev(ScatteringPair(full.a[:D], full.b[:D]))
-    assert dev <= 1e-13 * peak
+@pytest.mark.parametrize("D", [64, 256, 512, 8192])
+def test_reinversion_sees_faults(tmp_path, monkeypatch, D):
+    """The commands' check r = max |invert_fast(forward_fast(q)) - q| / max |q|
+    on the 4-soliton spec: at most 1e-12 on the clean code.  It sees a
+    _para_mul that drops the para form's sign flip at every D, also at
+    D <= LEAF_SIZE, where invert_fast is a single leaf but forward_fast's
+    tree still multiplies blocks: above perfbench's INVERSION_REL_TOL of
+    1e-8.  And it sees each leaf's largest sample scaled by 1 + 1e-9, which
+    the re-inversion's leaves scale again: r >= 5e-10."""
+    assert _reinversion_rel(tmp_path, D) <= 1e-12
 
-
-def test_row_peel_matches_scalar_oracle_four_solitons():
-    pair = synthesize_ab(SpectrumSpec(lambdas=[complex(*l) for l in FOUR_SOLITONS],
-                                      delta=0.01, D=512, omega_c=10.0))
-    dev, peak = _row_peel_dev(pair)
-    assert dev <= 1e-13 * peak
-
-
-FAR = 1e308 * (1 + 1j)   # B0/A0 = FAR/FAR is NaN in Python's complex division
-
-
-@pytest.mark.parametrize("a0, j, bj, error, message",
-                         [(1.0, 2, np.nan, FloatingPointError, r"coefficient b\[2\] = \(nan\+0j\) is not finite"),
-                          (FAR, 0, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+nanj\) is not finite"),
-                          (FAR, 7, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+0j\) is not finite"),
-                          (0.0, 2, 0.0, ZeroDivisionError, r"singular recovery: \|a0\| = 0 <"),
-                          (1.0, 2, 1e200, FloatingPointError, "overflow")],
-                         ids=["nan-coefficient", "nan-first-step", "nan-last-step",
-                              "singular-a0", "overflow"])
-def test_row_peel_refuses_invalid_pair(a0, j, bj, error, message):
-    """As the scalar oracle does, the row peel invert_sequential refuses a
-    non-finite coefficient and a vanishing a0 on entry, raises where its
-    rows overflow, and refuses a NaN sample on exit.  A finite pair makes
-    one where the step's ratio B0/A0 = FAR/FAR is NaN, a division that
-    raises no flag: with a0 = b[0] = FAR at the first step, whose NaN
-    spreads to every older sample, and with a0 = b[7] = FAR at the last,
-    after seven steps that only shift b.  With check=True both inversions
-    refuse every such pair by validation first."""
-    a = np.zeros(8, dtype=complex)
-    a[0] = a0
-    b = np.zeros(8, dtype=complex)
-    b[j] = bj
-    pair = ScatteringPair(a, b)
-    with pytest.raises(error, match=message):
-        invert_sequential(pair, check=False)
-    with pytest.raises(ValueError, match="pair fails validation"):
-        invert_sequential(pair)
-    with pytest.raises(ValueError, match="pair fails validation"):
-        invert_fast(pair)
-
-
-@pytest.mark.parametrize("D", [256, 512])
-def test_sequential_check_sees_a_tree_fault(tmp_path, monkeypatch, D):
-    """invert_sequential runs invert_fast's leaf loop, not its tree, so the
-    commands' check sees a fault in the tree.  With a _para_mul that drops
-    the para form's sign flip, `invert` on the 4-soliton spec reads a
-    deviation of ~5e-4 of max |q| at D=512, above perfbench's
-    INVERSION_REL_TOL of 1e-8.  At D=256 invert_fast is a single leaf,
-    which shares the check's loop: the deviation reads 0 there (asserted
-    to 1e-15)."""
-    para_mul = inverse._para_mul
+    para_mul, peel = inverse._para_mul, inverse._peel
 
     def without_sign_flip(P, L):
         L[..., 1, 1::2] *= -1                          # undoes _para_mul's d[..., 1::2] *= -1
         return para_mul(P, L)
 
-    monkeypatch.setattr(inverse, "_para_mul", without_sign_flip)
-    spec = write_spec(tmp_path / "spec.json", lambdas=FOUR_SOLITONS, D=D)
-    out = tmp_path / "out"
-    assert main(["invert", "--spec", str(spec), "--out", str(out)]) == 0
-    rep = read_report(out)
-    rel = rep["fast_vs_sequential_max_dev"] / rep["max_abs_sample"]
-    if D > inverse.LEAF_SIZE:
-        assert rel > 1e-8
-    else:
-        assert rel <= 1e-15
+    def scaled_peak(V):
+        qs, C = peel(V)
+        qs[np.abs(qs).argmax()] *= 1 + 1e-9
+        return qs, C
+
+    with monkeypatch.context() as m:
+        m.setattr(inverse, "_para_mul", without_sign_flip)
+        assert _reinversion_rel(tmp_path, D) > 1e-8
+    with monkeypatch.context() as m:
+        m.setattr(inverse, "_peel", scaled_peak)
+        assert _reinversion_rel(tmp_path, D) >= 5e-10
 
 
-@pytest.mark.parametrize("command, key", [("invert", "fast_vs_sequential_max_dev"),
-                                          ("roundtrip", "inversion_max_dev")])
-def test_sequential_check_skip_is_reported(tmp_path, monkeypatch, command, key):
-    """Above SEQUENTIAL_LIMIT the O(D^2) reference is skipped, and the
-    report says so under its own key rather than leaving the deviation out."""
-    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 128)
-    spec = write_spec(tmp_path / "spec.json", D=256)
+@pytest.mark.parametrize("command", ["invert", "roundtrip"])
+def test_reinversion_runs_at_every_D(tmp_path, command):
+    """No size skips the check: at D=8192, above the old O(D^2) check's
+    limit, both commands report inversion_max_dev and no skip."""
+    spec = write_spec(tmp_path / "spec.json", D=8192)
     out = tmp_path / "out"
     assert main([command, "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
-    assert key not in rep
-    assert rep["over_sequential_limit"] == {"skipped": key, "D": 256, "limit": 128}
-    assert "invert_sequential" not in rep["wall_clock_s"]
+    assert rep["inversion_max_dev"] <= 1e-12 * rep["max_abs_sample"]
+    assert "over_sequential_limit" not in rep
+    assert "fast_vs_sequential_max_dev" not in rep
 
 
 def test_forward_command_from_signal(tmp_path):
@@ -364,16 +306,6 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
         return factor(power, degree)
 
     monkeypatch.setattr(specfact, "spectral_factor", counting_factor)
-    # 64 is within the O(D^2) row's limit, 128 is not
-    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 64)
-    referenced = []  # D of every invert_sequential call
-    reference = cli.invert_sequential
-
-    def counting_reference(pair, check=True):
-        referenced.append(len(pair.a))
-        return reference(pair, check)
-
-    monkeypatch.setattr(cli, "invert_sequential", counting_reference)
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     # every timed make_ub and synthesize_ab repetition factors b and u afresh,
     # not a cached pair
@@ -392,18 +324,14 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
     assert "slope" in rep["fast_per_sample_fit"]
     assert rep["constants"] == {"LEAF_SIZE": inverse.LEAF_SIZE, "BLOCK": inverse.BLOCK,
                                 "CHUNK": inverse.CHUNK}
-    # a median after a warm-up within the limit, as for every stage; no row above it
-    assert rep["rows"][0]["invert_sequential_per_sample_us"] == pytest.approx(
-        rep["rows"][0]["invert_sequential_s"] / 64 * 1e6)
-    assert not any(k.startswith("invert_sequential") for k in rep["rows"][1])
-    assert referenced == [64] * (BENCH_REPEATS + 1)
+    # no O(D^2) row at any size
+    assert not any(k.startswith("invert_sequential") for row in rep["rows"] for k in row)
 
 
-def test_bench_single_size_has_no_fit(tmp_path, capsys, monkeypatch):
+def test_bench_single_size_has_no_fit(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bench_D": [64]}))
     out = tmp_path / "out"
-    monkeypatch.setattr(cli, "SEQUENTIAL_LIMIT", 32)   # no O(D^2) row above it
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
     assert [r["D"] for r in rep["rows"]] == [64]

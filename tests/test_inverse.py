@@ -159,6 +159,72 @@ def test_sequential_matches_high_precision_peel():
     np.testing.assert_allclose(exact, q, rtol=0, atol=1e-13 * 3.0)
 
 
+FOUR_SOLITONS = [12.5j, 3 + 25j, -2 + 37.5j, 50j]
+
+
+def _row_peel_dev(pair):
+    """max |q - q_scalar| between the row peel invert_sequential and the
+    scalar oracle invert_scalar on one pair, and the oracle's max |q|."""
+    oracle = invert_scalar(pair, check=False).samples
+    got = invert_sequential(pair, check=False).samples
+    return np.abs(got - oracle).max(), np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("D", [1, 2, 16, 256, 1024, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 1])
+def test_row_peel_matches_scalar_oracle(D):
+    """The row peel invert_sequential against the scalar oracle
+    invert_scalar on exact pairs of weak random signals: within 1e-13 of
+    max |q|.  The signal is padded at its old end with zeros to a power of
+    two for forward_fast, which leaves the first D coefficients of the
+    pair those of the signal, so D may end a CHUNK part-way."""
+    rng = np.random.default_rng(4000 + D)
+    scale = min(0.5, 1.0 / np.sqrt(D))
+    q = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
+    pad = np.zeros((1 << (D - 1).bit_length()) - D)
+    full = forward_fast(Signal(samples=np.concatenate([pad, q])))
+    dev, peak = _row_peel_dev(ScatteringPair(full.a[:D], full.b[:D]))
+    assert dev <= 1e-13 * peak
+
+
+def test_row_peel_matches_scalar_oracle_four_solitons():
+    pair = synthesize_ab(SpectrumSpec(lambdas=FOUR_SOLITONS, delta=0.01, D=512, omega_c=10.0))
+    dev, peak = _row_peel_dev(pair)
+    assert dev <= 1e-13 * peak
+
+
+FAR = 1e308 * (1 + 1j)   # B0/A0 = FAR/FAR is NaN in Python's complex division
+
+
+@pytest.mark.parametrize("a0, j, bj, error, message",
+                         [(1.0, 2, np.nan, FloatingPointError, r"coefficient b\[2\] = \(nan\+0j\) is not finite"),
+                          (FAR, 0, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+nanj\) is not finite"),
+                          (FAR, 7, FAR, FloatingPointError, r"sample q\[0\] = \(nan\+0j\) is not finite"),
+                          (0.0, 2, 0.0, ZeroDivisionError, r"singular recovery: \|a0\| = 0 <"),
+                          (1.0, 2, 1e200, FloatingPointError, "overflow")],
+                         ids=["nan-coefficient", "nan-first-step", "nan-last-step",
+                              "singular-a0", "overflow"])
+def test_row_peel_refuses_invalid_pair(a0, j, bj, error, message):
+    """As the scalar oracle does, the row peel invert_sequential refuses a
+    non-finite coefficient and a vanishing a0 on entry, raises where its
+    rows overflow, and refuses a NaN sample on exit.  A finite pair makes
+    one where the step's ratio B0/A0 = FAR/FAR is NaN, a division that
+    raises no flag: with a0 = b[0] = FAR at the first step, whose NaN
+    spreads to every older sample, and with a0 = b[7] = FAR at the last,
+    after seven steps that only shift b.  With check=True both inversions
+    refuse every such pair by validation first."""
+    a = np.zeros(8, dtype=complex)
+    a[0] = a0
+    b = np.zeros(8, dtype=complex)
+    b[j] = bj
+    pair = ScatteringPair(a, b)
+    with pytest.raises(error, match=message):
+        invert_sequential(pair, check=False)
+    with pytest.raises(ValueError, match="pair fails validation"):
+        invert_sequential(pair)
+    with pytest.raises(ValueError, match="pair fails validation"):
+        invert_fast(pair)
+
+
 @pytest.mark.parametrize("D", [1, 2, 4, 8, 16, 32, 64, 128])
 def test_fast_matches_sequential_and_roundtrips(D):
     rng = np.random.default_rng(100 + D)
