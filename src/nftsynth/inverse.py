@@ -2,13 +2,13 @@
 
 Two implementations of the same map.  `invert_fast` splits the pair in
 half, peels the newer half, transfers the older half through that
-half's inverse matrix, and recurses -- O(D log^2 D).  `invert_sequential`
-peels the whole pair one sample at a time, one matmul per sample,
-O(D^2): the loop of invert_fast's leaves, `_peel_rows`, without their
-tree, the tests' oracle for that tree; no command runs it.  Both read
-each sample as Q = -conj(B0/A0), a ratio of the current window's
-constant coefficients, which no common scale of the window changes, so
-both peel without the step matrix's 1/theta.
+half's inverse matrix, and recurses -- O(D log^2 D); its leaves are
+`_peel`, the one sequential loop, one matmul per sample.
+`invert_sequential` peels the whole pair as one such leaf with no tree
+above it, O(D^2): the tests' oracle for the tree; no command runs it.
+Each sample is read as Q = -conj(B0/A0), a ratio of the current
+window's constant coefficients, which no common scale of the window
+changes, so the peel drops the step matrix's 1/theta.
 
 One step matrix serves both transforms: the one-sample forward matrix,
 in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
@@ -48,42 +48,33 @@ is theta * z * adj(F(Q)) applied to the column [R0; R1], slot j holding
 the coefficient of z^{-j} (z shifts by one slot).  On a window [A; B] of
 the pair it is theta times the inverse step: the peel.  Started from
 [z^{-n}; 0] (R0[n] = 1), n steps taken newest first leave prod(theta) *
-adj(F) [1; 0], prod(theta) times the adjoint column, from which `_column`
-reads [a; b]: a[k] = conj(R0[n-k]) and b[k] = -R1[k], k < n.
-`_peel_rows`, the one sequential loop, steps a window and an accumulator
-left of it, one matmul per sample: `_peel` peels and accumulates at
-once, `invert_sequential` leaves the accumulator empty.  `_first_column`
-runs the accumulator half on all blocks of BLOCK samples at once, then
-multiplies the blocks in a balanced tree, one batched `_para_mul` per
-level; `forward_fast` reads (a, b) from it.
+adj(F) [1; 0], prod(theta) times the adjoint column.  `_peel` lays out
+one buffer, [accumulator, n + 1 slots | window, n slots | one zero
+slot], so each of its matmuls peels the window and accumulates the
+column at once.  `_first_column` runs the accumulator half on all
+blocks of BLOCK samples at once, then multiplies the blocks in a
+balanced tree, one batched `_para_mul` per level; `forward_fast` reads
+(a, b) from it.
 
-The step's 1/theta is a scale common to both rows, and both leaves drop
-it, as `invert_sequential` does: `_peel` and every block of
-`_first_column` step unnormalized and divide the column they accumulate,
-a block of F, once by prod(theta).  One division rounds once, where a
-1/theta in every step would round |Q|^2 away step after step.  For a pair
-that passes the a0 check prod(theta) is at most 1/|a0| <= 1/SINGULAR_A0
-(below), so `_peel`'s rows stay far from overflow.  Over a block of an
-arbitrary signal it has no bound; an overflow raises FloatingPointError
-in either leaf rather than return inf, NaN or zeros.
-
-Both inversions check their input on entry and their samples on exit.
-`_pair_arrays`, the one entry of both, refuses a non-finite coefficient
-with FloatingPointError naming it (`_finite`), then |a0| < SINGULAR_A0
-with ZeroDivisionError.  One a0 check is enough: a step maps A0 to
-A0 - Q B0 = A0 + |B0|^2/conj(A0) = theta^2 A0, so |A0| never falls, and
-after k steps the rows are theta_1...theta_k times the normalized window,
-whose coefficients are at most 1 for a valid pair; by the energy
-identity the product over all D steps is 1/|a0|.  (A window of the tree
-is that A0 up to rounding; only a pair far from valid, with check=False,
-can round it to 0, and `_peel` says so.)  From a finite pair, numpy's
-arithmetic raises where it overflows or makes a NaN: `_peel_rows` and
-invert_fast's whole tree run under errstate(over="raise",
-invalid="raise").  The peel's ratio B0/A0 is Python's complex division,
+`_peel` and `_first_column` step unnormalized, and `_column` reads
+[a; b] from the accumulator (a[k] = conj(R0[n-k]), b[k] = -R1[k], k < n)
+and divides it, a block of F, once by prod(theta).  One division rounds
+once, where a 1/theta in every step would round |Q|^2 away step after
+step.  A step maps A0 to A0 - Q B0 = theta^2 A0, so |A0| never falls,
+and after k steps the rows are theta_1...theta_k times the normalized
+window, whose coefficients are at most 1 for a valid pair; by the energy
+identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so one
+a0 check on entry (`_pair_arrays`) is enough and `_peel`'s rows stay far
+from overflow.  (A window of the tree is that A0 up to rounding; only a
+pair far from valid, with check=False, can round it to 0, and `_peel`
+says so.)  Over a block of an arbitrary signal prod(theta) has no bound.
+`_peel` and `_first_column` run under errstate(over="raise",
+invalid="raise"), as does invert_fast's whole tree, so an overflow or a
+NaN from numpy's arithmetic raises FloatingPointError rather than return
+inf, NaN or zeros.  The peel's ratio B0/A0 is Python's complex division,
 which raises no flag and can give NaN for finite operands near the
-largest double; NaN arithmetic raises none either.  So on exit `_finite`
-refuses the first non-finite sample, q[i], with FloatingPointError.
-`forward_fast` refuses a non-finite sample with the same check, on entry.
+largest double, so both inversions also refuse a non-finite sample on
+exit (`_finite`).
 
 Each step also carries a scalar z^{-1/2}; it is dropped, since it
 multiplies a and b alike and cancels in every ratio.
@@ -98,7 +89,7 @@ from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 256         # below this, peel sequentially inside the recursion (measured sweep)
 BLOCK = 32              # _first_column steps blocks of this many samples at once (measured sweep)
-CHUNK = 64              # _peel_rows slides its matmul every this many steps (measured sweep)
+CHUNK = 64              # _peel slides its matmul every this many steps (measured sweep)
 SINGULAR_A0 = 1e-14
 
 
@@ -185,12 +176,14 @@ def _shifted(buf):
     return np.ndarray((*lead, 2, rows, L - 1), buf.dtype, buffer=buf, strides=(*st, sw, sr, sw))
 
 
-def _column(R):
-    """[a; b] = [conj(R0[n:0:-1]); -R1[:n]], shape (..., 2, n), from accumulator
-    rows R of shape (..., 2, n+1) that hold the adjoint column (module docstring)."""
+def _column(R, q):
+    """[a; b] = [conj(R0[n:0:-1]); -R1[:n]] / prod(theta), shape (..., 2, n), from
+    accumulator rows R of shape (..., 2, n+1) that hold prod(theta) times the
+    adjoint column of the samples q, shape (..., n) (module docstring)."""
     C = np.empty_like(R[..., :-1])
     np.conj(R[..., 0, :0:-1], out=C[..., 0, :])
     np.negative(R[..., 1, :-1], out=C[..., 1, :])
+    C /= np.prod(np.hypot(1.0, np.abs(q)), axis=-1)[..., None, None]
     return C
 
 
@@ -202,8 +195,8 @@ def _first_column(q):
     (module docstring) all at once: one batched matmul of [[1, -Q]] and
     [[conj(Q), 1]] per sample position, each block taking its samples
     newest first, from the column [z^{-block}; 0].  The step is
-    unnormalized, as in `_peel`, so each block's column is divided once by
-    its prod(theta); if the rows or that product overflow,
+    unnormalized, as in `_peel`, and `_column` divides each block's column
+    once by its prod(theta); if the rows or that product overflow,
     FloatingPointError is raised.  Then a balanced tree multiplies the
     blocks, later ones on the left (`_para_mul`), from one FFT of every
     column per level.
@@ -223,120 +216,87 @@ def _first_column(q):
     with np.errstate(over="raise", invalid="raise"):
         for k in range(block):
             np.matmul(c[k], shifted[k & 1], out=out[1 - (k & 1)])
-        C = _column(buf[block & 1, ..., :block + 1])
-        C /= np.prod(np.hypot(1.0, np.abs(q)).reshape(-1, block), axis=1)[:, None, None]
+        C = _column(buf[block & 1, ..., :block + 1], q.reshape(-1, block))
     while len(C) > 1:
         S = np.fft.fft(C, 2 * C.shape[-1])
         C = _para_mul(S[1::2], S[0::2])
     return C[0]
 
 
-def _peel_rows(buf, n):
-    """Take n two-row steps (module docstring) on buf, a contiguous double
-    buffer of shape (2, 2, L) laid out as [accumulator, lo + 1 slots |
-    window, n slots | one zero slot], lo = L - n - 2; returns the n
-    samples, newest first.
+def _peel(V):
+    """Peel a window V = [A; B], shape (2, n): its n samples (newest first)
+    and the first column of their forward matrix, shape (2, n).
 
-    Step k reads Q = -conj(B0/A0), B0 and A0 the window's constant
-    coefficients at slot lo + 1, from buffer k & 1 and writes buffer
-    1 - (k & 1): one matmul of [[1, -Q]] and [[conj(Q), 1]] with the
-    shifts 0 and 1, unnormalized.  In a two-row buffer, row r shifted by
-    s is buf[r, s:s + w].  R1[lo] reads the window's constant
-    coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
-    step leaves their rounding residue there, so it is reset to 0.
+    The two-row steps (module docstring) run on a contiguous double buffer
+    of shape (2, 2, L = 2n + 2) laid out as [accumulator, n + 1 slots |
+    window, n slots | one zero slot].  Step k reads Q = -conj(B0/A0), B0
+    and A0 the window's constant coefficients at slot n + 1, from buffer
+    k & 1 and writes buffer 1 - (k & 1): one matmul of [[1, -Q]] and
+    [[conj(Q), 1]] with the shifts 0 and 1, unnormalized, which peels the
+    window and accumulates the peeled steps' adjoint column at once.  In a
+    two-row buffer, row r shifted by s is buf[r, s:s + w].  R1[n] reads
+    the window's constant coefficients, conj(Q) A0 + B0, which vanish by
+    the choice of Q; the step leaves their rounding residue there, so it
+    is reset to 0.  `_column` reads the column and divides it by
+    prod(theta).
 
-    After k steps the accumulator is live from slot lo - k and the window
+    After k steps the accumulator is live from slot n - k and the window
     holds n - k live coefficients.  The matmul's views are made once per
-    CHUNK of steps and cover slots max(lo - k1, 0) (k1 the step that ends
-    the chunk) to the window's live end at the chunk's first step.  Every
+    CHUNK of steps and cover slots n - k1 (k1 the step that ends the
+    chunk) to the window's live end at the chunk's first step.  Every
     coefficient it writes goes through the same arithmetic as over the
-    whole buffer; the zeros below lo - k stay zero.  The window
+    whole buffer; the zeros below n - k stay zero.  The window
     coefficients it leaves stale are never read: the k-th sample reads
     coefficient 0, which depends only on coefficients 0..k of the window.
 
     The loop holds only the step: it reads r = B0/A0 = -conj(Q), writes
     conj(r) = -Q and -r = conj(Q) into the matrix, and negates the
-    conjugated samples once at the end.  Its callers check the pair on
-    entry and the samples on exit (module docstring); rows that overflow
-    raise FloatingPointError here rather than hold inf or NaN.
+    conjugated samples once at the end.  Rows or a prod(theta) that
+    overflow raise FloatingPointError rather than hold inf or NaN.  If the
+    tree rounded the window's A0 to 0, which only a pair far from valid
+    can do, the ratio's ZeroDivisionError names that cause.
     """
-    L = buf.shape[-1]
-    lo = L - n - 2
+    n = V.shape[-1]
+    L = 2 * n + 2
+    buf = np.zeros((2, 2, L), dtype=complex)           # two buffers, swapped each step
+    buf[0, 0, n] = 1.0
+    buf[0, :, n + 1:-1] = V
     flat = buf.reshape(-1)
     shifted = _shifted(buf)                            # [buffer, s, r]
     out = buf[:, :, None, :L - 1]
     c = np.ones((2, 1, 2), dtype=complex)
     cf = c.reshape(-1)
-    # reading buffer b: flat indices of its A0 and B0, and of R1[lo] in the buffer it writes
-    at = [(2 * L * b + lo + 1, 2 * L * b + L + lo + 1, 2 * L * (1 - b) + L + lo) for b in (0, 1)]
+    # reading buffer b: flat indices of its A0 and B0, and of R1[n] in the buffer it writes
+    at = [(2 * L * b + n + 1, 2 * L * b + L + n + 1, 2 * L * (1 - b) + L + n) for b in (0, 1)]
     qs = np.empty(n, dtype=complex)
     with np.errstate(over="raise", invalid="raise"):
-        for k0 in range(0, n, CHUNK):
-            k1 = min(k0 + CHUNK, n)
-            span = slice(max(lo - k1, 0), L - 1 - k0)
-            steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
-            for k in range(k0, k1):
-                src, dst, ia, ib, ir = steps[k & 1]
-                r = flat.item(ib) / flat.item(ia)       # B0/A0 = -conj(Q)
-                qs[k] = r
-                cf[1] = r.conjugate()
-                cf[2] = -r
-                np.matmul(c, src, out=dst)
-                flat[ir] = 0.0
-    return -qs.conj()
-
-
-def _peel(V):
-    """Peel a window V = [A; B], shape (2, n): its n samples (newest first)
-    and the first column of its forward matrix.
-
-    `_peel_rows` runs on [accumulator, n + 1 slots | window | one zero
-    slot], so each matmul also accumulates the peeled steps' adjoint
-    column, unnormalized and divided once by prod(theta) at the end.  A
-    window far from any valid pair can grow the rows or that product past
-    the largest double; that raises FloatingPointError.  If the tree
-    rounded the window's A0 to 0, which only a pair far from valid can
-    do, the ratio's ZeroDivisionError names that cause.
-    """
-    n = V.shape[-1]
-    buf = np.zeros((2, 2, 2 * n + 2), dtype=complex)   # two buffers, swapped each step
-    buf[0, 0, n] = 1.0
-    buf[0, :, n + 1:-1] = V
-    try:
-        qs = _peel_rows(buf, n)
-    except ZeroDivisionError:
-        raise ZeroDivisionError("singular recovery: a window's A0 rounded to 0, "
-                                "which only a pair far from valid can do (check=True refuses it)") from None
-    C = _column(buf[n & 1, :, :n + 1])
-    with np.errstate(over="raise"):
-        C /= np.prod(np.hypot(1.0, np.abs(qs)))
-    return qs, C
+        try:
+            for k0 in range(0, n, CHUNK):
+                k1 = min(k0 + CHUNK, n)
+                span = slice(n - k1, L - 1 - k0)
+                steps = [(shifted[b, ..., span], out[1 - b, ..., span], *at[b]) for b in (0, 1)]
+                for k in range(k0, k1):
+                    src, dst, ia, ib, ir = steps[k & 1]
+                    r = flat.item(ib) / flat.item(ia)   # B0/A0 = -conj(Q)
+                    qs[k] = r
+                    cf[1] = r.conjugate()
+                    cf[2] = -r
+                    np.matmul(c, src, out=dst)
+                    flat[ir] = 0.0
+        except ZeroDivisionError:
+            raise ZeroDivisionError("singular recovery: a window's A0 rounded to 0, "
+                                    "which only a pair far from valid can do (check=True refuses it)") from None
+        qs = -qs.conj()
+        return qs, _column(buf[n & 1, :, :n + 1], qs)
 
 
 def invert_sequential(pair, check=True) -> Signal:
-    """O(D^2) layer peeling of the whole pair, one matmul per sample.
-
-    Each step reads Q = -conj(B0/A0) and takes the window [A; B] through
-    the two-row step of the module docstring, A' = A - Q B and
-    B'[j] = conj(Q) A[j+1] + B[j+1]: theta times the normalized inverse
-    step.  Q is a ratio of the two rows' constant coefficients, so a
-    common scale of the rows changes no sample, and that scale stays below
-    1/|a0| (module docstring).
-
-    The steps are the leaves' loop, `_peel_rows`, on a buffer with an
-    empty accumulator: [A; B] at slots 0..D-1 and a zero slot.  Its edges
-    are invert_fast's: a non-finite coefficient raises FloatingPointError
-    and |a0| < SINGULAR_A0 ZeroDivisionError on entry, a non-finite sample
-    FloatingPointError on exit, and rows that overflow FloatingPointError
-    where they do.
-    """
+    """O(D^2) layer peeling: the whole pair peeled as one `_peel` leaf, with
+    no tree above it, one matmul per sample.  Its edges are invert_fast's
+    (module docstring)."""
     a, b = _pair_arrays(pair, check)
-    D = len(a)
-    buf = np.zeros((2, 2, D + 1), dtype=complex)       # two buffers, swapped each step
-    buf[0, 0, :D] = a
-    buf[0, 1, :D] = b
-    # lo = -1: the residue reset writes 0 into the zero slot D, which no step writes
-    return Signal(samples=_finite(_peel_rows(buf, D)[::-1], "sample q"))
+    qs, _ = _peel(np.stack([a, b]))
+    return Signal(samples=_finite(qs[::-1], "sample q"))
 
 
 def invert_fast(pair, check=True):
