@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from pathlib import Path
-from statistics import median
 
 import numpy as np
 
@@ -126,8 +125,9 @@ def _synthesize(job, rep):
 
 
 def _transfer_column_dev(pair, C):
-    """max |C - [a; b]|: how far the first column of the samples' forward
-    matrix is from the pair they came from."""
+    """max |C - [a; b]| over the stacked pair: how far the first column C
+    of the samples' forward matrix is from the pair they came from, or,
+    with C a forward pair stacked, the round trip's coefficient deviation."""
     return float(np.abs(C - np.stack([pair.a, pair.b])).max())
 
 
@@ -191,8 +191,7 @@ def run_roundtrip(job, out: Path, rep):
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
     pair2 = _reinvert(signal, rep)
-    rep["coefficient_roundtrip_dev"] = float(max(
-        np.abs(pair2.a - pair.a).max(), np.abs(pair2.b - pair.b).max()))
+    rep["coefficient_roundtrip_dev"] = _transfer_column_dev(pair, np.stack([pair2.a, pair2.b]))
 
     omega, vals, _poles = reflection_coefficient(pair2)
     predicted = asymptotic_reflection(omega, spec.delta, spec.omega_c)
@@ -242,7 +241,7 @@ def _time_median(fn):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return median(times)
+    return float(np.median(times))
 
 
 def run_bench(job, out: Path, rep):

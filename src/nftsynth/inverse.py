@@ -83,8 +83,8 @@ multiplies a and b alike and cancels in every ratio.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import convolve as poly_mul  # noqa: F401  (no caller; perfbench/ patches inverse.poly_mul)
 
-from .poly import poly_mul  # noqa: F401  (benchmark tracers patch inverse.poly_mul)
 from .synthesis import ScatteringPair, validate_pair
 
 LEAF_SIZE = 256         # below this, peel sequentially inside the recursion (measured sweep)

@@ -7,7 +7,7 @@ matrices, filters) is built on the handful of operations here.
 
 import numpy as np
 
-# Below this output length, direct convolution beats FFT multiply.
+# No library code reads it: perfbench/'s tracer costs its `inverse.poly_mul` calls with it.
 _FFT_CUTOFF = 128
 # power_sums holds this many powers of its points at once
 EVAL_BLOCK = 1 << 20
@@ -19,26 +19,6 @@ def as_coeffs(p):
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficient array must be 1-D and non-empty")
     return c
-
-
-def poly_mul(p, q):
-    """Product of two causal polynomials; output length len(p)+len(q)-1.
-
-    Small products use direct convolution; larger ones go through a
-    power-of-two FFT.  No library path calls it: both fast transforms
-    multiply with `inverse._para_mul`.  It stays, with _FFT_CUTOFF and the
-    `inverse.poly_mul` import, because the benchmark's tracer in perfbench/
-    wraps `inverse.poly_mul` and reads `_FFT_CUTOFF`; removing them takes a
-    change of that tracer, measured before and after.
-    """
-    p = as_coeffs(p)
-    q = as_coeffs(q)
-    n = len(p) + len(q) - 1
-    if n <= _FFT_CUTOFF:
-        return np.convolve(p, q)
-    m = 1 << (n - 1).bit_length()
-    out = np.fft.ifft(np.fft.fft(p, m) * np.fft.fft(q, m))
-    return out[:n]
 
 
 def power_sums(C, w):

@@ -144,15 +144,16 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     b = spectral_factor(Sb, spec.D)
     Su = 1.0 - np.abs(np.fft.rfft(b, M)) ** 2
     low = int(np.argmin(Su))
-    where = f"at omega ~ {grid_omega(low, M, spec.D):.3f}"
     if Su[low] <= 0.0:
-        raise ValueError(f"|b| >= 1 {where}: the factor of delta^2 |psi|^2 overshoots")
+        raise ValueError(f"|b| >= 1 at omega ~ {grid_omega(low, M, spec.D):.3f}: "
+                         "the factor of delta^2 |psi|^2 overshoots")
     u = spectral_factor(Su, spec.D)
     residual = pair_residual(u, b)
     if residual > PAIR_RESIDUAL_LIMIT:
         raise ValueError(
             f"pair residual {residual:.1e} > {PAIR_RESIDUAL_LIMIT}: 1 - |b|^2 dips to "
-            f"{Su[low]:.1e} {where}, too close to 0 for the degree-{spec.D} factor u"
+            f"{Su[low]:.1e} at omega ~ {grid_omega(low, M, spec.D):.3f}, too close to 0 "
+            f"for the degree-{spec.D} factor u"
         )
     u.flags.writeable = False
     b.flags.writeable = False
@@ -164,21 +165,17 @@ def pair_residual(u, b):
 
     |u|^2 + |b|^2 - 1 is a Laurent polynomial with lags -(L-1)..L-1,
     L = max(len(u), len(b)): the autocorrelations of u and b, less 1 at
-    lag 0.  Length-2L transforms give those lags without wrap-around
-    (real ones for a real pair).  Lag -k is the conjugate of lag k, so
-    one Hermitian transform of the lags 0..L-1 samples the real function
-    on the 16L-point grid, at a fraction of the cost of transforming u
-    and b there.  A pair whose squares overflow, or that holds inf or NaN,
-    gives inf, which every residual limit refuses.
+    lag 0.  Length-2L transforms give those lags without wrap-around.
+    Lag -k is the conjugate of lag k, so one Hermitian transform of the
+    lags 0..L-1 samples the real function on the 16L-point grid, at a
+    fraction of the cost of transforming u and b there.  A pair whose
+    squares overflow, or that holds inf or NaN, gives inf, which every
+    residual limit refuses.
     """
     L = max(len(u), len(b))
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isrealobj(u) and np.isrealobj(b):
-            power = sum(np.abs(np.fft.rfft(p, 2 * L)) ** 2 for p in (u, b))
-            lags = np.fft.irfft(power, 2 * L)[:L]
-        else:
-            power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
-            lags = np.fft.ifft(power)[:L]
+        power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
+        lags = np.fft.ifft(power)[:L]
         lags[0] -= 1.0
         residual = float(np.max(np.abs(np.fft.hfft(lags, 16 * L))))
     return residual if np.isfinite(residual) else np.inf

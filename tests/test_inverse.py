@@ -22,7 +22,6 @@ from nftsynth.inverse import (
     invert_fast,
     invert_sequential,
 )
-from nftsynth.poly import poly_mul
 from nftsynth.synthesis import ScatteringPair, SpectrumSpec, synthesize_ab
 
 from oracles import (
@@ -297,7 +296,7 @@ def test_fast_inverse_properties(case):
     column = transfer_matrix(sig.samples)[:, 0, :D]
     np.testing.assert_allclose(column[0], pair.a, rtol=0, atol=1e-12)
     np.testing.assert_allclose(column[1], pair.b, rtol=0, atol=1e-12)
-    det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
+    det = np.convolve(F[0, 0], F[1, 1]) - np.convolve(F[0, 1], F[1, 0])
     expected = np.zeros(2 * D + 1, dtype=complex)
     expected[D] = 1.0
     np.testing.assert_allclose(det, expected, rtol=0, atol=1e-10)
@@ -545,7 +544,7 @@ def test_transfer_matrix_det_is_z_to_the_minus_D(monkeypatch):
         _, C = invert_fast(forward_sequential(random_signal(rng, D)))
         F = para(C)
         assert F.shape == (2, 2, D + 1)
-        det = poly_mul(F[0, 0], F[1, 1]) - poly_mul(F[0, 1], F[1, 0])
+        det = np.convolve(F[0, 0], F[1, 1]) - np.convolve(F[0, 1], F[1, 0])
         expected = np.zeros(2 * D + 1, dtype=complex)
         expected[D] = 1.0
         assert np.allclose(det, expected, atol=1e-10)
@@ -775,6 +774,36 @@ def test_fft_ledger(monkeypatch, D):
     forward_fast(signal)
     assert inverse_calls == 5 * (D // LEAF_SIZE - 1)
     assert len(calls) - inverse_calls == 2 * int(np.log2(D // BLOCK))
+
+
+def test_fft_work_is_log_squared(monkeypatch):
+    """The FFT work of invert_fast and forward_fast, sum rows * n * log2 n
+    over their transforms, on one weak random signal's exact pair, stays
+    below 8 D log2^2 D from D = 2^9 to 2^16: an inverse node of n samples
+    makes ten length-n row transforms, a forward tree level six of length
+    2m per 2m samples, so the ratio climbs toward 5 + 3 = 8 from below
+    (3.33 at 2^9, 6.74 at 2^16).  A count, not a time."""
+    rng = np.random.default_rng(5)
+    work = []
+
+    def counted(transform):
+        def call(x, n=None, axis=-1, **kw):
+            x = np.asarray(x)
+            m = x.shape[axis] if n is None else n
+            work.append(x.size // x.shape[axis] * m * np.log2(m))
+            return transform(x, n, axis, **kw)
+        return call
+
+    for k in range(9, 17):
+        D = 1 << k
+        pair = forward_fast(random_signal(rng, D))
+        with monkeypatch.context() as mp:
+            for name in ("fft", "ifft"):
+                mp.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            signal, _C = invert_fast(pair, check=False)
+            forward_fast(signal)
+        assert sum(work) / (D * k * k) < 8.0
+        work.clear()
 
 
 def test_cost_scaling_smoke():

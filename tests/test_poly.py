@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from nftsynth import poly
+# numpy's convolve, under the name perfbench/'s tracer patches and costs as a product
+from nftsynth.inverse import poly_mul
 from nftsynth.poly import (
     as_coeffs,
     circle_samples,
     coeffs_from_circle,
     poly_eval,
-    poly_mul,
 )
 
 
