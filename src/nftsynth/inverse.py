@@ -58,14 +58,19 @@ balanced tree, one batched `_para_mul` per level; `forward_fast` reads
 
 `_peel` and `_first_column` step unnormalized, and `_column` reads
 [a; b] from the accumulator (a[k] = conj(R0[n-k]), b[k] = -R1[k], k < n)
-and divides it, a block of F, once by prod(theta).  One division rounds
-once, where a 1/theta in every step would round |Q|^2 away step after
-step.  A step maps A0 to A0 - Q B0 = theta^2 A0, so |A0| never falls,
-and after k steps the rows are theta_1...theta_k times the normalized
-window, whose coefficients are at most 1 for a valid pair; by the energy
-identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so one
-a0 check on entry (`_pair_arrays`) is enough and `_peel`'s rows stay far
-from overflow.  (A window of the tree is that A0 up to rounding; only a
+and divides it, a block of F, by prod(theta) once per block, where a
+1/theta in every step would round |Q|^2 away step after step.
+prod(theta) comes in two parts.  The samples with |Q| >= 1 give
+prod(hypot(1, |Q|)), which squares no large |Q| and rounds each factor
+to an ulp, where the exp of a large logarithm would not.  Those with
+|Q| < 1 give exp(sum log1p(|Q|^2) / 2), which keeps a weak |Q|^2 that
+hypot(1, |Q|) rounds away (theta - 1 below half an ulp).  A step maps
+A0 to A0 - Q B0 = theta^2 A0, so |A0| never falls, and after k steps
+the rows are theta_1...theta_k times the normalized window, whose
+coefficients are at most 1 for a valid pair; by the energy identity the
+product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so one a0 check on
+entry (`_pair_arrays`) is enough and `_peel`'s rows stay far from
+overflow.  (A window of the tree is that A0 up to rounding; only a
 pair far from valid, with check=False, can round it to 0, and `_peel`
 says so.)  Over a block of an arbitrary signal prod(theta) has no bound.
 `_peel` and `_first_column` run under errstate(over="raise",
@@ -179,11 +184,15 @@ def _shifted(buf):
 def _column(R, q):
     """[a; b] = [conj(R0[n:0:-1]); -R1[:n]] / prod(theta), shape (..., 2, n), from
     accumulator rows R of shape (..., 2, n+1) that hold prod(theta) times the
-    adjoint column of the samples q, shape (..., n) (module docstring)."""
+    adjoint column of the samples q, shape (..., n); prod(theta) splits at
+    |q| = 1 (module docstring)."""
     C = np.empty_like(R[..., :-1])
     np.conj(R[..., 0, :0:-1], out=C[..., 0, :])
     np.negative(R[..., 1, :-1], out=C[..., 1, :])
-    C /= np.prod(np.hypot(1.0, np.abs(q)), axis=-1)[..., None, None]
+    r = np.abs(q)
+    weak = np.where(r < 1.0, r, 0.0)
+    C /= np.prod(np.hypot(1.0, r - weak), axis=-1)[..., None, None]
+    C /= np.exp(0.5 * np.log1p(weak * weak).sum(axis=-1))[..., None, None]
     return C
 
 

@@ -67,7 +67,8 @@ def _causal_project(half, M):
 
 
 def spectral_factor(half, degree):
-    """Real minimum-phase m(z), length `degree`, with |m|^2 ~ S.
+    """Real minimum-phase m(z), length `degree`, with |m|^2 ~ S: returns
+    (coefficients, power), power = np.abs(np.fft.rfft(coefficients, M))**2.
 
     `half` holds an even S on samples 0..M/2 of the M-point circle grid,
     M = 2 (len(half) - 1), as np.abs(np.fft.rfft(x, M))**2 gives it.
@@ -75,20 +76,20 @@ def spectral_factor(half, degree):
     corrections m <- m * (1 + P+[S/|m|^2 - 1]) that pull the truncated
     coefficients back toward the grid values, until the misfit
     max|S/|m|^2 - 1| is at the rounding of a length-M transform, log2(M)
-    ulps, where a correction could only round.  make_ub establishes S >= 0,
-    not zero to rounding (LOG_FLOOR stands in for its zeros), and
-    M >= OVERSAMPLE * degree, without which the cepstrum aliases.
+    ulps, where a correction could only round, or the passes run out; the
+    power is the |m|^2 of that last misfit.  make_ub
+    establishes S >= 0, not zero to rounding (LOG_FLOOR stands in for its
+    zeros), and M >= OVERSAMPLE * degree, without which the cepstrum aliases.
     """
     M = 2 * (len(half) - 1)
     m = np.exp(_causal_project(np.log(half + LOG_FLOOR), M))
     c = np.fft.irfft(m, M)[:degree]
-    for _ in range(NEWTON_PASSES):
+    for n in range(NEWTON_PASSES + 1):
         m = np.fft.rfft(c, M)
         E = half / np.abs(m) ** 2 - 1.0
-        if np.abs(E).max() <= np.log2(M) * np.finfo(float).eps:
-            break
+        if n == NEWTON_PASSES or np.abs(E).max() <= np.log2(M) * np.finfo(float).eps:
+            return c.copy(), np.abs(m) ** 2
         c = np.fft.irfft(m * (1.0 + _causal_project(E, M)), M)[:degree]
-    return c.copy()
 
 
 @lru_cache(maxsize=1)
@@ -139,16 +140,19 @@ def make_ub(spec: FilterSpec) -> FactorPair:
         )
 
     # Near that bound, the degree-D factors can still miss: b may overshoot
-    # |b| = 1, or u may not follow a 1 - |b|^2 that nearly vanishes.
-    # Either way there is no unit-circle pair to return.
-    b = spectral_factor(Sb, spec.D)
-    Su = 1.0 - np.abs(np.fft.rfft(b, M)) ** 2
+    # |b| = 1, or u may not follow a 1 - |b|^2 that nearly vanishes, and
+    # there is no unit-circle pair.  The factors' own spectra tell: the
+    # residual |u|^2 + |b|^2 - 1 is a real trigonometric polynomial of
+    # degree D - 1, so its maximum on the circle is at most its M-point
+    # grid maximum over cos(pi (D-1) / M), tight for a tone between samples.
+    b, power_b = spectral_factor(Sb, spec.D)
+    Su = 1.0 - power_b
     low = int(np.argmin(Su))
     if Su[low] <= 0.0:
         raise ValueError(f"|b| >= 1 at omega ~ {grid_omega(low, M, spec.D):.3f}: "
                          "the factor of delta^2 |psi|^2 overshoots")
-    u = spectral_factor(Su, spec.D)
-    residual = pair_residual(u, b)
+    u, power_u = spectral_factor(Su, spec.D)
+    residual = np.abs(power_u - Su).max() / np.cos(np.pi * (spec.D - 1) / M)
     if residual > PAIR_RESIDUAL_LIMIT:
         raise ValueError(
             f"pair residual {residual:.1e} > {PAIR_RESIDUAL_LIMIT}: 1 - |b|^2 dips to "

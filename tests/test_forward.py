@@ -115,6 +115,21 @@ def test_fast_overflow_raises():
         forward_fast(Signal(samples=np.full(64, 1e12 + 0j)))
 
 
+@pytest.mark.parametrize("D", [1024, 4096])
+def test_fast_weak_signal_a0_against_mpmath(D):
+    """a0 of the forward matrix is prod(1/theta).  At |Q| ~ 1e-8, theta - 1
+    is below half an ulp, so hypot(1, |Q|) rounds it to 1, and a product of
+    hypot factors loses D |Q|^2 / 2 (2e-14 at D = 1024, 7e-14 at 4096);
+    the log1p sum of `inverse._column` keeps it.  Against mpmath in 30
+    digits, five seeds at each D."""
+    for seed in range(5):
+        q = random_signal(np.random.default_rng(seed), D, scale=1e-8).samples
+        with mpmath.workdps(30):
+            want = float(mpmath.fprod(1 / mpmath.sqrt(1 + abs(mpmath.mpc(x.real, x.imag)) ** 2)
+                                      for x in q))
+        assert abs(forward_fast(Signal(samples=q)).a[0] - want) <= 2e-15
+
+
 def test_non_finite_sample_raises():
     """A NaN sample raises FloatingPointError from both forward transforms,
     never a pair of NaNs; both name the sample, forward_fast on entry."""

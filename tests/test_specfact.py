@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+from nftsynth import specfact
 from nftsynth.asymptotics import predict
 from nftsynth.poly import circle_samples
 from nftsynth.specfact import (
@@ -79,15 +80,80 @@ def test_filterspec_validation():
 
 
 def test_factor_flat_spectrum():
-    m = spectral_factor(np.abs(np.fft.rfft([2.0], 64)) ** 2, 1)
+    m, _ = spectral_factor(np.abs(np.fft.rfft([2.0], 64)) ** 2, 1)
     np.testing.assert_allclose(m, [2.0], atol=1e-12)
 
 
 def test_factor_recovers_known_polynomial():
     M = 256
     power = np.abs(np.fft.rfft([1.0, 0.5], M)) ** 2
-    m = spectral_factor(power, 2)
+    m, _ = spectral_factor(power, 2)
     np.testing.assert_allclose(m, [1.0, 0.5], atol=1e-8)
+
+
+def test_factor_returns_its_power_spectrum():
+    """The power spectral_factor returns is |rfft(coefficients, M)|^2 exactly,
+    for a factor whose Newton passes run out (b of the bench filter) and one
+    that stops at its first misfit (u)."""
+    D, M = 512, OVERSAMPLE * 512
+    Sb = 0.01**2 * np.abs(np.fft.rfft(design_lowpass(D, 10.0), M)) ** 2
+    b, power_b = spectral_factor(Sb, D)
+    u, power_u = spectral_factor(1.0 - power_b, D)
+    for m, power in ((b, power_b), (u, power_u)):
+        np.testing.assert_array_equal(power, np.abs(np.fft.rfft(m, M)) ** 2)
+
+
+def grid_bound(f, n, M):
+    """max |f| over the M-point circle grid samples f of a real trigonometric
+    polynomial of degree n (for an even one, samples 0..M/2 suffice), divided
+    by cos(pi n / M): make_ub's bound on its maximum on the circle, M > 2n."""
+    return np.abs(f).max() / np.cos(np.pi * n / M)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 511])
+def test_sampling_bound_tight_for_tone_between_samples(n):
+    """cos(n (theta - pi/M)) with M = 8n peaks halfway between every two
+    samples it peaks between, so the bound equals its maximum, 1, read on a
+    64x finer grid that holds the peaks."""
+    M = 8 * n
+
+    def tone(m):
+        return np.cos(n * (2 * np.pi * np.arange(m) / m - np.pi / M))
+
+    fine = np.abs(tone(64 * M)).max()
+    assert fine == pytest.approx(1.0, abs=1e-15)
+    assert grid_bound(tone(M), n, M) == pytest.approx(fine, rel=1e-14)
+
+
+def test_sampling_bound_holds_for_random_polynomials():
+    """Random real trigonometric polynomials of degree n <= 300 on M = 8(n+1)
+    points, the grid make_ub reads its degree-(D-1) residual on: the bound
+    is at least the maximum on a 64x finer grid."""
+    rng = np.random.default_rng(5)
+    for n in rng.integers(1, 301, 40):
+        M = 8 * (n + 1)
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        samples = [np.real(m * np.fft.ifft(c, m)) for m in (M, 64 * M)]  # sum_k c_k e^{ik theta}
+        assert grid_bound(samples[0], n, M) >= np.abs(samples[1]).max()
+
+
+def test_make_ub_refuses_on_the_sampling_bound(monkeypatch):
+    """make_ub's residual refusal reads the grid maximum of |u|^2 + |b|^2 - 1
+    on the factors' spectra times 1/cos(pi (D-1) / M), not the grid maximum
+    alone: a limit between the two refuses the pair, with the bound in the
+    message, and a limit at the bound accepts it."""
+    spec = FilterSpec(512, 0.01, 10.0)
+    make_ub.cache_clear()
+    fp = make_ub(spec)
+    M = OVERSAMPLE * spec.D
+    grid = np.abs(np.abs(np.fft.rfft(fp.u, M)) ** 2 - (1.0 - np.abs(np.fft.rfft(fp.b, M)) ** 2))
+    bound = grid_bound(grid, spec.D - 1, M)
+    monkeypatch.setattr(specfact, "PAIR_RESIDUAL_LIMIT", (grid.max() + bound) / 2)
+    make_ub.cache_clear()
+    with pytest.raises(ValueError, match=f"pair residual {bound:.1e} > "):
+        make_ub(spec)
+    monkeypatch.setattr(specfact, "PAIR_RESIDUAL_LIMIT", bound)
+    np.testing.assert_array_equal(make_ub(spec).u, fp.u)
 
 
 def test_factor_u_residual_bound():
@@ -95,7 +161,7 @@ def test_factor_u_residual_bound():
     delta = 0.01
     psi = design_lowpass(D, 10.0)
     pw = np.abs(np.fft.rfft(psi, 8 * D)) ** 2
-    u = spectral_factor(1.0 - delta**2 * pw, D)
+    u, _ = spectral_factor(1.0 - delta**2 * pw, D)
     achieved = np.abs(circle_samples(u, 16 * D)) ** 2
     target = 1.0 - delta**2 * np.abs(circle_samples(psi, 16 * D)) ** 2
     assert np.abs(achieved - target).max() <= 1e-8
@@ -148,14 +214,15 @@ def test_make_ub_keeps_needed_newton_passes():
 @pytest.mark.parametrize("D", [1 << k for k in range(6, 15)])
 def test_factor_fft_ledger(monkeypatch, D):
     """The FFT ledger of the factorization on the bench's filter (delta 0.01,
-    omega_c 10): a cold make_ub takes 21 transforms at every D.  Each
-    spectral_factor runs its cepstral start (irfft, rfft, irfft); b's misfit
-    is of order 1 in the stopband, so it runs both Newton passes (rfft, then
-    irfft, rfft, irfft to correct), while u's first misfit is at rounding and
-    stops it after one rfft.  Add one rfft each for |psi|^2 and 1 - |b|^2,
-    and pair_residual's two fft, one ifft and one hfft.  synthesize_ab on
-    the cached filter then takes one FFT and one inverse.  A count, not a
-    time."""
+    omega_c 10): a cold make_ub takes 17 transforms at every D.  Each
+    spectral_factor runs its cepstral start (irfft, rfft, irfft) and one
+    rfft for its first misfit; b's misfit is of order 1 in the stopband, so
+    it runs both Newton passes (irfft, rfft, irfft, then rfft for the next
+    misfit or, after the last pass, the power it returns), while u's first
+    misfit is at rounding and stops it.  Add one rfft for |psi|^2: the
+    refusals read the factors' returned power spectra, with no transform of
+    their own.  synthesize_ab on the cached filter then takes one FFT and
+    one inverse.  A count, not a time."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft", "hfft"):
         transform = getattr(np.fft, name)
@@ -163,8 +230,7 @@ def test_factor_fft_ledger(monkeypatch, D):
                             calls.append(_n) or _t(*args, **kw))
     make_ub.cache_clear()
     make_ub(FilterSpec(D, 0.01, 10.0))
-    assert {n: calls.count(n) for n in set(calls)} == {"rfft": 9, "irfft": 8, "fft": 2,
-                                                        "ifft": 1, "hfft": 1}
+    assert {n: calls.count(n) for n in set(calls)} == {"rfft": 9, "irfft": 8}
     calls.clear()
     synthesize_ab(SpectrumSpec(lambdas=[20j], delta=0.01, D=D, omega_c=10.0))
     assert sorted(calls) == ["fft", "ifft"]
@@ -368,3 +434,23 @@ def test_make_ub_properties(spec):
         spread_u, spread_b = rounding_spread(spec, u_ref, b_ref)
         assert du <= max(1e-12, 4 * spread_u)
         assert db <= max(1e-12, 4 * spread_b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(filter_specs())
+def test_make_ub_refusal_bound_covers_pair_residual(spec):
+    """On the pairs make_ub returns across filter_specs, the value its
+    residual refusal reads, the sampling bound of |u|^2 + |b|^2 - 1 from the
+    factors' spectra on the OVERSAMPLE * D grid, is at least pair_residual,
+    less the rounding of a length-M transform (log2(M) ulps), which decides
+    only between residuals far below PAIR_RESIDUAL_LIMIT (D = 32 near
+    saturation reads 7.2e-16 against 7.8e-16)."""
+    try:
+        fp = make_ub(spec)
+    except ValueError:
+        return
+    M = OVERSAMPLE * spec.D
+    Su = 1.0 - np.abs(np.fft.rfft(fp.b, M)) ** 2
+    residual = np.abs(np.abs(np.fft.rfft(fp.u, M)) ** 2 - Su)
+    rounding = np.log2(M) * np.finfo(float).eps
+    assert grid_bound(residual, spec.D - 1, M) >= pair_residual(fp.u, fp.b) - rounding
