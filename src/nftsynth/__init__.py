@@ -17,7 +17,8 @@ from .forward import (
 )
 from .inverse import Signal, invert_fast
 from .specfact import FilterSpec, make_ub
-from .synthesis import ScatteringPair, SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
+from .synthesis import ScatteringPair, SpectrumSpec, synthesize_ab, z_to_lambda
+from .verify import validate_pair
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,9 @@ from .forward import find_eigenvalues, forward_fast, norming_constants, reflecti
 from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast
 from .inverse import invert_sequential  # noqa: F401  (perfbench patches cli.invert_sequential)
 from .specfact import FilterSpec, make_ub
-from .synthesis import SpectrumSpec, synthesize_ab, validate_pair, z_to_lambda
+from .synthesis import SpectrumSpec, synthesize_ab, z_to_lambda
+from .verify import (column_dev, eigenvalue_errors, energy_identity_residual, norming_rel_devs,
+                     pair_residual, radiation_energy, reflection_devs, validate_pair)
 
 SCHEMA_VERSION = 1
 BENCH_REPEATS = 5
@@ -124,13 +126,6 @@ def _synthesize(job, rep):
     return spec, pair, signal, C
 
 
-def _transfer_column_dev(pair, C):
-    """max |C - [a; b]| over the stacked pair: how far the first column C
-    of the samples' forward matrix is from the pair they came from, or,
-    with C a forward pair stacked, the round trip's coefficient deviation."""
-    return float(np.abs(C - np.stack([pair.a, pair.b])).max())
-
-
 def _reinvert(signal, rep):
     """forward_fast(signal) as the stage "forward_fast", and how far
     invert_fast's samples of it, clocked as the stage "reinversion", are
@@ -152,12 +147,12 @@ def run_synthesize(job, out: Path, rep):
     rep.update(D=spec.D, a0=complex(pair.a[0]),
                unimodularity_residual=check["unimodularity_residual"],
                truncation_tail_energy=pair.truncation_tail_energy,
-               pair_valid=check["ok"], transfer_column_dev=_transfer_column_dev(pair, C))
+               pair_valid=check["ok"], transfer_column_dev=column_dev(pair, C))
 
 
 def run_invert(job, out: Path, rep):
     spec, pair, signal, C = _synthesize(job, rep)
-    rep.update(D=spec.D, transfer_column_dev=_transfer_column_dev(pair, C))
+    rep.update(D=spec.D, transfer_column_dev=column_dev(pair, C))
     _reinvert(signal, rep)
     write_signal_csv(out / "signal.csv", signal)
 
@@ -191,30 +186,25 @@ def run_roundtrip(job, out: Path, rep):
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
     pair2 = _reinvert(signal, rep)
-    rep["coefficient_roundtrip_dev"] = _transfer_column_dev(pair, np.stack([pair2.a, pair2.b]))
+    rep.update(coefficient_roundtrip_dev=column_dev(pair, np.stack([pair2.a, pair2.b])),
+               forward_unimodularity_residual=pair_residual(pair2.a, pair2.b),
+               energy_identity_residual=energy_identity_residual(signal, pair2.a[0]))
 
     omega, vals, _poles = reflection_coefficient(pair2)
     predicted = asymptotic_reflection(omega, spec.delta, spec.omega_c)
-    band = np.abs(omega) <= spec.omega_c
-    meas = np.abs(vals[band]) ** 2
-    rep["reflection_passband_rel_dev"] = float(
-        np.abs(meas - predicted[band]).max() / predicted[band].max())
-    rep["radiation_energy"] = float(np.trapezoid(np.abs(vals) ** 2, omega) / np.pi)
+    passband, transition = reflection_devs(omega, vals, predicted, spec.omega_c)
+    rep.update(reflection_passband_rel_dev=passband, reflection_transition_rel_dev=transition,
+               radiation_energy=radiation_energy(omega, vals))
 
     if spec.lambdas:
         zs = _stage("eigenvalues", lambda: find_eigenvalues(pair2.a), rep)
-        lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
-        rep["eigenvalue_errors"] = [
-            float(np.abs(lams - t).min()) if len(lams) else float("inf")
-            for t in spec.lambdas]
+        lams = [z_to_lambda(z, spec.eps) for z in zs]
+        rep["eigenvalue_errors"] = eigenvalue_errors(lams, spec.lambdas)
         rep["eigenvalue_count"] = int(len(zs))
         if len(zs) == len(spec.lambdas):
-            meas_norm = norming_constants(pair2, zs)
-            pred = predict(spec).norming_predictions
-            # align roots to the spec's eigenvalue order
-            order = [int(np.abs(lams - t).argmin()) for t in spec.lambdas]
-            devs = np.abs(meas_norm[order] - pred) / np.abs(meas_norm[order])
-            rep["norming_rel_devs"] = [float(d) for d in devs]
+            rep["norming_rel_devs"] = norming_rel_devs(
+                norming_constants(pair2, zs), predict(spec).norming_predictions,
+                lams, spec.lambdas)
 
 
 def run_asymptotics(job, out: Path, rep):

@@ -90,7 +90,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import convolve as poly_mul  # noqa: F401  (no caller; perfbench/ patches inverse.poly_mul)
 
-from .synthesis import ScatteringPair, validate_pair
+from .synthesis import ScatteringPair
+from .verify import validate_pair
+from .verify import energy_identity_residual  # noqa: F401  (perfbench/ calls it here)
 
 LEAF_SIZE = 256         # below this, peel sequentially inside the recursion (measured sweep)
 BLOCK = 32              # _first_column steps blocks of this many samples at once (measured sweep)
@@ -346,8 +348,3 @@ def invert_fast(pair, check=True):
         qs, C = node(np.stack([a, b]))
     return Signal(samples=_finite(qs[::-1], "sample q")), C
 
-
-def energy_identity_residual(signal: Signal, a0) -> float:
-    """| prod(1 + |Q|^2) * a0^2 - 1 |: the peel's energy bookkeeping check."""
-    prod = float(np.prod(1.0 + np.abs(signal.samples) ** 2))
-    return abs(prod * float(np.real(a0)) ** 2 - 1.0)

@@ -163,23 +163,3 @@ def make_ub(spec: FilterSpec) -> FactorPair:
     b.flags.writeable = False
     return FactorPair(u=u, b=b)
 
-
-def pair_residual(u, b):
-    """max of | |u|^2 + |b|^2 - 1 | over a circle grid 16x the longer length.
-
-    |u|^2 + |b|^2 - 1 is a Laurent polynomial with lags -(L-1)..L-1,
-    L = max(len(u), len(b)): the autocorrelations of u and b, less 1 at
-    lag 0.  Length-2L transforms give those lags without wrap-around.
-    Lag -k is the conjugate of lag k, so one Hermitian transform of the
-    lags 0..L-1 samples the real function on the 16L-point grid, at a
-    fraction of the cost of transforming u and b there.  A pair whose
-    squares overflow, or that holds inf or NaN, gives inf, which every
-    residual limit refuses.
-    """
-    L = max(len(u), len(b))
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = sum(np.abs(np.fft.fft(p, 2 * L)) ** 2 for p in (u, b))
-        lags = np.fft.ifft(power)[:L]
-        lags[0] -= 1.0
-        residual = float(np.max(np.abs(np.fft.hfft(lags, 16 * L))))
-    return residual if np.isfinite(residual) else np.inf

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import circle_samples, coeffs_from_circle
-from .specfact import FilterSpec, make_ub, pair_residual
+from .specfact import FilterSpec, make_ub
+from .verify import pair_residual
 
 SYNTH_GRID_FACTOR = 4        # a_ideal sampled on a 4D-point circle grid
 TAIL_ENERGY_LIMIT = 1e-4     # reject truncations worse than this
-PAIR_TOL = 1e-6              # validate_pair: a0 real to this, unimodular to this
 ROOT_INNER = 1.0 + 1e-6      # annulus for genuine eigenvalue roots
 ROOT_OUTER = float(np.exp(np.pi))
 
@@ -132,16 +132,3 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     b = phase * pair_ub.b
     return ScatteringPair(a=a, b=b, truncation_tail_energy=tail)
 
-
-def validate_pair(pair: ScatteringPair):
-    """Check the two validity conditions; returns a small report dict."""
-    a0 = pair.a[0]
-    res = pair.unimodularity_residual
-    a0_ok = a0.real >= 0 and abs(a0.imag) <= PAIR_TOL * max(1.0, abs(a0))
-    return {
-        "a0": complex(a0),
-        "a0_real_nonneg": bool(a0_ok),
-        "unimodularity_residual": res,
-        "tol": PAIR_TOL,
-        "ok": bool(a0_ok and res <= PAIR_TOL),
-    }

@@ -27,12 +27,7 @@ from nftsynth.forward import (
     norming_constants,
     reflection_coefficient,
 )
-from nftsynth.inverse import (
-    LEAF_SIZE,
-    Signal,
-    energy_identity_residual,
-    invert_fast,
-)
+from nftsynth.inverse import LEAF_SIZE, Signal, invert_fast
 from nftsynth.poly import poly_eval
 from nftsynth.synthesis import (
     SpectrumSpec,
@@ -40,6 +35,13 @@ from nftsynth.synthesis import (
     lambda_to_z,
     synthesize_ab,
     z_to_lambda,
+)
+from nftsynth.verify import (
+    eigenvalue_errors,
+    energy_identity_residual,
+    norming_rel_devs,
+    radiation_energy,
+    reflection_devs,
 )
 
 from oracles import continuous_oracle, forward_sequential, invert_scalar
@@ -97,9 +99,8 @@ def test_criterion_2_eigenvalue_placement():
     """Synthesize the 4-soliton target at D=512, invert, transform back:
     every recovered eigenvalue within 1e-3 of its prescription."""
     spec, _, _, back = pipeline(FOUR_SOLITON, 0.01, 512)
-    zs = find_eigenvalues(back.a)
-    lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
-    errs = [np.abs(lams - t).min() if len(lams) else np.inf for t in FOUR_SOLITON]
+    lams = [z_to_lambda(z, spec.eps) for z in find_eigenvalues(back.a)]
+    errs = eigenvalue_errors(lams, FOUR_SOLITON)
     ok = len(lams) == 4 and max(errs) <= 1e-3
     verdict(2, ok, f"{len(lams)} eigenvalues, max placement error {max(errs):.3e} "
                    f"(tolerance 1e-3)")
@@ -113,11 +114,8 @@ def test_criterion_3_reflection_prediction():
     for name, lams in (("radiation-only", ()), ("4-soliton", FOUR_SOLITON)):
         _, _, _, back = pipeline(lams, 0.01, 2048)
         om, vals, _ = reflection_coefficient(back)
-        pred = asymptotic_reflection(om, 0.01, 10.0)
-        rel = np.abs(np.abs(vals) ** 2 - pred) / pred
-        pass_dev = rel[np.abs(om) <= 10.0].max()
-        trans_dev = rel[(np.abs(om) > 10.0) & (np.abs(om) <= 20.0)].max()
-        results.append((name, pass_dev, trans_dev))
+        results.append((name, *reflection_devs(om, vals, asymptotic_reflection(om, 0.01, 10.0),
+                                               10.0)))
     ok = all(p <= 0.05 and t <= 0.20 for _, p, t in results)
     detail = "; ".join(f"{n}: passband {p:.4f}/0.05, transition {t:.4f}/0.20"
                        for n, p, t in results)
@@ -132,11 +130,9 @@ def test_criterion_4_norming_prediction():
     for D in (512, 2048):
         spec, _, _, back = pipeline(FOUR_SOLITON, 0.01, D)
         zs = find_eigenvalues(back.a)
-        meas = norming_constants(back, zs)
-        lams = np.array([z_to_lambda(z, spec.eps) for z in zs])
-        order = [int(np.abs(lams - t).argmin()) for t in FOUR_SOLITON]
-        pred = predict(spec).norming_predictions
-        devs[D] = np.abs(meas[order] - pred) / np.abs(meas[order])
+        lams = [z_to_lambda(z, spec.eps) for z in zs]
+        devs[D] = np.array(norming_rel_devs(norming_constants(back, zs),
+                                            predict(spec).norming_predictions, lams, FOUR_SOLITON))
     ok = devs[512].max() <= 0.20 and np.all(devs[2048] <= devs[512])
     verdict(4, ok, f"D=512 devs {np.round(devs[512], 5).tolist()} (tolerance 0.20), "
                    f"D=2048 devs {np.round(devs[2048], 5).tolist()} (non-increasing)")
@@ -149,8 +145,7 @@ def test_criterion_5_contrast_sweep():
     energies = []
     for delta in (0.1, 0.03, 0.01):
         _, _, _, back = pipeline(ONE_SOLITON, delta, 512)
-        om, vals, _ = reflection_coefficient(back)
-        energies.append(float(np.trapezoid(np.abs(vals) ** 2, om) / np.pi))
+        energies.append(radiation_energy(*reflection_coefficient(back)[:2]))
     ok = energies[0] > energies[1] > energies[2]
     verdict(5, ok, "radiation energies " + ", ".join(f"{e:.4g}" for e in energies)
                    + " (must decrease)")
@@ -224,7 +219,8 @@ def test_criterion_7_invariant_suite():
         t = -1 + (np.arange(1, D + 1) - 0.5) * eps
         pair = forward_sequential(Signal(samples=eps * q(t)))
         zs = find_eigenvalues(pair.a)
-        eig_errs.append(abs(z_to_lambda(zs[0], eps) - 10j) if len(zs) == 1 else np.inf)
+        eig_errs.append(eigenvalue_errors([z_to_lambda(zs[0], eps)], [10j])[0]
+                        if len(zs) == 1 else np.inf)
         b_devs.append(abs(poly_eval(np.asarray(pair.b), lambda_to_z(lam_probe, eps)) - be))
     eig_ratios = [eig_errs[i] / eig_errs[i + 1] for i in range(3)]
     b_ratios = [b_devs[i] / b_devs[i + 1] for i in range(3)]

@@ -36,9 +36,15 @@ def _constant(filename, name):
 
 
 def test_benchmark_patched_names_resolve():
+    """Every name the harness patches, and every `nft.<module>.<attr>` that
+    perfbench/ops.py calls, such as inverse.energy_identity_residual, which
+    inverse binds for it."""
     wanted = [(mod, attr) for mod, attr, _span in _constant("spans.py", "LAYER_NAMES")]
     wanted += [("cli", attr) for attr in _constant("ops.py", "CLI_CAPTURED")]
     wanted += [("inverse", "poly_mul"), ("poly", "_FFT_CUTOFF")]
+    read = re.findall(r"\bnft\.(\w+)\.(\w+)", (PERFBENCH / "ops.py").read_text())
+    assert read
+    wanted += read
     assert len(wanted) > 20
     missing = [f"nftsynth.{mod}.{attr}" for mod, attr in wanted
                if not hasattr(importlib.import_module(f"nftsynth.{mod}"), attr)]

@@ -10,7 +10,6 @@ from nftsynth.synthesis import (
     blaschke_eval,
     lambda_to_z,
     synthesize_ab,
-    validate_pair,
     z_to_lambda,
 )
 
@@ -151,18 +150,6 @@ def test_tail_energy_shrinks_with_d():
         assert lo <= hi * 1.5  # monotone within noise
 
 
-def test_validate_pair_trivial_and_broken():
-    good = ScatteringPair(np.array([1.0 + 0j]), np.array([0.0 + 0j]))
-    rep = validate_pair(good)
-    assert rep["ok"]
-    assert rep["unimodularity_residual"] <= 1e-15
-
-    bad = ScatteringPair(
-        a=np.array([1.0 + 0j]), b=np.array([1.0 + 0j]), truncation_tail_energy=0.0,
-    )
-    assert not validate_pair(bad)["ok"]
-
-
 def test_direct_pair_reports_its_residual():
     """A pair built from bare coefficients derives its residual from a and b."""
     unimodular = ScatteringPair([0.6, 0.0], [0.0, 0.8j])    # |0.6|^2 + |0.8 z^-1|^2 = 1
@@ -172,11 +159,6 @@ def test_direct_pair_reports_its_residual():
     assert half.unimodularity_residual == pytest.approx(0.5, abs=1e-15)
     half.b = np.array([np.sqrt(0.75)])                      # follows a and b as they are
     assert half.unimodularity_residual <= 1e-15
-
-
-def test_validate_pair_accepts_synthesized():
-    spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=256, omega_c=10.0)
-    assert validate_pair(synthesize_ab(spec))["ok"]
 
 
 def test_synthesize_rejects_too_small_d():
