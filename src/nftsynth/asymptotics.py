@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import poly_eval
-from .specfact import FilterSpec, make_ub
+from .specfact import make_ub
 from .synthesis import SpectrumSpec, lambda_to_z
 
 SERIES_MAX = 4.0        # Si by its power series for |s| up to here
@@ -131,5 +131,5 @@ def semi_asymptotic_norming(b, u, lambdas, eps):
 
 def predict(spec: SpectrumSpec) -> AsymptoticPrediction:
     """Norming-constant predictions for a synthesis target's eigenvalues."""
-    fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
+    fp = make_ub(spec.filter)
     return AsymptoticPrediction(semi_asymptotic_norming(fp.b, fp.u, spec.lambdas, spec.eps))

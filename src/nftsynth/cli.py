@@ -24,10 +24,10 @@ from .asymptotics import asymptotic_reflection, filter_amplitude, predict
 from .forward import find_eigenvalues, forward_fast, norming_constants, reflection_coefficient
 from .inverse import BLOCK, CHUNK, LEAF_SIZE, Signal, invert_fast
 from .inverse import invert_sequential  # noqa: F401  (perfbench patches cli.invert_sequential)
-from .specfact import FilterSpec, make_ub
+from .specfact import make_ub
 from .synthesis import SpectrumSpec, synthesize_ab, z_to_lambda
-from .verify import (column_dev, eigenvalue_errors, energy_identity_residual, norming_rel_devs,
-                     pair_residual, radiation_energy, reflection_devs, validate_pair)
+from .verify import (column_dev, eigenvalue_errors, energy_identity_residual, inversion_devs,
+                     norming_rel_devs, radiation_energy, reflection_devs, validate_pair)
 
 SCHEMA_VERSION = 1
 BENCH_REPEATS = 5
@@ -133,8 +133,7 @@ def _reinvert(signal, rep):
     max |q| under "max_abs_sample".  Returns the forward pair."""
     pair2 = _stage("forward_fast", lambda: forward_fast(signal), rep)
     back, _C = _stage("reinversion", lambda: invert_fast(pair2, check=False), rep)
-    rep.update(max_abs_sample=float(np.abs(signal.samples).max()),
-               inversion_max_dev=float(np.abs(back.samples - signal.samples).max()))
+    rep["max_abs_sample"], rep["inversion_max_dev"] = inversion_devs(signal, back)
     return pair2
 
 
@@ -187,7 +186,7 @@ def run_roundtrip(job, out: Path, rep):
                lambdas=[complex(l) for l in spec.lambdas])
     pair2 = _reinvert(signal, rep)
     rep.update(coefficient_roundtrip_dev=column_dev(pair, np.stack([pair2.a, pair2.b])),
-               forward_unimodularity_residual=pair_residual(pair2.a, pair2.b),
+               forward_unimodularity_residual=pair2.unimodularity_residual,
                energy_identity_residual=energy_identity_residual(signal, pair2.a[0]))
 
     omega, vals, _poles = reflection_coefficient(pair2)
@@ -245,7 +244,7 @@ def run_bench(job, out: Path, rep):
         row = {"D": D}
         # Both rows time a cold factorization, which make_ub's cache would
         # otherwise serve from the warm-up on; synthesize_ab includes it.
-        filt = FilterSpec(spec.D, spec.delta, spec.omega_c)
+        filt = spec.filter
         row["make_ub_s"] = _time_median(lambda: make_ub.__wrapped__(filt))
 
         def cold_synthesis():

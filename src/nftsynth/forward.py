@@ -9,16 +9,9 @@ starting from (a, b) = (1, 0).  After D steps a and b are degree-(D-1)
 polynomials in z^{-1} and |a|^2 + |b|^2 = 1 holds exactly on the circle.
 
 This is the step matrix F(Q) of the `inverse` module docstring applied
-to a column.  `forward_fast` is the first column of the samples' forward
-matrix F(q[D-1]) ... F(q[0]), `inverse._first_column`: blocks of
-one-sample steps (the two-row step of the `inverse` module docstring,
-batched over the blocks), then a balanced tree with one batched FFT
-product per level, O(D log^2 D), carrying first columns only.  The block
-steps drop 1/theta, as `invert_fast`'s leaves do, and each block divides
-its column once by prod(theta); where the rows or that product overflow,
-`forward_fast` raises FloatingPointError.  It refuses a non-finite sample
-on entry, "sample q[i] = v is not finite", with the check the inversions
-run on their pair's coefficients (`inverse._finite`).
+to a column: `forward_fast` is the first column of the samples' forward
+matrix F(q[D-1]) ... F(q[0]), which `inverse._first_column` computes in
+O(D log^2 D).
 """
 
 import numpy as np

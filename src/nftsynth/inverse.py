@@ -1,14 +1,9 @@
 """Layer peeling: recover the D samples from a scattering pair.
 
-Two implementations of the same map.  `invert_fast` splits the pair in
-half, peels the newer half, transfers the older half through that
-half's inverse matrix, and recurses -- O(D log^2 D); its leaves are
-`_peel`, the one sequential loop, one matmul per sample.
-`invert_sequential` peels the whole pair as one such leaf with no tree
-above it, O(D^2): the tests' oracle for the tree; no command runs it.
-Each sample is read as Q = -conj(B0/A0), a ratio of the current
-window's constant coefficients, which no common scale of the window
-changes, so the peel drops the step matrix's 1/theta.
+Two implementations of the same map: `invert_fast`, a tree of
+O(D log^2 D) whose leaves are `_peel`, and `invert_sequential`, the
+whole pair peeled as one leaf, O(D^2), the tests' oracle for the tree
+(`test_fast_matches_sequential_and_roundtrips`); no command runs it.
 
 One step matrix serves both transforms: the one-sample forward matrix,
 in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
@@ -16,14 +11,18 @@ in ascending powers of z^{-1} and with theta = sqrt(1 + |Q|^2),
     F(Q) = (1/theta) * [[1, Q z^{-1}], [-conj(Q), z^{-1}]],    det F = z^{-1},
 
 and the forward matrix of a block of n samples is the product
-F(q[n-1]) ... F(q[0]).  Every product of n step matrices has the
-para-conjugate form
+F(q[n-1]) ... F(q[0]) (`test_transfer_matrix_matches_direct_product`).
+Each step also carries a scalar z^{-1/2}; it is dropped, since it
+multiplies a and b alike and cancels in every ratio.  Every product of
+n step matrices has the para-conjugate form
 
     F = para([a; b]) = [[a, -z^{-n} b*], [b, z^{-n} a*]],    p*(z) = conj(p(1/conj z)),
 
 so its second column is its first, [a; b] (n coefficients each),
 reversed and conjugated into z^{-1}..z^{-n}, and both fast transforms
-carry first columns only.  So do the inverses, by one identity:
+carry first columns only (`test_invert_fast_matrix_is_forward_product`,
+`test_transfer_matrix_det_is_z_to_the_minus_D`).  So do the inverses,
+by one identity:
 
     adj(para([a; b])) = [[z^{-n} a*, z^{-n} b*], [-b, a]] = para([z^{-n} a*; -b]).
 
@@ -34,10 +33,9 @@ so z^n * adj(F) undoes a block of n samples.
 One FFT of a column gives all four entries of its para-conjugate form:
 z^{-n} p* has the coefficients conj(p[n-k]), so at length 2n its spectrum
 is w^{jn} conj(P_j) = (-1)^j conj(P_j), with P = FFT(p) and w = e^{-2 pi i/2n},
-and the adjoint column's spectra are [(-1)^j conj(A); -B] (`_adjoint`).
-So `_para_mul` is the one product of both transforms: it multiplies two
-blocks' forms in `_first_column`'s tree and in every `invert_fast` node,
-and takes the node's older window through adj(F) of the newer half.
+and the adjoint column's spectra are [(-1)^j conj(A); -B] (`_adjoint`,
+`test_para_spectra_from_one_fft`).  So `_para_mul` is the one product of
+both transforms (`test_para_mul_matches_convolve`).
 
 One two-row step, on the rows R0, R1 of one buffer,
 
@@ -48,41 +46,9 @@ is theta * z * adj(F(Q)) applied to the column [R0; R1], slot j holding
 the coefficient of z^{-j} (z shifts by one slot).  On a window [A; B] of
 the pair it is theta times the inverse step: the peel.  Started from
 [z^{-n}; 0] (R0[n] = 1), n steps taken newest first leave prod(theta) *
-adj(F) [1; 0], prod(theta) times the adjoint column.  `_peel` lays out
-one buffer, [accumulator, n + 1 slots | window, n slots | one zero
-slot], so each of its matmuls peels the window and accumulates the
-column at once.  `_first_column` runs the accumulator half on all
-blocks of BLOCK samples at once, then multiplies the blocks in a
-balanced tree, one batched `_para_mul` per level; `forward_fast` reads
-(a, b) from it.
-
-`_peel` and `_first_column` step unnormalized, and `_column` reads
-[a; b] from the accumulator (a[k] = conj(R0[n-k]), b[k] = -R1[k], k < n)
-and divides it, a block of F, by prod(theta) once per block, where a
-1/theta in every step would round |Q|^2 away step after step.
-prod(theta) comes in two parts.  The samples with |Q| >= 1 give
-prod(hypot(1, |Q|)), which squares no large |Q| and rounds each factor
-to an ulp, where the exp of a large logarithm would not.  Those with
-|Q| < 1 give exp(sum log1p(|Q|^2) / 2), which keeps a weak |Q|^2 that
-hypot(1, |Q|) rounds away (theta - 1 below half an ulp).  A step maps
-A0 to A0 - Q B0 = theta^2 A0, so |A0| never falls, and after k steps
-the rows are theta_1...theta_k times the normalized window, whose
-coefficients are at most 1 for a valid pair; by the energy identity the
-product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so one a0 check on
-entry (`_pair_arrays`) is enough and `_peel`'s rows stay far from
-overflow.  (A window of the tree is that A0 up to rounding; only a
-pair far from valid, with check=False, can round it to 0, and `_peel`
-says so.)  Over a block of an arbitrary signal prod(theta) has no bound.
-`_peel` and `_first_column` run under errstate(over="raise",
-invalid="raise"), as does invert_fast's whole tree, so an overflow or a
-NaN from numpy's arithmetic raises FloatingPointError rather than return
-inf, NaN or zeros.  The peel's ratio B0/A0 is Python's complex division,
-which raises no flag and can give NaN for finite operands near the
-largest double, so both inversions also refuse a non-finite sample on
-exit (`_finite`).
-
-Each step also carries a scalar z^{-1/2}; it is dropped, since it
-multiplies a and b alike and cancels in every ratio.
+adj(F) [1; 0], prod(theta) times the adjoint column, which `_column`
+reads (`test_peel_returns_samples_and_column`).  `_peel` and
+`_first_column` run it.
 """
 
 from dataclasses import dataclass
@@ -122,11 +88,18 @@ class Signal:
 
 
 def _pair_arrays(pair, check):
-    """(a, b) of a ScatteringPair or an (a, b) tuple, checked on entry
-    (module docstring): ValueError if check and validate_pair fails, then
+    """(a, b) of a ScatteringPair or an (a, b) tuple, checked on entry by
+    both inversions: ValueError if check and validate_pair fails, then
     FloatingPointError naming the first non-finite coefficient, then
     ZeroDivisionError if |a0| < SINGULAR_A0.  An empty pair has no a0 to
-    check; invert_fast refuses its length."""
+    check; invert_fast refuses its length.
+
+    One a0 check is enough: a step maps A0 to A0 - Q B0 = theta^2 A0, so
+    |A0| never falls (`test_a0_check_on_entry_is_enough`), and after k
+    steps the rows are theta_1...theta_k times the normalized window,
+    whose coefficients are at most 1 for a valid pair; by the energy
+    identity the product over all D steps is 1/|a0| <= 1/SINGULAR_A0, so
+    `_peel`'s rows stay far from overflow."""
     if not isinstance(pair, ScatteringPair):
         pair = ScatteringPair(*pair)
     if check and pair.D:
@@ -143,7 +116,10 @@ def _finite(x, name):
     """x, or FloatingPointError naming its first non-finite entry,
     "name[i] = v is not finite": the check of the pair's coefficients on
     entry and of the samples on exit of both inversions, and of
-    forward_fast's samples on entry."""
+    forward_fast's samples on entry.  The exit check is needed because the
+    peel's ratio B0/A0 is Python's complex division, which raises no flag
+    and can give NaN for finite operands near the largest double
+    (`test_far_pair_peels_to_finite_samples_or_raises`)."""
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise FloatingPointError(f"{name}[{bad[0]}] = {x.item(bad[0])} is not finite")
@@ -155,7 +131,9 @@ def _para_mul(P, L):
 
     P and L are their FFTs at length 2h, shape (..., 2, 2h); L is
     overwritten.  P gives all four entries of para(X) (module docstring),
-    so the product costs one inverse FFT.  Returns shape (..., 2, 2h).
+    so the product costs one inverse FFT.  It multiplies two blocks' forms
+    in `_first_column`'s tree and in every `invert_fast` node, and takes
+    the node's older window through adj(F).  Returns shape (..., 2, 2h).
     The tree's products, of two columns of h steps, have degree below 2h
     and do not wrap.  The window step's product, of an adjoint column and
     2h coefficients, wraps onto 0..h-1; only h..2h-1 are read.
@@ -186,8 +164,18 @@ def _shifted(buf):
 def _column(R, q):
     """[a; b] = [conj(R0[n:0:-1]); -R1[:n]] / prod(theta), shape (..., 2, n), from
     accumulator rows R of shape (..., 2, n+1) that hold prod(theta) times the
-    adjoint column of the samples q, shape (..., n); prod(theta) splits at
-    |q| = 1 (module docstring)."""
+    adjoint column of the samples q, shape (..., n).
+
+    `_peel` and `_first_column` step unnormalized, and the column, a block
+    of F, is divided here once per block, where a 1/theta in every step
+    would round |q|^2 away step after step
+    (`test_weak_signal_matrix_matches_transfer_matrix`).  prod(theta)
+    comes in two parts.  The samples with |q| >= 1 give prod(hypot(1, |q|)),
+    which squares no large |q| and rounds each factor to an ulp, where the
+    exp of a large logarithm would not (`test_peel_high_energy`).  Those
+    with |q| < 1 give exp(sum log1p(|q|^2) / 2), which keeps a weak |q|^2
+    that hypot(1, |q|) rounds away, theta - 1 below half an ulp
+    (`test_fast_weak_signal_a0_against_mpmath`)."""
     C = np.empty_like(R[..., :-1])
     np.conj(R[..., 0, :0:-1], out=C[..., 0, :])
     np.negative(R[..., 1, :-1], out=C[..., 1, :])
@@ -205,12 +193,12 @@ def _first_column(q):
     Blocks of BLOCK samples run the accumulator half of the two-row step
     (module docstring) all at once: one batched matmul of [[1, -Q]] and
     [[conj(Q), 1]] per sample position, each block taking its samples
-    newest first, from the column [z^{-block}; 0].  The step is
-    unnormalized, as in `_peel`, and `_column` divides each block's column
-    once by its prod(theta); if the rows or that product overflow,
-    FloatingPointError is raised.  Then a balanced tree multiplies the
-    blocks, later ones on the left (`_para_mul`), from one FFT of every
-    column per level.
+    newest first, from the column [z^{-block}; 0], unnormalized
+    (`_column`).  Over a block of an arbitrary signal prod(theta) has no
+    bound: if the rows or that product overflow, FloatingPointError is
+    raised (errstate over and invalid raise).  Then a balanced tree
+    multiplies the blocks, later ones on the left (`_para_mul`), from one
+    FFT of every column per level.
     """
     q = np.asarray(q, dtype=complex)
     n = len(q)
@@ -243,13 +231,13 @@ def _peel(V):
     window, n slots | one zero slot].  Step k reads Q = -conj(B0/A0), B0
     and A0 the window's constant coefficients at slot n + 1, from buffer
     k & 1 and writes buffer 1 - (k & 1): one matmul of [[1, -Q]] and
-    [[conj(Q), 1]] with the shifts 0 and 1, unnormalized, which peels the
-    window and accumulates the peeled steps' adjoint column at once.  In a
-    two-row buffer, row r shifted by s is buf[r, s:s + w].  R1[n] reads
-    the window's constant coefficients, conj(Q) A0 + B0, which vanish by
-    the choice of Q; the step leaves their rounding residue there, so it
-    is reset to 0.  `_column` reads the column and divides it by
-    prod(theta).
+    [[conj(Q), 1]] with the shifts 0 and 1, which peels the window and
+    accumulates the peeled steps' adjoint column at once.  Q is a ratio,
+    which no common scale of the window changes, so the step drops the
+    step matrix's 1/theta (`_column`).  In a two-row buffer, row r
+    shifted by s is buf[r, s:s + w].  R1[n] reads the window's constant
+    coefficients, conj(Q) A0 + B0, which vanish by the choice of Q; the
+    step leaves their rounding residue there, so it is reset to 0.
 
     After k steps the accumulator is live from slot n - k and the window
     holds n - k live coefficients.  The matmul's views are made once per
@@ -263,9 +251,10 @@ def _peel(V):
     The loop holds only the step: it reads r = B0/A0 = -conj(Q), writes
     conj(r) = -Q and -r = conj(Q) into the matrix, and negates the
     conjugated samples once at the end.  Rows or a prod(theta) that
-    overflow raise FloatingPointError rather than hold inf or NaN.  If the
-    tree rounded the window's A0 to 0, which only a pair far from valid
-    can do, the ratio's ZeroDivisionError names that cause.
+    overflow raise FloatingPointError (errstate over and invalid raise)
+    rather than hold inf or NaN.  If the tree rounded the window's A0 to 0,
+    which only a pair far from valid can do, the ratio's ZeroDivisionError
+    names that cause (`test_tree_window_a0_rounded_to_zero_raises`).
     """
     n = V.shape[-1]
     L = 2 * n + 2
@@ -303,8 +292,8 @@ def _peel(V):
 
 def invert_sequential(pair, check=True) -> Signal:
     """O(D^2) layer peeling: the whole pair peeled as one `_peel` leaf, with
-    no tree above it, one matmul per sample.  Its edges are invert_fast's
-    (module docstring)."""
+    no tree above it, one matmul per sample.  It checks the pair on entry
+    (`_pair_arrays`) and its samples on exit (`_finite`) as invert_fast does."""
     a, b = _pair_arrays(pair, check)
     qs, _ = _peel(np.stack([a, b]))
     return Signal(samples=_finite(qs[::-1], "sample q"))
@@ -327,7 +316,9 @@ def invert_fast(pair, check=True):
     FFT of C_hi serves both products, so a node runs ten length-2h
     transforms of one row: C_hi, V and C_lo forward, two rows each, and
     the two products back.  A leaf (`_peel`) peels its window one sample
-    at a time and accumulates its column in the same matmul.
+    at a time and accumulates its column in the same matmul.  The whole
+    tree runs under errstate(over="raise", invalid="raise"), so an
+    overflow or a NaN from numpy's arithmetic raises FloatingPointError.
     """
     a, b = _pair_arrays(pair, check)
     D = len(a)

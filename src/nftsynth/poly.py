@@ -1,8 +1,9 @@
 """Polynomials in z^{-1} as plain complex arrays.
 
 A causal polynomial p(z) = sum_i c[i] * z^{-i} is represented by its
-coefficient array c.  Everything downstream (scattering pairs, transfer
-matrices, filters) is built on the handful of operations here.
+coefficient array c.  The module holds what two modules share: values
+off the FFT grid (`poly_eval`, on the `power_sums` kernel) and the omega
+of a circle-grid index (`grid_omega`).
 """
 
 import numpy as np
@@ -11,14 +12,6 @@ import numpy as np
 _FFT_CUTOFF = 128
 # power_sums holds this many powers of its points at once
 EVAL_BLOCK = 1 << 20
-
-
-def as_coeffs(p):
-    """Coerce to a 1-D complex coefficient array (constant term first)."""
-    c = np.atleast_1d(np.asarray(p, dtype=complex))
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficient array must be 1-D and non-empty")
-    return c
 
 
 def power_sums(C, w):
@@ -55,40 +48,14 @@ def poly_eval(p, z0):
     return complex(out) if out.ndim == 0 else out
 
 
-def circle_samples(p, M):
-    """Values p(e^{2*pi*i*m/M}) for m = 0..M-1.
-
-    For p in z^{-1} this is exactly the forward FFT of the (zero-padded)
-    coefficients, since e^{-2*pi*i*m*k/M} = (e^{2*pi*i*m/M})^{-k}.
-    """
-    p = as_coeffs(p)
-    if M < len(p):
-        raise ValueError(f"grid size {M} aliases a length-{len(p)} polynomial")
-    return np.fft.fft(p, M)
-
-
 def grid_omega(m, M, D):
     """omega at index m (scalar or array) of the M-point circle grid.
 
-    Grid point m is z = e^{2*pi*i*m/M} (circle_samples), and a D-sample
-    signal has z = e^{-2*i*omega/D}; the angle is taken in (-pi, pi].
+    Grid point m is z = e^{2*pi*i*m/M}, where np.fft.fft(c, M)[m] is the
+    value of the polynomial c in z^{-1}, since e^{-2*pi*i*m*k/M} =
+    (e^{2*pi*i*m/M})^{-k}.  A D-sample signal has z = e^{-2*i*omega/D};
+    the angle is taken in (-pi, pi].
     """
     ang = 2.0 * np.pi * np.asarray(m) / M
     ang = ang - 2.0 * np.pi * (ang > np.pi)
     return -ang * D / 2.0
-
-
-def coeffs_from_circle(samples, keep):
-    """Inverse of circle_samples, truncated to `keep` coefficients.
-
-    Returns (coeffs, tail_energy) where tail_energy is the summed |c|^2
-    of the discarded coefficients -- the truncation error estimate that
-    callers are expected to check, not ignore.
-    """
-    samples = np.asarray(samples, dtype=complex)
-    if keep > len(samples):
-        raise ValueError("cannot keep more coefficients than samples")
-    c = np.fft.ifft(samples)
-    tail = float(np.sum(np.abs(c[keep:]) ** 2))
-    return c[:keep].copy(), tail
-

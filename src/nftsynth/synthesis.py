@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import circle_samples, coeffs_from_circle
 from .specfact import FilterSpec, make_ub
 from .verify import pair_residual
 
@@ -30,7 +29,7 @@ class SpectrumSpec:
 
     def __post_init__(self):
         self.lambdas = [complex(l) for l in self.lambdas]
-        FilterSpec(self.D, self.delta, self.omega_c)  # reuse validation
+        self.filter  # FilterSpec validates D, delta and omega_c
         eps = 1.0 / self.D
         strip = np.pi / (2 * eps)
         lo, hi = np.log([ROOT_INNER, ROOT_OUTER]) / (2 * eps)  # as |z| = exp(2 eps Im lambda)
@@ -50,6 +49,11 @@ class SpectrumSpec:
     @property
     def eps(self):
         return 1.0 / self.D
+
+    @property
+    def filter(self):
+        """The low-pass whose factors (u, b) shape the radiation."""
+        return FilterSpec(self.D, self.delta, self.omega_c)
 
 
 @dataclass
@@ -113,14 +117,15 @@ def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:
     rotating only a would silently conjugate the bound-state norming
     constants whenever the Blaschke factor is negative at infinity.
     """
-    pair_ub = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
+    pair_ub = make_ub(spec.filter)
     eps = spec.eps
     zk = [lambda_to_z(l, eps) for l in spec.lambdas]
 
     M = SYNTH_GRID_FACTOR * spec.D
     grid = np.exp(2j * np.pi * np.arange(M) / M)
-    a_ideal = circle_samples(pair_ub.u, M) * blaschke_eval(grid, zk)
-    p, tail = coeffs_from_circle(a_ideal, spec.D)
+    # np.fft.fft(u, M) holds u's values on this grid (poly.grid_omega)
+    c = np.fft.ifft(np.fft.fft(pair_ub.u, M) * blaschke_eval(grid, zk))
+    p, tail = c[:spec.D], float(np.sum(np.abs(c[spec.D:]) ** 2))
     if not tail <= TAIL_ENERGY_LIMIT:
         raise ValueError(
             f"truncation tail energy {tail:.2e} > {TAIL_ENERGY_LIMIT}: "

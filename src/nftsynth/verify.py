@@ -54,6 +54,12 @@ def energy_identity_residual(signal, a0) -> float:
     return abs(prod * float(np.real(a0)) ** 2 - 1.0)
 
 
+def inversion_devs(signal, back):
+    """(max |q|, max |q' - q|): the signal's largest sample, and how far the
+    samples q' inverted back from its forward pair are from its samples q."""
+    return float(np.abs(signal.samples).max()), float(np.abs(back.samples - signal.samples).max())
+
+
 def column_dev(pair, C):
     """max |C - [a; b]| over the stacked pair: how far the first column C
     of the samples' forward matrix is from the pair they came from, or,
@@ -67,13 +73,17 @@ def reflection_devs(omega, vals, predicted, omega_c):
     from the limiting prediction, over |omega| <= omega_c and over
     omega_c < |omega| <= 2 omega_c.  Poles (non-finite vals) and points
     with no positive prediction are left out; a band with no point left
-    gives None."""
+    gives None.  A cut-off with no grid point beyond it leaves no
+    transition band and no passband verdict either: the limiting
+    prediction does not describe a discrete filter that passes the whole
+    grid, which omega_c >= pi D / 2 gives."""
     ok = (predicted > 0) & np.isfinite(vals)
     rel = np.abs(np.abs(vals[ok]) ** 2 - predicted[ok]) / predicted[ok]
     om = np.abs(omega[ok])
     passband = rel[om <= omega_c]
     transition = rel[(om > omega_c) & (om <= 2 * omega_c)]
-    return (float(passband.max()) if passband.size else None,
+    beyond = np.any(np.abs(omega) > omega_c)
+    return (float(passband.max()) if passband.size and beyond else None,
             float(transition.max()) if transition.size else None)
 
 

@@ -136,7 +136,7 @@ def test_semi_asymptotic_norming_single():
 def test_semi_asymptotic_norming_matches_per_k_formula():
     """All four predictions of one call against the product written out per k."""
     spec = SpectrumSpec(lambdas=FOUR_SOLITON, delta=0.01, D=512, omega_c=10.0)
-    fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
+    fp = make_ub(spec.filter)
     got = semi_asymptotic_norming(fp.b, fp.u, FOUR_SOLITON, spec.eps)
     assert got.shape == (4,)
     for k, lk in enumerate(FOUR_SOLITON):
@@ -169,7 +169,7 @@ def test_predictions_match_measured_norming():
     rel = np.abs(meas - pred) / np.abs(meas)
     assert np.all(rel <= 2e-2)
 
-    fp = make_ub(FilterSpec(spec.D, spec.delta, spec.omega_c))
+    fp = make_ub(spec.filter)
     lams = np.asarray(FOUR_SOLITON, dtype=complex)
     for k, lk in enumerate(lams):
         zk = lambda_to_z(lk, spec.eps)

@@ -5,12 +5,7 @@ import pytest
 from nftsynth import poly
 # numpy's convolve, under the name perfbench/'s tracer patches and costs as a product
 from nftsynth.inverse import poly_mul
-from nftsynth.poly import (
-    as_coeffs,
-    circle_samples,
-    coeffs_from_circle,
-    poly_eval,
-)
+from nftsynth.poly import grid_omega, poly_eval
 
 
 def schoolbook(p, q):
@@ -76,8 +71,6 @@ def test_eval_rejects_zero():
 
 def test_coefficient_shape_refusals():
     """Empty coefficients, and more than a stack of rows, are refused by name."""
-    with pytest.raises(ValueError, match="coefficient array must be 1-D and non-empty"):
-        as_coeffs([])
     for bad in (np.ones((2, 2, 3)), np.ones((3, 0)), []):
         with pytest.raises(ValueError, match="non-empty 1-D array or a stack of them"):
             poly_eval(bad, 2.0)
@@ -130,63 +123,23 @@ def test_eval_matches_mpmath_at_scale():
             assert abs(v - exact) <= gamma * scale
 
 
-def test_circle_samples_constant():
-    np.testing.assert_allclose(circle_samples([1.0], 4), np.ones(4))
-
-
 def test_circle_samples_monomial():
-    out = circle_samples([0.0, 1.0], 4)
-    np.testing.assert_allclose(out, [1.0, -1j, -1.0, 1j], atol=1e-15)
+    """np.fft.fft(c, M)[m] is c at z = e^{2 pi i m/M}: here c = z^{-1}."""
+    np.testing.assert_allclose(np.fft.fft([0.0, 1.0], 4), [1.0, -1j, -1.0, 1j], atol=1e-15)
 
 
 def test_circle_samples_matches_poly_eval():
+    """The FFT samples a polynomial on the circle grid, whose points
+    grid_omega maps to omega with z = e^{-2 i omega / D}."""
     rng = np.random.default_rng(11)
     p = rng.normal(size=33) + 1j * rng.normal(size=33)
-    M = 66
+    M, D = 66, 16
     grid = np.exp(2j * np.pi * np.arange(M) / M)
+    np.testing.assert_allclose(np.exp(-2j * grid_omega(np.arange(M), M, D) / D), grid,
+                               rtol=0, atol=1e-14)
     ref = poly_eval(p, grid)
-    out = circle_samples(p, M)
+    out = np.fft.fft(p, M)
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_circle_samples_rejects_aliasing():
-    with pytest.raises(ValueError):
-        circle_samples(np.ones(8), 4)
-
-
-def test_coeffs_from_circle_roundtrip_exact():
-    samples = circle_samples([1.0, 0.5], 8)
-    coeffs, tail = coeffs_from_circle(samples, 2)
-    np.testing.assert_allclose(coeffs, [1.0, 0.5], atol=1e-15)
-    assert tail <= 1e-28
-
-
-def test_coeffs_from_circle_rejects_keeping_more_than_samples():
-    with pytest.raises(ValueError, match="cannot keep more coefficients than samples"):
-        coeffs_from_circle(np.ones(4), 5)
-
-
-def test_coeffs_from_circle_identity_property():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        n = rng.integers(1, 40)
-        p = rng.normal(size=n) + 1j * rng.normal(size=n)
-        M = int(2 ** np.ceil(np.log2(max(2, 2 * n))))
-        coeffs, tail = coeffs_from_circle(circle_samples(p, M), n)
-        assert np.abs(coeffs - p).max() <= 1e-12
-        assert tail <= 1e-24
-
-
-def test_coeffs_from_circle_geometric_tail():
-    # 1/(1 - 0.5 z^{-1}) is analytic in |z| > 1/2; coefficients are 0.5^i
-    keep = 40
-    M = 4 * keep
-    grid = np.exp(2j * np.pi * np.arange(M) / M)
-    samples = 1.0 / (1.0 - 0.5 / grid)
-    coeffs, tail = coeffs_from_circle(samples, keep)
-    np.testing.assert_allclose(coeffs, 0.5 ** np.arange(keep), rtol=1e-10, atol=1e-15)
-    assert tail <= 1e-10
-
 
 
 # The derivative of a causal polynomial is a'(z) = -sum j a_j z^{-j-1}

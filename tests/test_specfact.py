@@ -8,7 +8,6 @@ from scipy.special import sici
 
 from nftsynth import specfact
 from nftsynth.asymptotics import predict
-from nftsynth.poly import circle_samples
 from nftsynth.specfact import (
     FLOOR_MARGIN,
     LOG_FLOOR,
@@ -162,8 +161,8 @@ def test_factor_u_residual_bound():
     psi = design_lowpass(D, 10.0)
     pw = np.abs(np.fft.rfft(psi, 8 * D)) ** 2
     u, _ = spectral_factor(1.0 - delta**2 * pw, D)
-    achieved = np.abs(circle_samples(u, 16 * D)) ** 2
-    target = 1.0 - delta**2 * np.abs(circle_samples(psi, 16 * D)) ** 2
+    achieved = np.abs(np.fft.fft(u, 16 * D)) ** 2
+    target = 1.0 - delta**2 * np.abs(np.fft.fft(psi, 16 * D)) ** 2
     assert np.abs(achieved - target).max() <= 1e-8
 
 
@@ -177,7 +176,7 @@ def test_make_ub_residual_and_passband_level():
 
 def test_make_ub_vanishing_contrast():
     fp = make_ub(FilterSpec(512, 1e-8, 10.0))
-    assert np.abs(circle_samples(fp.b, 4096)).max() <= 2e-8
+    assert np.abs(np.fft.fft(fp.b, 4096)).max() <= 2e-8
     assert abs(fp.u[0] - 1.0) <= 1e-8
 
 
@@ -257,7 +256,7 @@ def test_minimum_phase_spot_and_full():
 def grid_residual(u, b):
     """max | |u|^2 + |b|^2 - 1 | sampled directly on the 16L grid: the test oracle."""
     M = 16 * max(len(u), len(b))
-    su, sb = (np.abs(circle_samples(p, M)) ** 2 for p in (u, b))
+    su, sb = (np.abs(np.fft.fft(p, M)) ** 2 for p in (u, b))
     return float(np.max(np.abs(su + sb - 1.0)))
 
 
@@ -344,14 +343,14 @@ def test_make_ub_residual_across_contrast(delta):
 
 def _lowpass_power(spec):
     psi = design_lowpass(spec.D, spec.omega_c)
-    return np.abs(circle_samples(psi, OVERSAMPLE * spec.D)) ** 2
+    return np.abs(np.fft.fft(psi, OVERSAMPLE * spec.D)) ** 2
 
 
 def complex_ub(spec):
     """(u, b, pair residual) from complex_factor; inf where |b| reaches 1."""
     M = OVERSAMPLE * spec.D
     b = complex_factor(spec.delta**2 * _lowpass_power(spec), spec.D)
-    Su = 1.0 - np.abs(circle_samples(b, M)) ** 2
+    Su = 1.0 - np.abs(np.fft.fft(b, M)) ** 2
     if Su.min() <= 0:
         return None, b, np.inf
     u = complex_factor(Su, spec.D)
@@ -366,7 +365,7 @@ def rounding_spread(spec, u_ref, b_ref):
     S = S * (1 + np.finfo(float).eps * rng.standard_normal(M))
     S = (S + S[-np.arange(M)]) / 2
     b = complex_factor(S, spec.D)
-    u = complex_factor(1.0 - np.abs(circle_samples(b, M)) ** 2, spec.D)
+    u = complex_factor(1.0 - np.abs(np.fft.fft(b, M)) ** 2, spec.D)
     return (np.abs(u - u_ref).max() / np.abs(u_ref).max(),
             np.abs(b - b_ref).max() / np.abs(b_ref).max())
 

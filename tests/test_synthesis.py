@@ -170,9 +170,7 @@ def test_synthesize_rejects_too_small_d():
 
 
 def test_synthesize_rejects_nan_tail(monkeypatch):
-    truncate = synthesis.coeffs_from_circle
-    monkeypatch.setattr(synthesis, "coeffs_from_circle",
-                        lambda samples, keep: (truncate(samples, keep)[0], float("nan")))
+    monkeypatch.setattr(synthesis, "blaschke_eval", lambda z, roots: np.full_like(z, np.nan))
     spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=64, omega_c=10.0)
     with pytest.raises(ValueError, match="tail energy nan"):
         synthesize_ab(spec)

@@ -12,6 +12,7 @@ from nftsynth.verify import (
     column_dev,
     eigenvalue_errors,
     energy_identity_residual,
+    inversion_devs,
     norming_rel_devs,
     pair_residual,
     radiation_energy,
@@ -63,11 +64,21 @@ def test_reflection_devs_is_pointwise():
 def test_reflection_devs_empty_band_and_pole():
     """A band with no grid point gives None; a pole (non-finite value) and a
     point with no positive prediction are left out."""
-    omega = np.array([-1.0, 0.0, 1.0])
-    predicted = np.array([1.0, 1.0, 0.0])
-    vals = np.array([1.0, np.nan, 7.0], dtype=complex)
+    omega = np.array([-1.0, 0.0, 1.0, 12.0])
+    predicted = np.array([1.0, 1.0, 0.0, 1.0])
+    vals = np.array([1.0, np.nan, 7.0, 1.0], dtype=complex)
     assert reflection_devs(omega, vals, predicted, 5.0) == (0.0, None)
-    assert reflection_devs(omega, np.full(3, np.inf + 0j), predicted, 0.5) == (None, None)
+    assert reflection_devs(omega, np.full(4, np.inf + 0j), predicted, 0.5) == (None, None)
+
+
+def test_reflection_devs_cutoff_past_grid():
+    """A cut-off with no grid point beyond it gives no passband verdict, even
+    where every point is off its prediction; one grid point beyond restores it."""
+    omega = np.array([-2.0, 0.0, 2.0])
+    predicted = np.ones(3)
+    vals = np.full(3, 2.0 + 0j)
+    assert reflection_devs(omega, vals, predicted, 2.0) == (None, None)
+    assert reflection_devs(omega, vals, predicted, 1.5) == (3.0, 3.0)
 
 
 def test_radiation_energy_trapezoid():
@@ -92,6 +103,14 @@ def test_norming_rel_devs_align_permuted_roots():
         [0.5, 0.2, 0.2])
 
 
+def test_inversion_devs():
+    """The largest |q|, and the largest |q' - q| against the samples inverted back."""
+    signal = Signal(samples=np.array([0.5, -2.0j, 0.1]))
+    back = Signal(samples=np.array([0.5, -2.0j + 1e-3, 0.1 - 2e-3]))
+    assert inversion_devs(signal, back) == pytest.approx((2.0, 2e-3), rel=1e-12)
+    assert inversion_devs(signal, signal) == (2.0, 0.0)
+
+
 def test_column_dev_and_energy_identity():
     pair = ScatteringPair(np.array([0.6, 0.0]), np.array([0.0, 0.8j]))
     C = np.stack([pair.a, pair.b])
@@ -106,14 +125,15 @@ def test_column_dev_and_energy_identity():
 
 
 def test_roundtrip_wide_band_has_no_transition(tmp_path):
-    """omega_c >= pi D / 2 puts the whole grid in the passband: the report
-    gives a null transition deviation and the command still succeeds."""
+    """omega_c >= pi D / 2 puts the whole grid in the passband, where the
+    limiting prediction describes no discrete filter: the report gives null
+    transition and passband deviations and the command still succeeds."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"lambdas": [], "delta": 0.01, "D": 64, "omega_c": 200}))
     out = tmp_path / "out"
     assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
     rep = json.loads((out / "report.json").read_text())
     assert rep["reflection_transition_rel_dev"] is None
-    assert rep["reflection_passband_rel_dev"] >= 0.0
+    assert rep["reflection_passband_rel_dev"] is None
     assert rep["forward_unimodularity_residual"] <= 1e-10
     assert rep["energy_identity_residual"] <= 1e-8
