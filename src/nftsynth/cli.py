@@ -14,6 +14,8 @@ import argparse
 import csv
 import functools
 import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -32,6 +34,7 @@ from .verify import (column_dev, eigenvalue_errors, energy_identity_residual, in
 SCHEMA_VERSION = 1
 BENCH_REPEATS = 5
 DEFAULT_BENCH_D = [1 << k for k in range(9, 17)]   # 512 ... 65536
+BENCH_LAMBDAS = [[[0.0, 20.0]], [[0.0, 12.5], [3.0, 25.0], [-2.0, 37.5], [0.0, 50.0]]]
 
 
 def spec_from_job(job) -> SpectrumSpec:
@@ -112,16 +115,19 @@ def _stage(name, fn, rep):
 
 
 def _synthesize(job, rep):
-    """Spectrum JSON -> (a, b) -> samples, two clocked stages: (spec, pair, signal, C),
-    C the first column of the samples' forward matrix that invert_fast returns."""
+    """Spectrum JSON -> filter factors -> (a, b) -> samples, three clocked stages:
+    (spec, pair, signal, C), C the first column of the samples' forward matrix
+    that invert_fast returns.  synthesize_ab reads make_ub's cache."""
     spec = spec_from_job(job)
-    try:
-        pair = _stage("synthesize", lambda: synthesize_ab(spec), rep)
-    except RuntimeError as exc:
-        refusal = exc.__cause__
-        if isinstance(refusal, ValueError):  # a usage error, exit 2
-            raise ValueError(f"stage 'synthesize' refused the spec: {refusal}") from refusal
-        raise
+    for name, fn in (("make_ub", lambda: make_ub(spec.filter)),
+                     ("synthesize", lambda: synthesize_ab(spec))):
+        try:
+            pair = _stage(name, fn, rep)
+        except RuntimeError as exc:
+            refusal = exc.__cause__
+            if isinstance(refusal, ValueError):  # a usage error, exit 2
+                raise ValueError(f"stage '{name}' refused the spec: {refusal}") from refusal
+            raise
     signal, C = _stage("invert_fast", lambda: invert_fast(pair, check=False), rep)
     return spec, pair, signal, C
 
@@ -222,59 +228,50 @@ def run_asymptotics(job, out: Path, rep):
             complex(c) for c in predict(spec).norming_predictions]
 
 
-def _time_median(fn):
-    """Median wall time of BENCH_REPEATS calls, after one warm-up call."""
-    fn()  # warm-up
-    times = []
-    for _ in range(BENCH_REPEATS):
+def _bench_row(job, spec, out):
+    """BENCH_REPEATS cold roundtrips of `job`, after one dropped warm-up: the
+    median and minimum of each wall_clock_s stage, of the end-to-end time
+    "total", and of "unclocked", the total less the stages."""
+    runs = []
+    for _ in range(BENCH_REPEATS + 1):
+        make_ub.cache_clear()
+        run = {"wall_clock_s": {}}
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        run_roundtrip(job, out, run)
+        total, clocks = time.perf_counter() - t0, run["wall_clock_s"]
+        runs.append({**clocks, "total": total, "unclocked": total - sum(clocks.values())})
+    times = {key: {"median_s": float(np.median([r[key] for r in runs[1:]])),
+                   "min_s": min(r[key] for r in runs[1:])} for key in runs[0]}
+    label = ", ".join(f"{l:g}" for l in spec.lambdas) or "radiation only"
+    print(f"{label} D={spec.D}: " + ", ".join(f"{k}={v['median_s']:.3g}" for k, v in times.items()))
+    return {"spec": label, "D": spec.D, **times}
 
 
 def run_bench(job, out: Path, rep):
     ds = job.get("bench_D", DEFAULT_BENCH_D)
-    if not isinstance(ds, list):
-        raise ValueError(f"bench_D={ds!r} is not a list of sizes")
-    base = {"lambdas": [[0.0, 20.0]], "delta": 0.01, "omega_c": 10.0, **job}
-    rows = []
-    for spec in [spec_from_job({**base, "D": d}) for d in ds]:
-        D = spec.D
-        row = {"D": D}
-        # Both rows time a cold factorization, which make_ub's cache would
-        # otherwise serve from the warm-up on; synthesize_ab includes it.
-        filt = spec.filter
-        row["make_ub_s"] = _time_median(lambda: make_ub.__wrapped__(filt))
-
-        def cold_synthesis():
-            make_ub.cache_clear()
-            return synthesize_ab(spec)
-
-        row["synthesize_ab_s"] = _time_median(cold_synthesis)
-        pair = synthesize_ab(spec)
-        row["invert_fast_s"] = _time_median(lambda: invert_fast(pair, check=False))
-        signal, _C = invert_fast(pair, check=False)
-        row["forward_fast_s"] = _time_median(lambda: forward_fast(signal))
-        row["find_eigenvalues_s"] = _time_median(lambda: find_eigenvalues(pair.a))
-        for key in list(row):
-            if key.endswith("_s"):
-                row[key.removesuffix("_s") + "_per_sample_us"] = row[key] / D * 1e6
-        rows.append(row)
-        print(f"D={D}: " + ", ".join(
-            f"{k}={v:.3g}" for k, v in row.items() if k != "D"))
-
-    # per-sample fast time against log2(D)^2: slope is the scaling diagnostic;
-    # a line needs two sizes
-    fit = None
-    if len({r["D"] for r in rows}) >= 2:
-        x = np.array([np.log2(r["D"]) ** 2 for r in rows])
-        y = np.array([r["invert_fast_per_sample_us"] for r in rows])
-        slope, intercept = np.polyfit(x, y, 1)
-        fit = {"model": "t_us = slope * log2(D)^2 + intercept",
-               "slope": float(slope), "intercept": float(intercept)}
-    rep.update(rows=rows, fast_per_sample_fit=fit,
-               constants={"LEAF_SIZE": LEAF_SIZE, "BLOCK": BLOCK, "CHUNK": CHUNK})
+    if not isinstance(ds, list) or not ds:
+        raise ValueError(f"bench_D={ds!r} is not a non-empty list of sizes")
+    jobs = [{"delta": 0.01, "omega_c": 10.0, **job, "lambdas": lams, "D": d}
+            for lams in ([job["lambdas"]] if "lambdas" in job else BENCH_LAMBDAS) for d in ds]
+    specs = [spec_from_job(j) for j in jobs]   # every refusal comes before any timing
+    rows = [_bench_row(j, spec, out) for j, spec in zip(jobs, specs)]
+    # per spec, per-sample invert_fast time against log2(D)^2: slope is the
+    # scaling diagnostic; a line needs two sizes
+    fits = dict.fromkeys(r["spec"] for r in rows)
+    for label in fits:
+        own = [r for r in rows if r["spec"] == label]
+        if len({r["D"] for r in own}) >= 2:
+            x = np.array([np.log2(r["D"]) ** 2 for r in own])
+            y = np.array([r["invert_fast"]["median_s"] / r["D"] * 1e6 for r in own])
+            slope, intercept = np.polyfit(x, y, 1)
+            fits[label] = {"model": "t_us = slope * log2(D)^2 + intercept",
+                           "slope": float(slope), "intercept": float(intercept)}
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    rep.update(rows=rows, fast_per_sample_fit=fits,
+               constants={"LEAF_SIZE": LEAF_SIZE, "BLOCK": BLOCK, "CHUNK": CHUNK},
+               machine={"cpus": len(cpus), "python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")})
 
 
 @functools.cache

@@ -307,25 +307,20 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(specfact, "spectral_factor", counting_factor)
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
-    # every timed make_ub and synthesize_ab repetition factors b and u afresh,
-    # not a cached pair
-    assert sorted(factored) == [64, 128]
-    assert min(factored.values()) >= 4 * (BENCH_REPEATS + 1)
+    # the job's lambdas replace both default specs; every run, the warm-up
+    # included, factors b and u once, from a cold filter
+    assert factored == {64: 2 * (BENCH_REPEATS + 1), 128: 2 * (BENCH_REPEATS + 1)}
     rep = read_report(out)
-    assert [r["D"] for r in rep["rows"]] == [64, 128]
+    assert [(r["spec"], r["D"]) for r in rep["rows"]] == [("0+20j", 64), ("0+20j", 128)]
     for row in rep["rows"]:
-        for stage in ("make_ub", "synthesize_ab"):
-            assert row[f"{stage}_s"] > 0
-            assert row[f"{stage}_per_sample_us"] == pytest.approx(row[f"{stage}_s"] / row["D"] * 1e6)
-        assert row["invert_fast_per_sample_us"] > 0
-        assert "forward_fast_s" in row
-        assert row["find_eigenvalues_s"] > 0
-        assert row["find_eigenvalues_per_sample_us"] > 0
-    assert "slope" in rep["fast_per_sample_fit"]
+        for stage in ("make_ub", "synthesize", "invert_fast", "eigenvalues", "total"):
+            assert row[stage]["median_s"] > 0
+    assert list(rep["fast_per_sample_fit"]) == ["0+20j"]
+    assert "slope" in rep["fast_per_sample_fit"]["0+20j"]
     assert rep["constants"] == {"LEAF_SIZE": inverse.LEAF_SIZE, "BLOCK": inverse.BLOCK,
                                 "CHUNK": inverse.CHUNK}
-    # no O(D^2) row at any size
-    assert not any(k.startswith("invert_sequential") for row in rep["rows"] for k in row)
+    assert set(rep["machine"]) == {"cpus", "python", "numpy", "OPENBLAS_NUM_THREADS"}
+    assert rep["machine"]["cpus"] >= 1
 
 
 def test_bench_single_size_has_no_fit(tmp_path, capsys):
@@ -334,9 +329,29 @@ def test_bench_single_size_has_no_fit(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 0
     rep = read_report(out)
-    assert [r["D"] for r in rep["rows"]] == [64]
-    assert rep["fast_per_sample_fit"] is None
-    assert not any(k.startswith("invert_sequential") for k in rep["rows"][0])
+    labels = ["0+20j", "0+12.5j, 3+25j, -2+37.5j, 0+50j"]   # the two default specs
+    assert [(r["spec"], r["D"]) for r in rep["rows"]] == [(label, 64) for label in labels]
+    assert rep["fast_per_sample_fit"] == dict.fromkeys(labels)
+
+
+def test_bench_times_the_roundtrip_stages(tmp_path, capsys):
+    """bench has no stage list of its own: each row holds exactly the
+    wall_clock_s stages of that spec's roundtrip, plus the end-to-end total
+    and the unclocked rest of it."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"bench_D": [64]}))
+    assert main(["bench", "--spec", str(spec), "--out", str(tmp_path / "b")]) == 0
+    rows = read_report(tmp_path / "b")["rows"]
+    for k, (row, lambdas) in enumerate(zip(rows, cli.BENCH_LAMBDAS, strict=True)):
+        out = tmp_path / f"rt{k}"
+        assert main(["roundtrip", "--spec", str(write_spec(tmp_path / "rt.json", lambdas, D=64)),
+                     "--out", str(out)]) == 0
+        stages = set(read_report(out)["wall_clock_s"])
+        assert set(row) - {"spec", "D"} == stages | {"total", "unclocked"}
+        for stage in stages | {"total", "unclocked"}:
+            assert 0 <= row[stage]["min_s"] <= row[stage]["median_s"]
+        # each run's unclocked rest is its total less its clocked stages
+        assert row["unclocked"]["min_s"] < row["total"]["min_s"]
 
 
 def test_missing_field_is_usage_error(tmp_path, capsys):
@@ -417,7 +432,7 @@ def test_malformed_spec_json_is_usage_error(tmp_path, capsys, body, message):
     assert not (tmp_path / "o" / "report.json").exists()
 
 
-@pytest.mark.parametrize("bench_d", [[64.7], 64], ids=["fractional-D", "not-a-list"])
+@pytest.mark.parametrize("bench_d", [[64.7], 64, []], ids=["fractional-D", "not-a-list", "empty"])
 def test_bad_bench_sizes_are_usage_error(tmp_path, capsys, bench_d):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"bench_D": bench_d}))
@@ -453,17 +468,18 @@ def test_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])
-@pytest.mark.parametrize("job", [
-    {"lambdas": [[0.0, 0.05]], "delta": 0.01, "D": 16, "omega_c": 10.0},
-    {"lambdas": [], "delta": 0.95, "D": 64, "omega_c": 10.0},
-    {"lambdas": [], "delta": 1e-12, "D": 512, "omega_c": 10.0},
+@pytest.mark.parametrize("job, stage", [
+    ({"lambdas": [[0.0, 0.05]], "delta": 0.01, "D": 16, "omega_c": 10.0}, "synthesize"),
+    ({"lambdas": [], "delta": 0.95, "D": 64, "omega_c": 10.0}, "make_ub"),
+    ({"lambdas": [], "delta": 1e-12, "D": 512, "omega_c": 10.0}, "make_ub"),
 ], ids=["tail-energy", "saturated-contrast", "floor-swamped-contrast"])
-def test_refused_synthesis_is_usage_error(tmp_path, capsys, job, command):
+def test_refused_synthesis_is_usage_error(tmp_path, capsys, job, stage, command):
+    """The filter's refusals come from its own stage, the truncation's from synthesize."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(job))
     rc = main([command, "--spec", str(spec), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: stage 'synthesize' refused the spec")
+    assert capsys.readouterr().err.startswith(f"error: stage '{stage}' refused the spec")
     assert not (tmp_path / "o" / "signal.csv").exists()
 
 
