@@ -143,6 +143,19 @@ def _reinvert(signal, rep):
     return pair2
 
 
+def _spectrum(pair, eps, rep):
+    """The forward pair's nonlinear Fourier spectrum, one clocked stage
+    "spectrum": the reflection coefficient (omega, vals, poles), the roots
+    zs of a, their eigenvalues at sample step eps and the norming constants
+    at zs."""
+    def spectrum():
+        refl = reflection_coefficient(pair)
+        zs = find_eigenvalues(pair.a)
+        return refl, zs, [z_to_lambda(z, eps) for z in zs], norming_constants(pair, zs)
+
+    return _stage("spectrum", spectrum, rep)
+
+
 def run_synthesize(job, out: Path, rep):
     spec, pair, signal, C = _synthesize(job, rep)
     _write_csv(out / "pair.csv", ["j", "re_a", "im_a", "re_b", "im_b"],
@@ -168,14 +181,7 @@ def run_forward(job, out: Path, rep, signal_path=None):
     else:
         _spec, _pair, signal, _C = _synthesize(job, rep)
     pair = _stage("forward_fast", lambda: forward_fast(signal), rep)
-
-    def spectrum():
-        refl = reflection_coefficient(pair)
-        zs = find_eigenvalues(pair.a)
-        lams = [z_to_lambda(z, signal.eps) for z in zs]
-        return refl, zs, lams, norming_constants(pair, zs)
-
-    (omega, vals, poles), zs, lams, norming = _stage("spectrum", spectrum, rep)
+    (omega, vals, poles), zs, lams, norming = _spectrum(pair, signal.eps, rep)
     _write_csv(out / "reflection.csv", ["omega", "re_Qhat", "im_Qhat", "power", "pole"],
                ([f"{om:.12g}", *_cx(v), f"{abs(v) ** 2:.17g}", int(p)]
                 for om, v, p in zip(omega, vals, poles)))
@@ -195,21 +201,16 @@ def run_roundtrip(job, out: Path, rep):
                forward_unimodularity_residual=pair2.unimodularity_residual,
                energy_identity_residual=energy_identity_residual(signal, pair2.a[0]))
 
-    omega, vals, _poles = reflection_coefficient(pair2)
+    (omega, vals, _poles), zs, lams, norming = _spectrum(pair2, signal.eps, rep)
     predicted = asymptotic_reflection(omega, spec.delta, spec.omega_c)
     passband, transition = reflection_devs(omega, vals, predicted, spec.omega_c)
     rep.update(reflection_passband_rel_dev=passband, reflection_transition_rel_dev=transition,
-               radiation_energy=radiation_energy(omega, vals))
-
+               radiation_energy=radiation_energy(omega, vals), eigenvalue_count=len(zs))
     if spec.lambdas:
-        zs = _stage("eigenvalues", lambda: find_eigenvalues(pair2.a), rep)
-        lams = [z_to_lambda(z, spec.eps) for z in zs]
         rep["eigenvalue_errors"] = eigenvalue_errors(lams, spec.lambdas)
-        rep["eigenvalue_count"] = int(len(zs))
         if len(zs) == len(spec.lambdas):
             rep["norming_rel_devs"] = norming_rel_devs(
-                norming_constants(pair2, zs), predict(spec).norming_predictions,
-                lams, spec.lambdas)
+                norming, predict(spec).norming_predictions, lams, spec.lambdas)
 
 
 def run_asymptotics(job, out: Path, rep):

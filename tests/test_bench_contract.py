@@ -86,17 +86,23 @@ def test_cli_roundtrip_calls_captured_names(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("D", [256, 8192])
-@pytest.mark.parametrize("command", ["invert", "roundtrip"])
-def test_command_transform_calls(tmp_path, monkeypatch, command, D):
+@pytest.mark.parametrize("command, lambdas", [
+    ("invert", [[0.0, 20.0]]), ("roundtrip", [[0.0, 20.0]]), ("roundtrip", []),
+], ids=["invert", "roundtrip", "roundtrip-radiation"])
+def test_command_transform_calls(tmp_path, monkeypatch, command, lambdas, D):
     """A cost ledger of the verifying commands: each makes exactly one
     forward_fast, two invert_fast (the samples and their re-inversion) and
-    no invert_sequential call at every D, so both stay O(D log^2 D)."""
-    calls = _counting(monkeypatch, ("forward_fast", "invert_fast", "invert_sequential"))
+    no invert_sequential call at every D, so both stay O(D log^2 D).
+    roundtrip searches its forward pair for bound states once, radiation
+    only too; invert never does."""
+    calls = _counting(monkeypatch, ("forward_fast", "invert_fast", "invert_sequential",
+                                    "find_eigenvalues"))
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"lambdas": [[0.0, 20.0]], "delta": 0.01, "D": D,
+    spec.write_text(json.dumps({"lambdas": lambdas, "delta": 0.01, "D": D,
                                 "omega_c": 10.0}))
     assert cli.main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"forward_fast": 1, "invert_fast": 2, "invert_sequential": 0}
+    assert calls == {"forward_fast": 1, "invert_fast": 2, "invert_sequential": 0,
+                     "find_eigenvalues": int(command == "roundtrip")}
 
 
 def _defined(node):

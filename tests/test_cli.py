@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -259,6 +260,8 @@ def test_forward_spec_four_soliton_spectrum(tmp_path):
 
 
 def test_roundtrip_command_radiation(tmp_path):
+    """A radiation-only roundtrip searches for bound states as every
+    roundtrip does, and finds none, over the corners of the filter's range."""
     spec = write_spec(tmp_path / "spec.json", lambdas=())
     out = tmp_path / "out"
     assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
@@ -267,7 +270,12 @@ def test_roundtrip_command_radiation(tmp_path):
     assert rep["coefficient_roundtrip_dev"] <= 1e-7
     assert rep["reflection_passband_rel_dev"] <= 0.5
     assert rep["radiation_energy"] > 0
-    assert "eigenvalue_errors" not in rep
+    assert rep["eigenvalue_count"] == 0
+    assert "eigenvalue_errors" not in rep and "norming_rel_devs" not in rep
+    for D, delta, omega_c in itertools.product((64, 1024), (0.005, 0.3), (2.0, 20.0)):
+        spec = write_spec(tmp_path / "spec.json", lambdas=(), D=D, delta=delta, omega_c=omega_c)
+        assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
+        assert read_report(out)["eigenvalue_count"] == 0, (D, delta, omega_c)
 
 
 def test_roundtrip_command_soliton(tmp_path):
@@ -313,7 +321,7 @@ def test_bench_command_small(tmp_path, capsys, monkeypatch):
     rep = read_report(out)
     assert [(r["spec"], r["D"]) for r in rep["rows"]] == [("0+20j", 64), ("0+20j", 128)]
     for row in rep["rows"]:
-        for stage in ("make_ub", "synthesize", "invert_fast", "eigenvalues", "total"):
+        for stage in ("make_ub", "synthesize", "invert_fast", "spectrum", "total"):
             assert row[stage]["median_s"] > 0
     assert list(rep["fast_per_sample_fit"]) == ["0+20j"]
     assert "slope" in rep["fast_per_sample_fit"]["0+20j"]
@@ -454,17 +462,41 @@ def test_forward_overflowing_signal_exits_1(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
-def test_stage_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # only the synthesize stage turns a ValueError into a usage error
+@pytest.mark.parametrize("command", ["forward", "roundtrip"])
+def test_stage_failure_exits_1(tmp_path, capsys, monkeypatch, command):
+    """Both commands search for bound states in their one spectrum stage;
+    only the synthesis stages turn a ValueError into a usage error."""
     def refuse(a):
         raise ValueError("no certified count")
 
     monkeypatch.setattr(cli, "find_eigenvalues", refuse)
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"
-    assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: stage 'eigenvalues' failed")
+    assert main([command, "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'spectrum' failed")
     assert not (out / "report.json").exists()
+
+
+def test_synthesis_stage_fault_exits_1(tmp_path, capsys, monkeypatch):
+    """A synthesis stage that fails with anything but a ValueError is a
+    fault, not a refused spec: exit 1, and no report."""
+    def overflow(filter_spec):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(cli, "make_ub", overflow)
+    spec = write_spec(tmp_path / "spec.json")
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: stage 'make_ub' failed")
+    assert not (out / "report.json").exists()
+
+
+def test_json_default_refuses_unknown_types():
+    """The report encoder writes a complex value as [re, im] and refuses
+    what it cannot encode, rather than write null."""
+    assert json.loads(json.dumps({"z": 1 - 2j}, default=cli._json_default)) == {"z": [1.0, -2.0]}
+    with pytest.raises(TypeError, match="not JSON-serializable"):
+        json.dumps({"x": object()}, default=cli._json_default)
 
 
 @pytest.mark.parametrize("command", ["synthesize", "roundtrip"])

@@ -249,6 +249,19 @@ def test_find_eigenvalues_radiation_only_is_empty():
     assert len(find_eigenvalues(synthesize_ab(spec).a)) == 0
 
 
+@pytest.mark.parametrize("a", [np.r_[1.0, np.zeros(63)], np.zeros(8)],
+                         ids=["zero-signal", "all-zero"])
+def test_find_eigenvalues_constant_a_has_no_contour(monkeypatch, a):
+    """An a that trims to fewer than two coefficients, such as the zero
+    signal's a = 1, has no zeros: the search returns none without a contour."""
+    def no_contour(*args):
+        raise AssertionError("_circle ran on a constant a")
+
+    monkeypatch.setattr(forward, "_circle", no_contour)
+    zs = find_eigenvalues(a)
+    assert zs.dtype == complex and len(zs) == 0
+
+
 def test_find_eigenvalues_single_soliton():
     spec = SpectrumSpec(lambdas=[20j], delta=0.01, D=512, omega_c=10.0)
     zs = find_eigenvalues(synthesize_ab(spec).a)
@@ -351,6 +364,29 @@ def test_circle_grid_grows_past_many_near_zeros(monkeypatch):
     count, _s = _circle(a, r, 256)
     assert count == 0
     assert sorted({M for (_, M), _ in ffts}) == [256, 1024, 4096, 16384, 65536]
+
+
+def test_circle_grid_grows_until_count_settles(monkeypatch):
+    """With NEAR_GRID at 1e-12 no zero is deflated, so the zero of
+    A = (w - 0.999)(w - 0.5)(w - 2) at relative distance 1e-3 inside |w| = 1
+    puts s_0 off by about (1 - 1e-3)^M at the first grid, M = 64.  The grid
+    grows from the error seen (M = 64, 512, 16384) until s_0 settles on the
+    count 2, and s_1 on 0.999 + 0.5."""
+    monkeypatch.setattr(forward, "NEAR_GRID", 1e-12)
+    grids = []
+    fft_folded = forward._fft_folded
+
+    def recorded(x, M):
+        grids.append(M)
+        assert len(grids) <= 20, "the grid does not grow"
+        return fft_folded(x, M)
+
+    monkeypatch.setattr(forward, "_fft_folded", recorded)
+    a = P.polyfromroots([0.999, 0.5, 2.0]).astype(complex)
+    count, s = _circle(a, 1.0, 64)
+    assert count == 2
+    assert abs(s[1] - 1.499) <= 1e-6
+    assert sorted(set(grids)) == [64, 512, 16384]
 
 
 def test_moment_seeds_non_finite_sums_give_no_seeds():
