@@ -94,16 +94,18 @@ def z_to_lambda(z, eps):
 
 
 def blaschke_eval(z, roots):
-    """Product of (z - z_k)/(1 - z * conj(z_k)); unit modulus on |z| = 1."""
+    """Product of (z - z_k)/(1 - z * conj(z_k)); unit modulus on |z| = 1.
+
+    No denominator vanishes on the circle, where synthesize_ab evaluates
+    it: every pole 1/conj(z_k) lies inside, since SpectrumSpec keeps
+    |z_k| > ROOT_INNER.
+    """
     z = np.asarray(z, dtype=complex)
     out = np.ones_like(z)
     for zk in roots:
-        zk = complex(zk)
         denom = 1.0 - z * np.conj(zk)
-        if np.any(np.abs(denom) < 1e-300):
-            raise ZeroDivisionError(f"evaluation at a pole 1/conj({zk})")
         out = out * (z - zk) / denom
-    return out if out.ndim else complex(out)
+    return out
 
 
 def synthesize_ab(spec: SpectrumSpec) -> ScatteringPair:

@@ -14,6 +14,8 @@ to a quantity the fast code computes.
   of the package's first column `_first_column`.
 - `continuous_oracle` integrates the continuous scattering ODE, the
   D -> infinity limit (scipy.integrate).
+- `rect_pair` is the exact pair of a rectangle q_n = Q, from F(Q)^D by
+  repeated squaring on the circle grid in long double, O(D log D).
 """
 
 import cmath
@@ -136,3 +138,33 @@ def continuous_oracle(q, lam):
     if not sol.success:
         raise RuntimeError(f"scattering ODE integration failed: {sol.message}")
     return complex(sol.y[0, -1]), complex(sol.y[1, -1])
+
+
+def rect_pair(Q, D):
+    """((a, b), tail): the pair of the rectangle q_n = Q (n = 0 ... D-1), D a power of two.
+
+    The pair is the first column of F(Q)^D, F(Q) the step matrix of the
+    `nftsynth.inverse` module docstring.  Its four entries are evaluated at
+    the 2D points z_m = e^{2 pi i m/2D}, where np.fft.fft(c)[m] is c's
+    value (`poly.grid_omega`), and squared log2 D times there; one inverse
+    FFT of the first column gives its coefficients in z^{-1}.  Everything
+    runs in long double, the grid angles too: with the double's pi the
+    pair residual reads 1.9e-12 at D = 2^16, against 7.1e-15.  The column
+    has degree D - 1 in z^{-1} (F(Q) [1; 0] is constant), so the 2D-point
+    grid holds it without aliasing, and tail, the largest coefficient past
+    D - 1, is the oracle's own rounding.
+    """
+    if D & (D - 1):
+        raise ValueError(f"D={D} is not a power of two")
+    pi = np.arccos(np.longdouble(-1))
+    ang = pi * np.arange(2 * D, dtype=np.longdouble) / D
+    zinv = np.cos(ang) - 1j * np.sin(ang)
+    Q = np.clongdouble(Q)
+    theta = np.sqrt(1 + abs(Q) ** 2)
+    p, q = np.full_like(zinv, 1 / theta), Q * zinv / theta
+    r, s = np.full_like(zinv, -np.conj(Q) / theta), zinv / theta
+    for _ in range(D.bit_length() - 1):
+        p, q, r, s = p * p + q * r, q * (p + s), r * (p + s), s * s + q * r
+    a, b = np.fft.ifft(p), np.fft.ifft(r)
+    tail = float(max(abs(a[D:]).max(), abs(b[D:]).max()))
+    return (a[:D].astype(complex), b[:D].astype(complex)), tail
