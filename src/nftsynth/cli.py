@@ -193,6 +193,8 @@ def run_forward(job, out: Path, rep, signal_path=None):
 
 
 def run_roundtrip(job, out: Path, rep):
+    """The roundtrip's stages and health values, into `rep`; returns the run
+    they describe, (spec, pair, signal, forward pair).  Writes no file."""
     spec, pair, signal, _C = _synthesize(job, rep)
     rep.update(D=spec.D, delta=spec.delta, omega_c=spec.omega_c,
                lambdas=[complex(l) for l in spec.lambdas])
@@ -206,11 +208,12 @@ def run_roundtrip(job, out: Path, rep):
     passband, transition = reflection_devs(omega, vals, predicted, spec.omega_c)
     rep.update(reflection_passband_rel_dev=passband, reflection_transition_rel_dev=transition,
                radiation_energy=radiation_energy(omega, vals), eigenvalue_count=len(zs))
-    if spec.lambdas:
+    if spec.lambdas and len(zs):   # no eigenvalue found: no finite error to write
         rep["eigenvalue_errors"] = eigenvalue_errors(lams, spec.lambdas)
         if len(zs) == len(spec.lambdas):
             rep["norming_rel_devs"] = norming_rel_devs(
                 norming, predict(spec).norming_predictions, lams, spec.lambdas)
+    return spec, pair, signal, pair2
 
 
 def run_asymptotics(job, out: Path, rep):

@@ -3,7 +3,8 @@
 Every function takes values a pipeline stage has already computed (a
 pair, samples, a reflection spectrum, roots found) and runs no stage,
 so the commands clock and capture their stages themselves and read the
-values from here.  The acceptance tests read the same definitions.
+values from here.  The acceptance tests read them from the `roundtrip`
+command's report.
 Only numpy is needed: a pair is anything with arrays `a` and `b` and a
 `unimodularity_residual`, a signal anything with `samples`.
 """

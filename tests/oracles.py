@@ -16,6 +16,8 @@ to a quantity the fast code computes.
   D -> infinity limit (scipy.integrate).
 - `rect_pair` is the exact pair of a rectangle q_n = Q, from F(Q)^D by
   repeated squaring on the circle grid in long double, O(D log D).
+
+`random_signal` draws the random test signals the suites share.
 """
 
 import cmath
@@ -168,3 +170,15 @@ def rect_pair(Q, D):
     a, b = np.fft.ifft(p), np.fft.ifft(r)
     tail = float(max(abs(a[D:]).max(), abs(b[D:]).max()))
     return (a[:D].astype(complex), b[:D].astype(complex)), tail
+
+
+def random_signal(rng, D, scale=None):
+    """D complex Gaussian samples times `scale`, by default min(0.5, 2/sqrt(D)).
+
+    Keeping sum(|Q|^2) bounded whatever D keeps a0 well away from 0:
+    peeling's error amplification grows like exp(signal energy), so pairs
+    with a0 << 1 lose digits in any correct implementation and would
+    measure conditioning, not agreement."""
+    if scale is None:
+        scale = min(0.5, 2.0 / np.sqrt(D))
+    return Signal(samples=scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D)))

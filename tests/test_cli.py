@@ -288,6 +288,39 @@ def test_roundtrip_command_soliton(tmp_path):
     assert rep["norming_rel_devs"][0] <= 0.05
 
 
+def test_roundtrip_returns_the_run_it_reports(tmp_path):
+    """run_roundtrip's (spec, pair, signal, forward pair) are the objects its
+    report describes, and that report is the command's report.json."""
+    path = write_spec(tmp_path / "spec.json", lambdas=FOUR_SOLITONS, D=512)
+    rep = {"wall_clock_s": {}}
+    spec, pair, signal, back = cli.run_roundtrip(json.loads(path.read_text()), None, rep)
+    assert rep["max_abs_sample"] == np.abs(signal.samples).max()
+    assert rep["forward_unimodularity_residual"] == back.unimodularity_residual
+    assert rep["D"] == spec.D == len(pair.a) == signal.D
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--spec", str(path), "--out", str(out)]) == 0
+    written = read_report(out)
+    for key in ("wall_clock_s", "schema_version", "command"):
+        written.pop(key)
+    del rep["wall_clock_s"]
+    assert json.loads(json.dumps(rep, default=cli._json_default)) == written
+
+
+def test_roundtrip_report_without_eigenvalues_is_strict_json(tmp_path):
+    """A soliton the search does not find leaves eigenvalue_errors out of
+    report.json, which would otherwise hold Infinity, not JSON."""
+    spec = write_spec(tmp_path / "spec.json", lambdas=[(0.0, 8.0)], delta=1e-7, D=512)
+    out = tmp_path / "out"
+    assert main(["roundtrip", "--spec", str(spec), "--out", str(out)]) == 0
+
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+
+    rep = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert rep["eigenvalue_count"] == 0
+    assert "eigenvalue_errors" not in rep and "norming_rel_devs" not in rep
+
+
 def test_asymptotics_command(tmp_path):
     spec = write_spec(tmp_path / "spec.json")
     out = tmp_path / "out"

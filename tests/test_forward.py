@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from nftsynth import forward, poly
+from nftsynth import cli, forward, poly
 from nftsynth.forward import (
     NEAR_MAX,
     SEED_MAX,
@@ -29,16 +29,9 @@ from nftsynth.synthesis import (
     z_to_lambda,
 )
 
-from oracles import continuous_oracle, forward_sequential, forward_step
+from oracles import continuous_oracle, forward_sequential, forward_step, random_signal
 
 FOUR_SOLITON = [12.5j, 25.0j, 37.5j, 50.0j]
-
-
-def random_signal(rng, D, scale=None):
-    if scale is None:
-        scale = min(0.5, 2.0 / np.sqrt(D))
-    samples = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
-    return Signal(samples=samples)
 
 
 def sampled(q, D):
@@ -402,10 +395,8 @@ def _synthesized(lambdas, D):
 
 
 def _round_tripped(doc):
-    spec = SpectrumSpec(lambdas=[complex(*l) for l in doc["lambdas"]], delta=doc["delta"],
-                        D=doc["D"], omega_c=doc["omega_c"])
-    signal, _ = invert_fast(synthesize_ab(spec), check=False)
-    return forward_fast(signal).a
+    """a of the forward pair the `roundtrip` command reads the spectrum of `doc` from."""
+    return cli.run_roundtrip(doc, None, {"wall_clock_s": {}})[3].a
 
 
 # On an 8*D-point contour grid this pair's zero count came out 1.994: one

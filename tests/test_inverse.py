@@ -30,17 +30,10 @@ from oracles import (
     forward_step,
     invert_scalar,
     para,
+    random_signal,
     rect_pair,
     transfer_matrix,
 )
-
-
-def random_signal(rng, D, scale=None):
-    """Signal with amplitude kept small enough that a0 stays well away from 0."""
-    if scale is None:
-        scale = min(0.5, 2.0 / np.sqrt(D))
-    samples = scale * (rng.standard_normal(D) + 1j * rng.standard_normal(D))
-    return Signal(samples=samples)
 
 
 def test_signal_time_grid():
